@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import (EnergyArch, EnergyParams, _backward_batch, _check_batch,
-                     _forward_batch, energy_forward_batch, init_energy_params,
-                     save_energy_params)
+from .energy import (EnergyArch, EnergyParams, energy_value_and_grad_params,
+                     init_energy_params, save_energy_params)
 from .errors import ConfigError, DivergenceError
 from .langevin import LangevinConfig, run_chain_batch
 from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
@@ -56,20 +55,20 @@ class TrainTrace:
                 writer.writerow([i, repr(s), repr(g)])
 
 
-def _mean_param_grad(params: EnergyParams, batch: np.ndarray) -> np.ndarray:
-    X, _ = _check_batch(params.arch, batch)
-    _, cache = _forward_batch(params, X)
-    _, dtheta = _backward_batch(params, X, cache, np.full(X.shape[0], 1.0 / X.shape[0]), False, True)
-    return dtheta
-
-
-def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray) -> np.ndarray:
-    """Batch-mean parameter gradient on positives minus on negatives."""
+def _cd_terms(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray):
+    """(CD gradient, CD surrogate) from one forward and backward pass per batch."""
     pos_batch = np.asarray(pos_batch, dtype=np.float64)
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     if pos_batch.size == 0 or neg_batch.size == 0:
         raise ConfigError("cd_gradient needs non-empty batches")
-    return _mean_param_grad(params, pos_batch) - _mean_param_grad(params, neg_batch)
+    e_pos, g_pos = energy_value_and_grad_params(params, pos_batch)
+    e_neg, g_neg = energy_value_and_grad_params(params, neg_batch)
+    return g_pos - g_neg, float(np.mean(e_pos) - np.mean(e_neg))
+
+
+def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray) -> np.ndarray:
+    """Batch-mean parameter gradient on positives minus on negatives."""
+    return _cd_terms(params, pos_batch, neg_batch)[0]
 
 
 def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
@@ -99,13 +98,11 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
             raise DivergenceError(
                 f"training chain diverged at iteration {it}: {err}", step=it
             ) from err
-        grad = cd_gradient(params, pos, neg)
+        grad, surrogate = _cd_terms(params, pos, neg)
         if config.grad_clip is not None:
             norm = float(np.linalg.norm(grad))
             if norm > config.grad_clip:
                 grad = grad * (config.grad_clip / norm)
-        surrogate = float(np.mean(energy_forward_batch(params, pos))
-                          - np.mean(energy_forward_batch(params, neg)))
         theta, state = adam_step(params.theta, grad, state)
         params = EnergyParams(arch=arch, theta=theta)
         trace.cd_surrogate.append(surrogate)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cdtrain import CdConfig, ordered_pairs, train_ebm
 from .energy import EnergyArch, load_energy_params, save_energy_params
-from .errors import ConfigError, DivergenceError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, NumericError
 from .langevin import LangevinConfig
 from .numerics import AdamHyper, derive_stream
 from .pipeline import generate_augmented, load_augmented, save_augmented
@@ -650,8 +650,8 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     except MissingArtifactError as err:
         print(f"missing artifact: {err}", file=sys.stderr)
         return 3
-    except DivergenceError as err:
-        print(f"numeric divergence: {err}", file=sys.stderr)
+    except NumericError as err:
+        print(f"numeric error: {err}", file=sys.stderr)
         return 4
 
 
@@ -668,3 +668,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
-from .nets import conv2d_backward, conv2d_forward, conv_out_size, swish, swish_grad
+from .nets import conv2d_backward, conv2d_forward, conv_out_size, sigmoid, swish_grad
 from .numerics import derive_stream
 
 _BASE_CHANNELS = 8
@@ -186,16 +186,18 @@ def _forward_batch(params: EnergyParams, X: np.ndarray):
         w1, b1, w2, b2 = _unpack_mlp(arch, theta)
         xf = X.reshape(n, -1)
         z1 = xf @ w1.T + b1
-        a1 = swish(z1)
+        s1 = sigmoid(z1)
+        a1 = z1 * s1
         e = a1 @ w2 + b2
-        return e, {"xf": xf, "z1": z1, "a1": a1}
+        return e, {"xf": xf, "z1": z1, "s1": s1, "a1": a1}
     blocks, w_head, b_head = _unpack_conv(arch, theta)
     a = X
     cache = []
     for w, b in blocks:
         z, xp = conv2d_forward(a, w, b, stride=2)
-        cache.append((xp, z))
-        a = swish(z)
+        s = sigmoid(z)
+        cache.append((xp, z, s))
+        a = z * s
     flat = a.reshape(n, -1)
     e = flat @ w_head + b_head
     if not np.all(np.isfinite(e)):
@@ -219,7 +221,7 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
     if arch.kind == "mlp":
         w1, b1, w2, b2 = _unpack_mlp(arch, theta)
         xf, z1, a1 = cache["xf"], cache["z1"], cache["a1"]
-        dz1 = seed[:, None] * w2 * swish_grad(z1)
+        dz1 = seed[:, None] * w2 * swish_grad(z1, cache["s1"])
         dx = (dz1 @ w1).reshape(X.shape) if want_input else None
         dtheta = None
         if want_params:
@@ -234,9 +236,9 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
     da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
     grads = []
     dx = None
-    for (w, b), (xp, z) in zip(reversed(blocks), reversed(cache["blocks"])):
-        dz = da * swish_grad(z)
-        dxb, dw, db = conv2d_backward(dz, xp, w, stride=2)
+    for (w, b), (xp, z, s) in zip(reversed(blocks), reversed(cache["blocks"])):
+        dz = da * swish_grad(z, s)
+        dxb, dw, db = conv2d_backward(dz, xp, w, stride=2, want_dw=want_params)
         grads.append((dw, db))
         da = dxb
     if want_input:
@@ -278,11 +280,16 @@ def energy_grad_input(params: EnergyParams, x: np.ndarray) -> np.ndarray:
 
 def energy_grad_params(params: EnergyParams, x: np.ndarray) -> np.ndarray:
     """Exact gradient of the (batch-mean) energy with respect to theta."""
-    X, single = _check_batch(params.arch, x)
-    _, cache = _forward_batch(params, X)
-    seed = np.ones(X.shape[0]) if single else np.full(X.shape[0], 1.0 / X.shape[0])
-    _, dtheta = _backward_batch(params, X, cache, seed, False, True)
-    return dtheta
+    return energy_value_and_grad_params(params, x)[1]
+
+
+def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):
+    """Batched (energies, batch-mean parameter gradient) in one pass."""
+    X, _ = _check_batch(params.arch, X)
+    e, cache = _forward_batch(params, X)
+    _, dtheta = _backward_batch(params, X, cache, np.full(X.shape[0], 1.0 / X.shape[0]),
+                                False, True)
+    return e, dtheta
 
 
 def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):

@@ -1,7 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
-MissingArtifactError -> 3, DivergenceError -> 4.
+MissingArtifactError -> 3, NumericError (including its subclass
+DivergenceError) -> 4.
 """
 
 

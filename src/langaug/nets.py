@@ -2,6 +2,16 @@
 
 All convolutions are 3x3 with configurable stride and padding 1, applied
 to (N, C, H, W) batches. Gradients are exact; no autodiff anywhere.
+
+Each convolution is lowered to one 2-D matrix product (Chellapilla et al.
+2006): the padded input is unfolded into an im2col matrix of shape
+(C_in * 9, N * H_out * W_out) by nine strided copies, one per kernel
+offset, and multiplied by the (C_out, C_in * 9) weight matrix. The
+backward pass multiplies by the transposed weights and scatters the
+result back onto the padded input with nine strided adds. The weight
+gradient needs the im2col matrix again and one more product;
+``conv2d_backward(..., want_dw=False)`` skips both, for callers that only
+need the input gradient (Langevin sampling).
 """
 from __future__ import annotations
 
@@ -9,25 +19,37 @@ import numpy as np
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows; same bits as
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def swish(z: np.ndarray) -> np.ndarray:
-    return z * sigmoid(z)
-
-
-def swish_grad(z: np.ndarray) -> np.ndarray:
-    s = sigmoid(z)
+def swish_grad(z: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of swish at z; ``s`` is sigmoid(z) if the caller kept it."""
+    if s is None:
+        s = sigmoid(z)
     return s * (1.0 + z * (1.0 - s))
 
 
 def conv_out_size(size: int, stride: int, pad: int = 1, kernel: int = 3) -> int:
     return (size + 2 * pad - kernel) // stride + 1
+
+
+def _offset_views(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
+    """The (N, C, ho, wo) strided view of xp under each kernel offset (u, v)."""
+    for u in range(kh):
+        for v in range(kw):
+            yield xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Unfold xp into the (C * kh * kw, N * ho * wo) im2col matrix."""
+    n, c = xp.shape[:2]
+    cols = np.empty((c, kh * kw, n, ho, wo))
+    for k, xs in enumerate(_offset_views(xp, kh, kw, stride, ho, wo)):
+        cols[:, k] = xs.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int = 1):
@@ -38,27 +60,24 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad
     xp[:, :, pad:pad + h, pad:pad + wd] = x
     ho = conv_out_size(h, stride, pad, kh)
     wo = conv_out_size(wd, stride, pad, kw)
-    y = np.broadcast_to(b[None, :, None, None], (n, o, ho, wo)).copy()
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            y += np.einsum("ncij,oc->noij", xs, w[:, :, u, v], optimize=True)
-    return y, xp
+    y = w.reshape(o, -1) @ _im2col(xp, kh, kw, stride, ho, wo)
+    y += b[:, None]
+    return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp
 
 
-def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, pad: int = 1):
-    """Gradients for conv2d_forward. Returns (dx, dw, db)."""
+def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, pad: int = 1,
+                    want_dw: bool = True):
+    """Gradients for conv2d_forward. Returns (dx, dw, db); dw is None unless want_dw."""
     n, o, ho, wo = dy.shape
     _, c, kh, kw = w.shape
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+    dw = None
+    if want_dw:
+        dw = (dy_mat @ _im2col(xp, kh, kw, stride, ho, wo).T).reshape(w.shape)
+    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, kh * kw, n, ho, wo)
     dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            dw[:, :, u, v] = np.einsum("noij,ncij->oc", dy, xs, optimize=True)
-            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += np.einsum(
-                "noij,oc->ncij", dy, w[:, :, u, v], optimize=True
-            )
+    for k, dxs in enumerate(_offset_views(dxp, kh, kw, stride, ho, wo)):
+        dxs += dcols[:, k].transpose(1, 0, 2, 3)
     db = dy.sum(axis=(0, 2, 3))
     h = xp.shape[2] - 2 * pad
     wd = xp.shape[3] - 2 * pad

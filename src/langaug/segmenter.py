@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LeakageError, NumericError
-from .nets import conv2d_backward, conv2d_forward, sigmoid, swish, swish_grad
+from .nets import conv2d_backward, conv2d_forward, sigmoid, swish_grad
 from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
 from .pipeline import AugmentedDataset, assemble_training_stream
 from .synth import MultiDomainDataset
@@ -76,11 +76,12 @@ def seg_logits(model: SegModel, X: np.ndarray):
         raise DimensionError(f"expected (N, {model.arch.in_channels}, H, W), got {X.shape}")
     w1, b1, w2, b2, wh, bh = _unpack(model.arch, model.theta)
     z1, xp1 = conv2d_forward(X, w1, b1, stride=1)
-    a1 = swish(z1)
-    z2, xp2 = conv2d_forward(a1, w2, b2, stride=1)
-    a2 = swish(z2)
-    logits = np.einsum("nchw,c->nhw", a2, wh, optimize=True) + bh
-    return logits, {"xp1": xp1, "z1": z1, "xp2": xp2, "z2": z2, "a2": a2}
+    s1 = sigmoid(z1)
+    z2, xp2 = conv2d_forward(z1 * s1, w2, b2, stride=1)
+    s2 = sigmoid(z2)
+    a2 = z2 * s2
+    logits = np.tensordot(a2, wh, axes=([1], [0])) + bh
+    return logits, {"xp1": xp1, "z1": z1, "s1": s1, "xp2": xp2, "z2": z2, "s2": s2, "a2": a2}
 
 
 def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
@@ -106,12 +107,12 @@ def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
 
     w1, b1, w2, b2, wh, bh = _unpack(model.arch, model.theta)
     a2 = cache["a2"]
-    dwh = np.einsum("nhw,nchw->c", dlogits, a2, optimize=True)
+    dwh = np.tensordot(dlogits, a2, axes=([0, 1, 2], [0, 2, 3]))
     dbh = float(dlogits.sum())
     da2 = dlogits[:, None, :, :] * wh[None, :, None, None]
-    dz2 = da2 * swish_grad(cache["z2"])
+    dz2 = da2 * swish_grad(cache["z2"], cache["s2"])
     da1, dw2, db2 = conv2d_backward(dz2, cache["xp2"], w2, stride=1)
-    dz1 = da1 * swish_grad(cache["z1"])
+    dz1 = da1 * swish_grad(cache["z1"], cache["s1"])
     _, dw1, db1 = conv2d_backward(dz1, cache["xp1"], w1, stride=1)
     grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dwh, [dbh]])
     return loss, grad

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from langaug.cdtrain import CdConfig, cd_gradient, ordered_pairs, train_all_pairs, train_ebm
-from langaug.energy import EnergyArch, EnergyParams, init_energy_params
+from langaug import energy
+from langaug.energy import EnergyArch, EnergyParams, energy_forward_batch, init_energy_params
 from langaug.errors import ConfigError
 from langaug.langevin import LangevinConfig
 from langaug.numerics import (AdamHyper, derive_stream, finite_diff_grad_subset,
@@ -105,6 +108,39 @@ class TestTrainEbm:
         a, _ = train_ebm(src, tgt, quad_arch(), config)
         b, _ = train_ebm(src, tgt, quad_arch(), config)
         assert np.array_equal(a.theta, b.theta)
+
+    def test_forward_passes_per_iteration_and_surrogate_bits(self, monkeypatch):
+        arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=2)
+        src = derive_stream(7, [("s", 0)]).standard_normal((12, 1, 8, 8))
+        tgt = 0.5 + derive_stream(7, [("t", 0)]).standard_normal((12, 1, 8, 8))
+        config = CdConfig(n_iters=3, batch_size=4, ld=LangevinConfig(step_size=0.1, n_steps=5),
+                          base_seed=8)
+        calls = []
+        forward = energy._forward_batch
+
+        def counted(params, X):
+            calls.append((params.theta.copy(), X.copy()))
+            return forward(params, X)
+
+        # wrap every langaug binding of the function, however it was imported
+        for name, module in list(sys.modules.items()):
+            if name == "langaug" or name.startswith("langaug."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is forward:
+                        monkeypatch.setattr(module, attr, counted)
+        _, trace = train_ebm(src, tgt, arch, config)
+        monkeypatch.undo()
+        per_iter = config.ld.n_steps + 2
+        assert len(calls) == config.n_iters * per_iter
+        for it, surrogate in enumerate(trace.cd_surrogate):
+            # each iteration: n_steps chain steps, then positives, then negatives
+            theta, pos = calls[it * per_iter + config.ld.n_steps]
+            theta_neg, neg = calls[it * per_iter + config.ld.n_steps + 1]
+            assert np.array_equal(theta, theta_neg)
+            assert all((tgt == row).all(axis=(1, 2, 3)).any() for row in pos)
+            params = EnergyParams(arch, theta)
+            assert surrogate == float(np.mean(energy_forward_batch(params, pos))
+                                      - np.mean(energy_forward_batch(params, neg)))
 
     def test_batch_size_guard(self):
         config = CdConfig(n_iters=1, batch_size=64, ld=LangevinConfig(step_size=0.1, n_steps=2))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from langaug.cli import (DEFAULT_CONFIG, explained_variance, load_config, main,
                          pca_project, run)
+from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
 from langaug.numerics import derive_stream
 
@@ -79,6 +83,22 @@ class TestExitCodes:
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
+
+    def test_non_finite_energy_exit_4(self, tmp_path, capsys):
+        # blown-up pair models overflow the energy itself, a NumericError that
+        # is not a per-chain DivergenceError
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        assert run("train-ebms", config, out) == 0
+        for path in (out / "ebms").glob("ebm_*.ldtn"):
+            base = path.with_suffix("")
+            params, meta = load_energy_params(base)
+            pair = (meta["pair"]["source"], meta["pair"]["target"])
+            save_energy_params(EnergyParams(params.arch, params.theta * 1e100), base, pair=pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("augment", config, out) == 4
+        assert "non-finite energy" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +236,19 @@ class TestPca:
     def test_projection_deterministic(self):
         pts = derive_stream(4, [("p", 0)]).standard_normal((30, 6))
         assert np.array_equal(pca_project(pts), pca_project(pts))
+
+
+def test_module_entry_point_runs(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"base_seed": 3, "data": {"n_domains": 2, "n_per_domain": 4,
+                                                           "image_size": 8}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "langaug.cli", "gen-data", "--config", str(config),
+                           "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "dataset" / "benchmark.meta.json").exists()
 
 
 def test_main_argparse_round_trip(tmp_path):

@@ -33,6 +33,28 @@ def straight_line_mlp(theta, x, hidden):
     return total
 
 
+def naive_conv(x, w, b, stride):
+    # naive loop convolution, pad 1, over a batch (N, C, H, W); each
+    # accumulator holds one output pixel of every sample
+    n, c_in, h_in, w_in = x.shape
+    c_out = w.shape[0]
+    h_out = (h_in + 2 - 3) // stride + 1
+    w_out = (w_in + 2 - 3) // stride + 1
+    padded = np.zeros((n, c_in, h_in + 2, w_in + 2))
+    padded[:, :, 1:1 + h_in, 1:1 + w_in] = x
+    z = np.zeros((n, c_out, h_out, w_out))
+    for o in range(c_out):
+        for r in range(h_out):
+            for c in range(w_out):
+                acc = np.full(n, b[o])
+                for ci in range(c_in):
+                    for u in range(3):
+                        for v in range(3):
+                            acc += w[o, ci, u, v] * padded[:, ci, stride * r + u, stride * c + v]
+                z[:, o, r, c] = acc
+    return z
+
+
 def straight_line_conv(theta, x, arch):
     # naive loop convolution with stride 2, pad 1, swish, dense head
     i = 0
@@ -40,21 +62,7 @@ def straight_line_conv(theta, x, arch):
     for c_in, c_out in arch.block_channels():
         w = theta[i:i + c_out * c_in * 9].reshape(c_out, c_in, 3, 3); i += c_out * c_in * 9
         b = theta[i:i + c_out]; i += c_out
-        _, h_in, w_in = a.shape
-        h_out = (h_in + 2 - 3) // 2 + 1
-        w_out = (w_in + 2 - 3) // 2 + 1
-        padded = np.zeros((c_in, h_in + 2, w_in + 2))
-        padded[:, 1:1 + h_in, 1:1 + w_in] = a
-        z = np.zeros((c_out, h_out, w_out))
-        for o in range(c_out):
-            for r in range(h_out):
-                for c in range(w_out):
-                    acc = b[o]
-                    for ci in range(c_in):
-                        for u in range(3):
-                            for v in range(3):
-                                acc += w[o, ci, u, v] * padded[ci, 2 * r + u, 2 * c + v]
-                    z[o, r, c] = acc
+        z = naive_conv(a[None], w, b, stride=2)[0]
         a = z / (1.0 + np.exp(-z))
     flat = a.ravel()
     w_head = theta[i:i + flat.size]; i += flat.size
