@@ -9,6 +9,7 @@ from domain i every iteration; there is no replay buffer.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -119,21 +120,34 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: CdConfig,
-                    out_dir=None) -> dict[tuple[int, int], EnergyParams]:
-    """One trained model per ordered domain pair; n domains give n(n-1)."""
+                    out_dir=None, jobs: int = 1) -> dict[tuple[int, int], EnergyParams]:
+    """One trained model per ordered domain pair; n domains give n(n-1).
+
+    Each pair trains from its own base seed, so ``jobs`` worker threads give
+    the same models as one. ``out_dir`` receives ``ebm_{i}_{j}``,
+    ``trace_{i}_{j}.csv`` and, with ``checkpoint_every``, ``ckpt_{i}_{j}/``.
+    """
     n = len(domain_samples)
     if n < 2:
         raise ConfigError("need at least 2 domains")
-    models = {}
-    for i, j in ordered_pairs(n):
+    pairs = ordered_pairs(n)
+
+    def train_pair(pair):
+        i, j = pair
         pair_config = replace(config, base_seed=config.base_seed + 7919 * (i * n + j) + 1)
+        ckpt_dir = None if out_dir is None else Path(out_dir) / f"ckpt_{i}_{j}"
         try:
-            params, trace = train_ebm(domain_samples[i], domain_samples[j], arch, pair_config)
+            return train_ebm(domain_samples[i], domain_samples[j], arch, pair_config,
+                             checkpoint_dir=ckpt_dir)
         except (ConfigError, DivergenceError) as err:
             raise type(err)(f"pair ({i}, {j}): {err}") from err
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:  # starts no thread unless jobs > 1
+        outcomes = list((pool.map if jobs > 1 else map)(train_pair, pairs))
+    models = {}
+    for (i, j), (params, trace) in zip(pairs, outcomes):
         models[(i, j)] = params
         if out_dir is not None:
-            base = Path(out_dir) / f"ebm_{i}_{j}"
-            save_energy_params(params, base, pair=(i, j))
+            save_energy_params(params, Path(out_dir) / f"ebm_{i}_{j}", pair=(i, j))
             trace.write_csv(Path(out_dir) / f"trace_{i}_{j}.csv")
     return models

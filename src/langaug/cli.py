@@ -12,19 +12,20 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import json
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .cdtrain import CdConfig, ordered_pairs, train_ebm
-from .energy import EnergyArch, load_energy_params, save_energy_params
-from .errors import ConfigError, MissingArtifactError, NumericError
+from .cdtrain import CdConfig, ordered_pairs, train_all_pairs
+from .energy import EnergyArch, load_energy_params
+from .errors import (ConfigError, DimensionError, MissingArtifactError, NumericError,
+                     TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
 from .numerics import AdamHyper, derive_stream
 from .pipeline import generate_augmented, load_augmented, save_augmented
@@ -187,6 +188,13 @@ def _langevin_from_config(config, channels: int) -> LangevinConfig:
     )
 
 
+def _arch_from_config(config, dataset) -> EnergyArch:
+    ebm = config["ebm"]
+    channels, size = dataset.images[0].shape[1:3]
+    return EnergyArch(kind=ebm["kind"], input_shape=(channels, size, size),
+                      conv_blocks=ebm["conv_blocks"], hidden_width=ebm["hidden_width"])
+
+
 def _cd_from_config(config) -> CdConfig:
     ebm = config["ebm"]["cd"]
     return CdConfig(
@@ -313,32 +321,10 @@ def _load_benchmark(out_dir, stage):
 def _cmd_train_ebms(config, out_dir, jobs):
     stage = Stage(out_dir, "ebms", config)
     dataset = _load_benchmark(out_dir, stage)
-    channels = dataset.images[0].shape[1]
-    size = dataset.images[0].shape[2]
-    ebm = config["ebm"]
-    arch = EnergyArch(kind=ebm["kind"], input_shape=(channels, size, size),
-                      conv_blocks=ebm["conv_blocks"], hidden_width=ebm["hidden_width"])
-    cd_config = _cd_from_config(config)
-    pairs = ordered_pairs(dataset.n_domains)
-    stage.log(f"training {len(pairs)} pairwise models")
-
-    def work(pair):
-        i, j = pair
-        from dataclasses import replace as dc_replace
-        pair_cfg = dc_replace(cd_config, base_seed=config["base_seed"] + 7919 * (i * dataset.n_domains + j) + 1)
-        ckpt_dir = stage.dir / f"ckpt_{i}_{j}" if cd_config.checkpoint_every else None
-        params, trace = train_ebm(dataset.train_images(i), dataset.train_images(j),
-                                  arch, pair_cfg, checkpoint_dir=ckpt_dir)
-        return pair, params, trace
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, pairs))
-    else:
-        outcomes = [work(p) for p in pairs]
-    for (i, j), params, trace in sorted(outcomes, key=lambda o: o[0]):
-        save_energy_params(params, stage.dir / f"ebm_{i}_{j}", pair=(i, j))
-        trace.write_csv(stage.dir / f"trace_{i}_{j}.csv")
+    stage.log(f"training {len(ordered_pairs(dataset.n_domains))} pairwise models")
+    train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
+                    _arch_from_config(config, dataset), _cd_from_config(config),
+                    out_dir=stage.dir, jobs=jobs)
     stage.finish()
     return 0
 
@@ -402,15 +388,12 @@ def _cmd_eval_loo(config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     ebms = _load_ebms(out_dir, stage, dataset.n_domains)
     lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
-    seg_config = _seg_config(config)
-
-    def builder(sources):
-        sub = {(i, j): ebms[(i, j)] for i in sources for j in sources if i != j}
-        return generate_augmented(dataset, sub, lv_config, config["base_seed"], domains=sources)
-
+    # built on the first fold, after leave_one_out_eval has checked its inputs
+    pool = functools.cache(
+        lambda: generate_augmented(dataset, ebms, lv_config, config["base_seed"]))
     stage.log("running leave-one-out evaluation")
-    results = leave_one_out_eval(dataset, builder, seg_config,
-                                 seeds=tuple(config["segmenter"]["seeds"]))
+    results = leave_one_out_eval(dataset, lambda sources: pool().within(sources),
+                                 _seg_config(config), seeds=tuple(config["segmenter"]["seeds"]))
     write_results_csv(results, stage.dir / "results.csv", per_sample=False)
     stage.finish()
     return 0
@@ -511,8 +494,6 @@ def _cmd_sweep(config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
-    folds = sweep["folds"] if sweep["folds"] is not None else list(range(dataset.n_domains))
-    seeds = sweep["seeds"]
     rows = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -526,7 +507,7 @@ def _cmd_sweep(config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // int(value))
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        rows.append(_sweep_cell(cfg, dataset, axis, value, folds, seeds, stage))
+        rows.append(_sweep_cell(cfg, dataset, axis, value, sweep, stage, jobs))
     with open(stage.dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "mean_dice_erm", "mean_iou_erm",
@@ -537,44 +518,23 @@ def _cmd_sweep(config, out_dir, jobs):
     return 0
 
 
-def _sweep_cell(cfg, dataset, axis, value, folds, seeds, stage):
-    channels = dataset.images[0].shape[1]
-    size = dataset.images[0].shape[2]
-    ebm = cfg["ebm"]
-    arch = EnergyArch(kind=ebm["kind"], input_shape=(channels, size, size),
-                      conv_blocks=ebm["conv_blocks"], hidden_width=ebm["hidden_width"])
-    cd_config = _cd_from_config(cfg)
-    lv_config = _langevin_from_config(cfg, channels)
-    seg_config = _seg_config(cfg)
-    from dataclasses import replace as dc_replace
+def _sweep_cell(cfg, dataset, axis, value, sweep, stage, jobs):
+    @functools.cache
+    def pool():  # built on the first fold, after leave_one_out_eval has checked its inputs
+        ebms = train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
+                               _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
+        lv_config = _langevin_from_config(cfg, dataset.images[0].shape[1])
+        return generate_augmented(dataset, ebms, lv_config, cfg["base_seed"])
 
-    ebms = {}
-    for i, j in ordered_pairs(dataset.n_domains):
-        pair_cfg = dc_replace(cd_config,
-                              base_seed=cfg["base_seed"] + 7919 * (i * dataset.n_domains + j) + 1)
-        ebms[(i, j)], _ = train_ebm(dataset.train_images(i), dataset.train_images(j),
-                                    arch, pair_cfg)
-    erm_scores, aug_scores = [], []
-    for fold in folds:
-        sources = [d for d in range(dataset.n_domains) if d != fold]
-        sub = {(i, j): ebms[(i, j)] for i in sources for j in sources if i != j}
-        aug = generate_augmented(dataset, sub, lv_config, cfg["base_seed"], domains=sources)
-        src_images = np.concatenate([dataset.train_images(d) for d in sources])
-        src_masks = np.concatenate([dataset.train_masks(d) for d in sources])
-        for seed in seeds:
-            erm = train_segmenter(src_images, src_masks, seg_config, seed=seed + 1000 * fold)
-            plus = train_segmenter(src_images, src_masks, seg_config, seed=seed + 1000 * fold,
-                                   aug_images=aug.images, aug_masks=aug.masks)
-            erm_scores.append(evaluate_model(erm, dataset.images[fold], dataset.masks[fold],
-                                             fold, "erm", seed))
-            aug_scores.append(evaluate_model(plus, dataset.images[fold], dataset.masks[fold],
-                                             fold, "erm+langaug", seed))
+    results = leave_one_out_eval(dataset, lambda sources: pool().within(sources), _seg_config(cfg),
+                                 seeds=sweep["seeds"], folds=sweep["folds"])
     stage.log(f"{axis}={value} done")
-    return [axis, value,
-            repr(float(np.mean([r.mean_dice for r in erm_scores]))),
-            repr(float(np.mean([r.mean_iou for r in erm_scores]))),
-            repr(float(np.mean([r.mean_dice for r in aug_scores]))),
-            repr(float(np.mean([r.mean_iou for r in aug_scores])))]
+    row = [axis, value]
+    for method in ("erm", "erm+langaug"):
+        scores = [r for r in results if r.method == method]
+        row += [repr(float(np.mean([r.mean_dice for r in scores]))),
+                repr(float(np.mean([r.mean_iou for r in scores])))]
+    return row
 
 
 def _cmd_project(config, out_dir, jobs):
@@ -647,8 +607,8 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except MissingArtifactError as err:
-        print(f"missing artifact: {err}", file=sys.stderr)
+    except (MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError) as err:
+        print(f"missing or unusable artifact: {err}", file=sys.stderr)
         return 3
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)

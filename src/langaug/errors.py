@@ -1,8 +1,9 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ConfigError -> 2,
-MissingArtifactError -> 3, NumericError (including its subclass
-DivergenceError) -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2; a missing or
+unusable upstream artifact (MissingArtifactError, DimensionError,
+TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
+subclass DivergenceError) -> 4.
 """
 
 

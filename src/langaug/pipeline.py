@@ -47,6 +47,28 @@ class AugmentedDataset:
     def domains_touched(self) -> set[int]:
         return set(self.source_domain.tolist()) | set(self.target_domain.tolist())
 
+    def within(self, domains) -> "AugmentedDataset":
+        """The entries whose source and target both lie in ``domains``, in pool order.
+
+        Chain noise is keyed by (base_seed, pair, chain), so on a pool built over
+        more domains this equals ``generate_augmented(..., domains=domains)``;
+        ``skipped_chains`` stays the whole pool's count (skips are not per pair).
+        """
+        keep = {int(d) for d in domains}
+        rows = np.isin(self.source_domain, list(keep)) & np.isin(self.target_domain, list(keep))
+        checksums = {key: value for key, value in self.provenance.get("ebm_checksums", {}).items()
+                     if {int(d) for d in key.split("_")} <= keep}
+        return AugmentedDataset(
+            images=self.images[rows],
+            masks=self.masks[rows],
+            source_domain=self.source_domain[rows],
+            target_domain=self.target_domain[rows],
+            step_index=self.step_index[rows],
+            origin_index=self.origin_index[rows],
+            provenance={**self.provenance, "ebm_checksums": checksums},
+            skipped_chains=self.skipped_chains,
+        )
+
 
 def params_checksum(params: EnergyParams) -> str:
     return hashlib.sha256(np.ascontiguousarray(params.theta).tobytes()).hexdigest()[:16]
@@ -67,8 +89,9 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
         if pair not in ebms:
             raise ConfigError(f"missing energy model for pair {pair}")
 
-    images, masks = [], []
-    src_tag, tgt_tag, step_tag, origin_tag = [], [], [], []
+    # empty leading pieces fix the shapes and dtypes of a pool with no entries
+    images, masks = [dataset.images[0][:0]], [dataset.masks[0][:0]]
+    src_tag, tgt_tag, step_tag, origin_tag = ([np.empty(0, dtype=np.int64)] for _ in range(4))
     skipped = 0
     stored_steps = config.stored_steps()
     for i, j in pairs:
@@ -111,19 +134,13 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
             step_tag.append(np.full(x0.shape[0], t, dtype=np.int64))
             origin_tag.append(np.asarray(train_idx, dtype=np.int64))
 
-    if images:
-        images_arr = np.concatenate(images)
-        masks_arr = np.concatenate(masks)
-    else:
-        images_arr = np.empty((0,))
-        masks_arr = np.empty((0,))
     return AugmentedDataset(
-        images=images_arr,
-        masks=masks_arr,
-        source_domain=np.concatenate(src_tag) if src_tag else np.empty(0, dtype=np.int64),
-        target_domain=np.concatenate(tgt_tag) if tgt_tag else np.empty(0, dtype=np.int64),
-        step_index=np.concatenate(step_tag) if step_tag else np.empty(0, dtype=np.int64),
-        origin_index=np.concatenate(origin_tag) if origin_tag else np.empty(0, dtype=np.int64),
+        images=np.concatenate(images),
+        masks=np.concatenate(masks),
+        source_domain=np.concatenate(src_tag),
+        target_domain=np.concatenate(tgt_tag),
+        step_index=np.concatenate(step_tag),
+        origin_index=np.concatenate(origin_tag),
         provenance={
             "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)]) for i, j in pairs},
             "langevin": {

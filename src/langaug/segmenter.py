@@ -202,7 +202,8 @@ class EvalResult:
 
 def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
                    fold: int, method: str, seed: int) -> EvalResult:
-    preds = predict_mask(model, images)
+    # chunks of 8 images: a whole domain at once makes a large im2col matrix
+    preds = [p for k in range(0, len(images), 8) for p in predict_mask(model, images[k:k + 8])]
     per_sample = [(dice(p, m), iou(p, m)) for p, m in zip(preds, masks)]
     return EvalResult(
         fold=fold, method=method, seed=seed,
@@ -213,17 +214,22 @@ def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
 
 
 def leave_one_out_eval(dataset: MultiDomainDataset, aug_builder, config: SegTrainConfig,
-                       seeds=(0, 1, 2, 3, 4), methods=("erm", "erm+langaug")) -> list[EvalResult]:
+                       seeds=(0, 1, 2, 3, 4), methods=("erm", "erm+langaug"),
+                       folds=None) -> list[EvalResult]:
     """Cross table of held-out-domain scores.
 
+    ``folds`` lists the held-out domains in run order (default: all).
     ``aug_builder(source_domains)`` must return an AugmentedDataset built
     from those domains only; any entry tagged with the held-out domain
     raises LeakageError.
     """
     if dataset.n_domains < 3:
         raise ConfigError("leave-one-out needs at least 3 domains")
+    folds = list(range(dataset.n_domains) if folds is None else folds)
+    if any(not isinstance(f, (int, np.integer)) or not 0 <= f < dataset.n_domains for f in folds):
+        raise ConfigError(f"folds {folds} must be domain ids below {dataset.n_domains}")
     results = []
-    for held_out in range(dataset.n_domains):
+    for held_out in folds:
         sources = [d for d in range(dataset.n_domains) if d != held_out]
         src_images = np.concatenate([dataset.train_images(d) for d in sources])
         src_masks = np.concatenate([dataset.train_masks(d) for d in sources])

@@ -11,6 +11,7 @@ from langaug.cli import (DEFAULT_CONFIG, explained_variance, load_config, main,
                          pca_project, run)
 from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
+from langaug import cli, pipeline
 from langaug.numerics import derive_stream
 
 
@@ -83,6 +84,29 @@ class TestExitCodes:
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
+
+    @pytest.mark.parametrize("damage", ["truncate", "magic"])
+    def test_damaged_pair_model_exit_3(self, tmp_path, capsys, damage):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        assert run("train-ebms", config, out) == 0
+        model = out / "ebms" / "ebm_0_1.ldtn"
+        blob = model.read_bytes()
+        model.write_bytes(blob[:-8] if damage == "truncate" else b"XXXX" + blob[4:])
+        assert run("augment", config, out) == 3
+        assert "unusable artifact" in capsys.readouterr().err
+
+    def test_models_of_other_image_size_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        small = write_config(tmp_path / "small.json", data={"n_domains": 3, "n_per_domain": 6,
+                                                            "image_size": 8, "train_frac": 0.5})
+        assert run("gen-data", small, out) == 0
+        assert run("train-ebms", small, out) == 0
+        config = write_config(tmp_path / "c.json")
+        assert run("gen-data", config, out) == 0
+        assert run("augment", config, out) == 3
+        assert "does not match" in capsys.readouterr().err
 
     def test_non_finite_energy_exit_4(self, tmp_path, capsys):
         # blown-up pair models overflow the energy itself, a NumericError that
@@ -194,9 +218,48 @@ class TestSweep:
         assert lines[0].startswith("axis,value")
         assert len(lines) == 3
 
+    def test_two_domains_rejected(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "c.json",
+                              data={"n_domains": 2, "n_per_domain": 4, "image_size": 8,
+                                    "train_frac": 0.5},
+                              ebm={"conv_blocks": 1, "cd": {"n_iters": 1, "batch_size": 2,
+                                                            "n_steps": 2}},
+                              sweep={"axis": "n_steps", "values": [2], "seeds": [0]})
+        assert run("gen-data", config, tmp_path) == 0
+        trained = []
+        monkeypatch.setattr(cli, "train_all_pairs", lambda *a, **k: trained.append(1))
+        assert run("sweep", config, tmp_path) == 2
+        assert trained == []  # rejected before any pair model is trained
+        assert not (tmp_path / "sweep" / "results.csv").exists()
+
     def test_bad_axis_rejected(self, tmp_path):
         config = write_config(tmp_path / "c.json", sweep={"axis": "warp", "values": [1]})
         assert run("sweep", config, tmp_path) == 2
+
+
+def test_eval_loo_samples_each_pair_once(tmp_path, monkeypatch):
+    # one pool per run: n(n-1) pair chains, where a pool per fold would
+    # sample each pair again in every fold that keeps both of its domains
+    config = write_config(tmp_path / "c.json",
+                          data={"n_domains": 4, "n_per_domain": 4, "image_size": 8,
+                                "train_frac": 0.5},
+                          ebm={"conv_blocks": 1, "cd": {"n_iters": 1, "batch_size": 2,
+                                                        "n_steps": 2}})
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    assert run("train-ebms", config, out) == 0
+    calls = []
+    original = pipeline.run_chain_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    assert run("eval-loo", config, out) == 0
+    assert len(calls) == 4 * 3
+    loo = (out / "loo" / "results.csv").read_text().splitlines()
+    assert len(loo) == 1 + 4 * 2
 
 
 def test_checkpoints_written_when_configured(tmp_path):

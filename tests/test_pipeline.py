@@ -87,6 +87,35 @@ class TestGenerateAugmented:
             mean_disp.append(np.mean(disp))
         assert all(a < b for a, b in zip(mean_disp, mean_disp[1:]))
 
+    def test_empty_pool_keeps_image_and_mask_shapes(self, small_setup):
+        ds, _ = small_setup
+        config = LangevinConfig(step_size=0.05, n_steps=2, store_stride=1, store_offset=1)
+        aug = generate_augmented(ds, {}, config, base_seed=1, domains=[0])
+        assert len(aug) == 0
+        assert aug.images.shape == (0, 1, 16, 16)
+        assert aug.masks.shape == (0, 16, 16)
+        assert aug.source_domain.shape == (0,)
+
+    def test_fold_slice_equals_fold_pool(self):
+        ds = generate_benchmark(4, 6, 8, seed=22, train_frac=0.5)
+        arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
+        ebms = {(i, j): EnergyParams(arch, ds.images[j].mean(axis=0).ravel())
+                for i, j in ordered_pairs(4)}
+        config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=2, store_offset=2)
+        pool = generate_augmented(ds, ebms, config, base_seed=7)
+        for held_out in range(4):
+            sources = [d for d in range(4) if d != held_out]
+            want = generate_augmented(ds, ebms, config, base_seed=7, domains=sources)
+            got = pool.within(sources)
+            assert len(got) == 6 * 3 * 3
+            for name in ("images", "masks", "source_domain", "target_domain",
+                         "step_index", "origin_index"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), name
+            assert got.provenance == want.provenance
+            assert len(got.provenance["ebm_checksums"]) == 6
+
     def test_round_trip(self, small_setup, tmp_path):
         ds, ebms = small_setup
         config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3)

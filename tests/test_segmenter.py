@@ -164,6 +164,16 @@ class TestLeaveOneOut:
             leave_one_out_eval(ds, leaky_builder, SegTrainConfig(epochs=1, batch_size=4),
                                seeds=(0,))
 
+    def test_folds_run_in_given_order_and_are_checked(self):
+        ds = generate_benchmark(3, 6, 8, seed=36, train_frac=0.5)
+        config = SegTrainConfig(epochs=1, batch_size=4)
+        results = leave_one_out_eval(ds, lambda s: None, config, seeds=(0, 1), methods=("erm",),
+                                     folds=[2, 0])
+        assert [(r.fold, r.seed) for r in results] == [(2, 0), (2, 1), (0, 0), (0, 1)]
+        for folds in ([3], [-1]):
+            with pytest.raises(ConfigError, match="must be domain ids"):
+                leave_one_out_eval(ds, lambda s: None, config, seeds=(0,), folds=folds)
+
     def test_needs_three_domains(self):
         ds = generate_benchmark(2, 4, 16, seed=35)
         with pytest.raises(ConfigError):
@@ -188,3 +198,12 @@ def test_eval_result_invariant_dice_not_below_iou():
     for d, i in res.per_sample:
         assert 0.0 <= i <= d <= 1.0
     assert res.mean_dice == pytest.approx(np.mean([d for d, _ in res.per_sample]))
+
+
+def test_eval_in_chunks_matches_one_pass_predictions():
+    # 19 images span two full chunks of 8 and a tail of 3
+    ds = generate_benchmark(3, 19, 16, seed=37)
+    model = init_seg_model(SegArch(), seed=2)
+    res = evaluate_model(model, ds.images[1], ds.masks[1], 1, "erm", 0)
+    preds = predict_mask(model, ds.images[1])
+    assert res.per_sample == [(dice(p, m), iou(p, m)) for p, m in zip(preds, ds.masks[1])]
