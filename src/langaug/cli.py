@@ -24,8 +24,8 @@ import numpy as np
 
 from .cdtrain import CdConfig, ordered_pairs, train_all_pairs
 from .energy import EnergyArch, load_energy_params
-from .errors import (ConfigError, DimensionError, MissingArtifactError, NumericError,
-                     TensorFormatError, TensorPayloadError)
+from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactError,
+                     NumericError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
 from .numerics import AdamHyper, derive_stream
 from .pipeline import generate_augmented, load_augmented, save_augmented
@@ -415,7 +415,6 @@ def _theory_dataset(config):
 def _cmd_verify_theory(config, out_dir, jobs):
     stage = Stage(out_dir, "theory", config)
     th_cfg = config["theory"]
-    dim = th_cfg["dim"]
     dataset, theta = _theory_dataset(config)
     stage.log("running remainder scan")
     report = th.taylor_remainder_scan(
@@ -435,16 +434,8 @@ def _cmd_verify_theory(config, out_dir, jobs):
         dataset, th_cfg["family"], th_cfg["probe_count"], kappa1, kappa2,
         derive_stream(config["base_seed"], [("rho", 0)]), radii=radii,
     )
-    # gamma covers theta and every probe radius (probe-maximum constraint)
-    gamma = th.constraint_value(theta, dataset)
-    gamma_rng = derive_stream(config["base_seed"], [("gamma_probes", 0)])
-    for p in range(th_cfg["probe_count"]):
-        direction = gamma_rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            continue
-        probe = direction / norm * radii[p % len(radii)]
-        gamma = max(gamma, th.constraint_value(probe, dataset))
+    gamma = th.constraint_max(theta, dataset, th_cfg["probe_count"], radii,
+                              derive_stream(config["base_seed"], [("gamma_probes", 0)]))
     sigma_min = th.lowest_nonzero_singular_value(dataset.sigma_mat)
     rank = th.matrix_rank(dataset.sigma_mat)
     bound_inputs = {
@@ -613,6 +604,9 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 4
+    except LeakageError as err:
+        print(f"held-out domain leaked into a training fold: {err}", file=sys.stderr)
+        return 5
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ConfigError -> 2; a missing or
 unusable upstream artifact (MissingArtifactError, DimensionError,
 TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
-subclass DivergenceError) -> 4.
+subclass DivergenceError) -> 4; LeakageError (held-out domain leaked into a
+training fold) -> 5.
 """
 
 

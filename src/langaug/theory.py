@@ -27,6 +27,7 @@ from .numerics import RngStream, derive_stream
 from .synth import GlmVectorDataset
 
 _POISSON_GUARD = 30.0
+_SCAN_BLOCK = 128       # draws per column block of the remainder scan
 
 
 def _sigmoid(u):
@@ -40,6 +41,16 @@ def _sigmoid(u):
 
 def _softplus(u):
     return np.logaddexp(0.0, u)
+
+
+def _logistic_A2(u):
+    s = _sigmoid(u)
+    return s * (1.0 - s)
+
+
+def _logistic_A3(u):
+    s = _sigmoid(u)
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,8 @@ FAMILIES = {
         name="logistic",
         A=_softplus,
         A1=_sigmoid,
-        A2=lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)),
-        A3=lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)) * (1.0 - 2.0 * _sigmoid(u)),
+        A2=_logistic_A2,
+        A3=_logistic_A3,
     ),
     "poisson": GlmFamily(
         name="poisson",
@@ -91,13 +102,17 @@ def get_family(name) -> GlmFamily:
     return FAMILIES[name]
 
 
-def _natural_params(theta, x, family: GlmFamily):
-    u = np.asarray(x, dtype=np.float64) @ np.asarray(theta, dtype=np.float64)
+def _guard(u, family: GlmFamily):
     if family.name == "poisson" and np.any(u > _POISSON_GUARD):
         raise NumericError(
             f"poisson natural parameter exceeds overflow guard {_POISSON_GUARD}"
         )
     return u
+
+
+def _natural_params(theta, x, family: GlmFamily):
+    u = np.asarray(x, dtype=np.float64) @ np.asarray(theta, dtype=np.float64)
+    return _guard(u, family)
 
 
 def glm_nll(theta, x, y, family) -> float:
@@ -183,8 +198,12 @@ def reg_glm(theta, dataset: GlmVectorDataset, beta: float, family=None) -> float
     theta = np.asarray(theta, dtype=np.float64)
     u = _natural_params(theta, dataset.x, family)
     ts = dataset.scores() @ theta
+    return _reg_glm_value(beta, family.A1(u), family.A2(u), ts, float(theta @ theta))
+
+
+def _reg_glm_value(beta, a1u, a2u, ts, theta_sq) -> float:
     half_beta2 = 0.5 * beta * beta
-    return float(half_beta2 * np.mean(family.A2(u) * float(theta @ theta) - family.A1(u) * ts))
+    return float(half_beta2 * np.mean(a2u * theta_sq - a1u * ts))
 
 
 @dataclass
@@ -256,12 +275,18 @@ class TheoryReport:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _taylor_pieces(theta, dataset: GlmVectorDataset, family: GlmFamily):
-    theta = np.asarray(theta, dtype=np.float64)
-    u = _natural_params(theta, dataset.x, family)
-    ts = dataset.scores() @ theta          # theta . s(x_i)
-    b = -0.5 * ts                          # second-order drift coefficient
-    return theta, u, ts, b
+def _column_blocks(m: int, width: int = _SCAN_BLOCK):
+    """[lo, hi) ranges covering m columns in blocks of ``width``.
+
+    A lone last column joins the block before it: numpy reduces a (k, 1)
+    block along axis 0 by pairwise summation instead of row by row, which
+    would change the bits of that draw's mean.
+    """
+    lo = 0
+    while lo < m:
+        hi = m if m - lo <= width + 1 else lo + width
+        yield lo, hi
+        lo = hi
 
 
 def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4096,
@@ -279,6 +304,9 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
 
     Draws double until every beta has stderr below ``stderr_frac`` of its
     |remainder| or the budget is hit, in which case status = "inconclusive".
+    Each chunk of draws is evaluated in column blocks that stay in cache;
+    the draw-independent Taylor terms are formed once per block for all
+    betas, and every per-draw mean has the bits of a whole-chunk pass.
     """
     family = get_family(family or dataset.family)
     betas = [float(b) for b in betas]
@@ -291,18 +319,29 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
     betas = sorted(betas)
     base_seed = dataset.seed if base_seed is None else base_seed
 
-    theta, u, ts, b = _taylor_pieces(theta, dataset, family)
+    theta = np.asarray(theta, dtype=np.float64)
+    u = _natural_params(theta, dataset.x, family)
+    ts = dataset.scores() @ theta          # theta . s(x_i)
+    b = -0.5 * ts                          # second-order drift coefficient
     k = dataset.k
     norm_theta = float(np.linalg.norm(theta))
-    l_std = float(np.mean(family.A(u) - dataset.y * u))
+    nll = family.A(u) - dataset.y * u
+    l_std = float(np.mean(nll))
     a1u, a2u, a3u = family.A1(u), family.A2(u), family.A3(u)
     resid = a1u - dataset.y
+    theta_sq = float(theta @ theta)
     r_rows = {}
     for beta in betas:
         half_beta2 = 0.5 * beta * beta
         r1 = float(-half_beta2 * np.mean(resid * ts))
         r2 = float(half_beta2 * np.mean(a2u) * (norm_theta ** 2))
-        r_rows[beta] = (r1, r2, 0.0)
+        r_rows[beta] = (r1, r2, 0.0, _reg_glm_value(beta, a1u, a2u, ts, theta_sq))
+
+    # per-sample columns of the draw-independent Taylor coefficients
+    u_c, y_c, b_c, resid_c, nll_c = (v[:, None] for v in (u, dataset.y, b, resid, nll))
+    a2u_c, a3u_c = a2u[:, None], a3u[:, None]
+    quad_shift = (2.0 * b * resid)[:, None]
+    cubic_slope = (6.0 * a2u * b)[:, None]
 
     acc = {beta: [0.0, 0.0] for beta in betas}   # sum q, sum q^2 of replicate means
     drawn = 0
@@ -327,18 +366,20 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
             a = derive_stream(base_seed, [("scan_chunk", chunk_id)]).standard_normal((k, m))
             a *= norm_theta
             chunk_id += 1
-            for beta in betas:
-                ut = u[:, None] + beta * a + beta * beta * b[:, None]
-                loss = family.A(ut) - dataset.y[:, None] * ut
-                taylor = (
-                    (family.A(u) - dataset.y * u)[:, None]
-                    + beta * resid[:, None] * a
-                    + 0.5 * beta * beta * (a2u[:, None] * a * a + (2.0 * b * resid)[:, None])
-                    + (beta ** 3 / 6.0) * (a3u[:, None] * a ** 3 + (6.0 * a2u * b)[:, None] * a)
-                )
-                q = np.mean(loss - taylor, axis=0)  # per-draw replicate means
-                acc[beta][0] += float(np.sum(q))
-                acc[beta][1] += float(np.sum(q * q))
+            q = np.empty((len(betas), m))   # per-draw replicate means, one row per beta
+            for lo, hi in _column_blocks(m):
+                ab = a[:, lo:hi]
+                quad = a2u_c * ab * ab + quad_shift
+                cubic = a3u_c * ab ** 3 + cubic_slope * ab
+                for i, beta in enumerate(betas):
+                    ut = u_c + beta * ab + beta * beta * b_c
+                    loss = family.A(ut) - y_c * ut
+                    taylor = (nll_c + beta * resid_c * ab + 0.5 * beta * beta * quad
+                              + (beta ** 3 / 6.0) * cubic)
+                    q[i, lo:hi] = np.mean(loss - taylor, axis=0)
+            for i, beta in enumerate(betas):
+                acc[beta][0] += float(np.sum(q[i]))
+                acc[beta][1] += float(np.sum(q[i] * q[i]))
             drawn += m
         if stderr_ok():
             break
@@ -353,14 +394,14 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
         mean_q = sq / drawn
         var_q = max(sq2 / drawn - mean_q * mean_q, 0.0)
         se = math.sqrt(var_q / drawn)
-        r1, r2, r3 = r_rows[beta]
+        r1, r2, r3, r_glm = r_rows[beta]
         rows.append(TheoryRow(
             beta=beta,
             l_std=l_std,
             l_aug_mc=l_std + r1 + r2 + r3 + mean_q,
             mc_stderr=se,
             r1=r1, r2=r2, r3=r3,
-            r_glm=reg_glm(theta, dataset, beta, family),
+            r_glm=r_glm,
         ))
 
     report = TheoryReport(rows=rows, status=status, mc_draws=drawn)
@@ -416,6 +457,34 @@ def constraint_value(theta, dataset: GlmVectorDataset, family=None) -> float:
     return float(np.mean(family.A2(u)) * (theta @ theta) - np.mean(family.A1(u) * ts))
 
 
+def _probe_thetas(rng: RngStream, count: int, dim: int, radii) -> tuple[np.ndarray, int]:
+    """Probe parameters from ``count`` standard-normal directions of ``rng``.
+
+    Direction p is the p-th draw, scaled to radius radii[p % len(radii)];
+    directions of norm < 1e-12 are dropped. Returns (thetas, dropped).
+    """
+    count = max(int(count), 0)
+    directions = rng.standard_normal((count, dim))
+    norms = np.sqrt(_row_dots(directions, directions))
+    keep = ~(norms < 1e-12)
+    radius = np.asarray(radii, dtype=np.float64)[np.arange(count) % len(radii)]
+    thetas = directions[keep] / norms[keep, None] * radius[keep, None]
+    return thetas, count - int(np.count_nonzero(keep))
+
+
+def _row_dots(a, b):
+    """Row p is a[p] @ b[p], through the same dot kernel as the 1-D product."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _matvec_rows(mat, thetas):
+    """Row p is mat @ thetas[p], through the same GEMV as the 1-D product.
+
+    One (P, d) x (d, k) GEMM would round some entries differently.
+    """
+    return np.matmul(mat, thetas[:, :, None])[:, :, 0]
+
+
 def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
                  kappa1: float, kappa2: float, rng: RngStream,
                  radii=None) -> tuple[float, int]:
@@ -432,28 +501,41 @@ def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
     if radii is None:
         base = math.sqrt(kappa2)
         radii = (base, 2.0 * base, 4.0 * base)
-    d = dataset.dim
+    thetas, skipped = _probe_thetas(rng, theta_probe_count, dataset.dim, radii)
+    u = _matvec_rows(dataset.x, thetas)
+    second = np.mean(u * u, axis=1)
+    denom = np.where(second < 1.0, second, 1.0)   # min(1, .) with NaN -> 1 like the builtin
+    live = ~(denom < 1e-12)
+    skipped += int(np.count_nonzero(~live))
+    u = u[live]
     worst = math.inf
-    skipped = 0
-    for p in range(theta_probe_count):
-        direction = rng.standard_normal(d)
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            skipped += 1
-            continue
-        theta = direction / norm * radii[p % len(radii)]
-        u = dataset.x @ theta
-        denom = min(1.0, float(np.mean(u * u)))
-        if denom < 1e-12:
-            skipped += 1
-            continue
-        numer = float(np.mean(family.A2(u))) - (kappa1 / kappa2) * math.sqrt(
-            float(np.mean(family.A1(u) ** 2))
+    if len(u):   # kappa1 / kappa2 is only formed for a surviving probe
+        numer = np.mean(family.A2(u), axis=1) - (kappa1 / kappa2) * np.sqrt(
+            np.mean(family.A1(u) ** 2, axis=1)
         )
-        worst = min(worst, numer / denom)
+        # builtin min keeps the first of equal values and passes over NaN ratios
+        worst = min([worst] + (numer / denom[live]).tolist())
     if not math.isfinite(worst):
         raise ConfigError("all probes skipped; cannot estimate rho")
     return max(worst, 0.0), skipped
+
+
+def constraint_max(theta, dataset: GlmVectorDataset, probe_count: int, radii,
+                   rng: RngStream) -> float:
+    """Largest constraint_value over theta and the probes drawn from ``rng``.
+
+    Probes are the directions of ``rng`` scaled to the cycled ``radii``
+    (near-zero directions dropped), so gamma covers every probe radius.
+    """
+    family = get_family(dataset.family)
+    gamma = constraint_value(theta, dataset)
+    probes, _ = _probe_thetas(rng, probe_count, dataset.dim, radii)
+    u = _guard(_matvec_rows(dataset.x, probes), family)
+    ts = _matvec_rows(dataset.scores(), probes)
+    values = (np.mean(family.A2(u), axis=1) * _row_dots(probes, probes)
+              - np.mean(family.A1(u) * ts, axis=1))
+    # builtin max keeps the first of equal values and passes over NaN probes
+    return max([gamma] + values.tolist())
 
 
 def generalization_bound(l_std: float, C: float, rank: int, k: int, L: float,

@@ -262,6 +262,21 @@ def test_eval_loo_samples_each_pair_once(tmp_path, monkeypatch):
     assert len(loo) == 1 + 4 * 2
 
 
+def test_leaked_fold_exit_5(tmp_path, monkeypatch, capsys):
+    # a pool slice that ignores the fold's sources hands the held-out
+    # domain's bridge samples to training; the fold guard must stop the run
+    config = write_config(tmp_path / "c.json",
+                          ebm={"conv_blocks": 1, "cd": {"n_iters": 1, "batch_size": 2,
+                                                        "n_steps": 2}})
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    assert run("train-ebms", config, out) == 0
+    monkeypatch.setattr(pipeline.AugmentedDataset, "within", lambda self, domains: self)
+    assert run("eval-loo", config, out) == 5
+    assert "leaked into a training fold" in capsys.readouterr().err
+    assert not (out / "loo" / "results.csv").exists()
+
+
 def test_checkpoints_written_when_configured(tmp_path):
     config = write_config(tmp_path / "c.json",
                           data={"n_domains": 2, "n_per_domain": 4, "image_size": 8,
