@@ -4,9 +4,9 @@ from .numerics import (AdamHyper, AdamState, RngStream, adam_step, derive_stream
                        finite_diff_grad, init_adam_state)
 from .synth import (DomainSpec, GlmVectorDataset, MultiDomainDataset,
                     generate_benchmark, generate_vector_glm, load_dataset, save_dataset)
-from .energy import (EnergyArch, EnergyParams, energy_forward, energy_grad_input,
-                     energy_grad_params, init_energy_params)
-from .langevin import ChainRecord, LangevinConfig, channel_replace_hook, langevin_step, run_chain
+from .energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                     energy_value_and_grad_params, init_energy_params)
+from .langevin import LangevinConfig, channel_replace_hook, langevin_step, run_chain_batch
 from .cdtrain import CdConfig, TrainTrace, cd_gradient, train_all_pairs, train_ebm
 from .pipeline import AugmentedDataset, assemble_training_stream, generate_augmented
 from .segmenter import (EvalResult, SegModel, SegTrainConfig, dice, iou,

@@ -56,8 +56,12 @@ class TrainTrace:
                 writer.writerow([i, repr(s), repr(g)])
 
 
-def _cd_terms(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray):
-    """(CD gradient, CD surrogate) from one forward and backward pass per batch."""
+def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray):
+    """(CD gradient, CD surrogate) from one forward and backward pass per batch.
+
+    The gradient is the batch-mean parameter gradient on positives minus on
+    negatives; the surrogate is mean E(pos) - mean E(neg).
+    """
     pos_batch = np.asarray(pos_batch, dtype=np.float64)
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     if pos_batch.size == 0 or neg_batch.size == 0:
@@ -65,11 +69,6 @@ def _cd_terms(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray
     e_pos, g_pos = energy_value_and_grad_params(params, pos_batch)
     e_neg, g_neg = energy_value_and_grad_params(params, neg_batch)
     return g_pos - g_neg, float(np.mean(e_pos) - np.mean(e_neg))
-
-
-def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray) -> np.ndarray:
-    """Batch-mean parameter gradient on positives minus on negatives."""
-    return _cd_terms(params, pos_batch, neg_batch)[0]
 
 
 def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
@@ -99,7 +98,7 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
             raise DivergenceError(
                 f"training chain diverged at iteration {it}: {err}", step=it
             ) from err
-        grad, surrogate = _cd_terms(params, pos, neg)
+        grad, surrogate = cd_gradient(params, pos, neg)
         if config.grad_clip is not None:
             norm = float(np.linalg.norm(grad))
             if norm > config.grad_clip:

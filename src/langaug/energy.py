@@ -166,13 +166,11 @@ def _unpack_conv(arch, theta):
     return blocks, w_head, b_head
 
 
-def _check_batch(arch, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape == arch.input_shape:
-        return x[None, ...], True
-    if x.shape[1:] == arch.input_shape:
-        return x, False
-    raise DimensionError(f"input shape {x.shape} does not match arch {arch.input_shape}")
+def _check_batch(arch, X):
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1:] != arch.input_shape:
+        raise DimensionError(f"batch shape {X.shape} does not match arch {arch.input_shape}")
+    return X
 
 
 def _forward_batch(params: EnergyParams, X: np.ndarray):
@@ -255,37 +253,9 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
     return dx, dtheta
 
 
-def energy_forward(params: EnergyParams, x: np.ndarray) -> float:
-    """Scalar energy of one input."""
-    X, single = _check_batch(params.arch, x)
-    e, _ = _forward_batch(params, X)
-    if not np.all(np.isfinite(e)):
-        raise NumericError("non-finite energy value")
-    return float(e[0]) if single else e
-
-
-def energy_forward_batch(params: EnergyParams, X: np.ndarray) -> np.ndarray:
-    X, _ = _check_batch(params.arch, X)
-    e, _ = _forward_batch(params, X)
-    return e
-
-
-def energy_grad_input(params: EnergyParams, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of the energy with respect to the input."""
-    X, single = _check_batch(params.arch, x)
-    _, cache = _forward_batch(params, X)
-    dx, _ = _backward_batch(params, X, cache, np.ones(X.shape[0]), True, False)
-    return dx[0] if single else dx
-
-
-def energy_grad_params(params: EnergyParams, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of the (batch-mean) energy with respect to theta."""
-    return energy_value_and_grad_params(params, x)[1]
-
-
 def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):
     """Batched (energies, batch-mean parameter gradient) in one pass."""
-    X, _ = _check_batch(params.arch, X)
+    X = _check_batch(params.arch, X)
     e, cache = _forward_batch(params, X)
     _, dtheta = _backward_batch(params, X, cache, np.full(X.shape[0], 1.0 / X.shape[0]),
                                 False, True)
@@ -294,7 +264,7 @@ def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):
 
 def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):
     """Batched (energies, per-sample input gradients) in one pass."""
-    X, _ = _check_batch(params.arch, X)
+    X = _check_batch(params.arch, X)
     e, cache = _forward_batch(params, X)
     dx, _ = _backward_batch(params, X, cache, np.ones(X.shape[0]), True, False)
     return e, dx

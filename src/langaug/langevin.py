@@ -14,7 +14,6 @@ import numpy as np
 
 from .energy import EnergyParams, energy_value_and_grad_input
 from .errors import ConfigError, DimensionError, DivergenceError
-from .numerics import RngStream
 
 
 @dataclass(frozen=True)
@@ -38,20 +37,6 @@ class LangevinConfig:
         return list(range(self.store_offset, self.n_steps + 1, self.store_stride))
 
 
-@dataclass
-class ChainRecord:
-    x0: np.ndarray
-    stored: list  # [(step_index, iterate), ...] with strictly increasing steps
-    pair: tuple[int, int] = (-1, -1)
-    rng_labels: tuple = ()
-
-    def steps(self) -> list[int]:
-        return [s for s, _ in self.stored]
-
-    def iterates(self) -> np.ndarray:
-        return np.stack([x for _, x in self.stored]) if self.stored else np.empty((0,) + self.x0.shape)
-
-
 def langevin_step(x: np.ndarray, grad: np.ndarray, step_size: float, noise: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -62,7 +47,9 @@ def langevin_step(x: np.ndarray, grad: np.ndarray, step_size: float, noise: np.n
         )
     if step_size < 0:
         raise ConfigError("step_size must be non-negative")
-    return x - 0.5 * step_size * step_size * grad + step_size * noise
+    # numpy's scalar power has the bits of a float ``step_size**2`` but gives
+    # inf where the float power raises OverflowError; the chain then diverges
+    return x - 0.5 * np.float64(step_size)**2 * grad + step_size * noise
 
 
 def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_index: int) -> np.ndarray:
@@ -92,38 +79,12 @@ def _apply_hook(x: np.ndarray, x0: np.ndarray, config: LangevinConfig) -> np.nda
     return x
 
 
-def run_chain(x0: np.ndarray, params: EnergyParams, config: LangevinConfig, rng: RngStream,
-              pair=(-1, -1)) -> ChainRecord:
-    """Run one K-step chain, storing stride-selected iterates."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != params.arch.input_shape:
-        raise DimensionError(f"x0 shape {x0.shape} does not match arch {params.arch.input_shape}")
-    record = ChainRecord(x0=x0.copy(), stored=[], pair=tuple(pair), rng_labels=rng.labels)
-    keep = set(config.stored_steps())
-    x = x0.copy()
-    for t in range(1, config.n_steps + 1):
-        noise = rng.standard_normal(x.shape)
-        e, grad = energy_value_and_grad_input(params, x[None, ...])
-        x = langevin_step(x, grad[0], config.step_size, noise)
-        x = _apply_hook(x, x0, config)
-        if not np.all(np.isfinite(x)):
-            energy_now = float(e[0])
-            raise DivergenceError(
-                f"chain diverged at step {t} (last finite energy {energy_now!r})",
-                step=t, value=energy_now,
-            )
-        if t in keep:
-            record.stored.append((t, x.copy()))
-    return record
-
-
 def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig,
                     noise_block: np.ndarray):
     """Advance a batch of chains with pre-drawn noise of shape (K, N, ...).
 
-    Equivalent to per-chain run_chain when each chain's noise slice comes
-    from that chain's own stream. Returns (final (N, ...), stored dict
-    step -> (N, ...)).
+    Chains do not interact, so a chain's iterates depend only on its own x0
+    and noise slice. Returns (final (N, ...), stored dict step -> (N, ...)).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x = x0.copy()
@@ -131,7 +92,7 @@ def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig
     stored = {}
     for t in range(1, config.n_steps + 1):
         _, grad = energy_value_and_grad_input(params, x)
-        x = x - 0.5 * config.step_size**2 * grad + config.step_size * noise_block[t - 1]
+        x = langevin_step(x, grad, config.step_size, noise_block[t - 1])
         if config.channel_replace is not None or config.clamp_unit:
             x = _apply_hook(x, x0, config)
         if not np.all(np.isfinite(x)):
@@ -142,25 +103,3 @@ def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig
         if t in keep:
             stored[t] = x.copy()
     return x, stored
-
-
-def chain_noise_block(rng: RngStream, n_steps: int, shape) -> np.ndarray:
-    """Pre-draw one chain's noise as (K,) + shape; matches run_chain's draws."""
-    return rng.standard_normal((n_steps,) + tuple(shape))
-
-
-def save_chain(record: ChainRecord, basename, config: LangevinConfig) -> None:
-    from .ldtn import write_meta, write_tensor
-
-    write_tensor(f"{basename}.ldtn", record.iterates())
-    write_meta(basename, {
-        "pair": list(record.pair),
-        "steps": record.steps(),
-        "rng_labels": [list(lbl) for lbl in record.rng_labels],
-        "config": {
-            "step_size": config.step_size,
-            "n_steps": config.n_steps,
-            "store_stride": config.store_stride,
-            "store_offset": config.store_offset,
-        },
-    })

@@ -314,6 +314,8 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
         raise ConfigError("need at least 4 beta values")
     if any(b <= 0 for b in betas):
         raise ConfigError("beta values must be strictly positive")
+    if len(set(betas)) < len(betas):
+        raise ConfigError("beta values must be distinct")
     if max(betas) / min(betas) < 7.9:
         raise ConfigError("beta values must span at least a factor of 8")
     betas = sorted(betas)
@@ -502,7 +504,7 @@ def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
         base = math.sqrt(kappa2)
         radii = (base, 2.0 * base, 4.0 * base)
     thetas, skipped = _probe_thetas(rng, theta_probe_count, dataset.dim, radii)
-    u = _matvec_rows(dataset.x, thetas)
+    u = _guard(_matvec_rows(dataset.x, thetas), family)
     second = np.mean(u * u, axis=1)
     denom = np.where(second < 1.0, second, 1.0)   # min(1, .) with NaN -> 1 like the builtin
     live = ~(denom < 1e-12)

@@ -13,9 +13,9 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from langaug.cdtrain import CdConfig, train_all_pairs, train_ebm
-from langaug.energy import (EnergyArch, EnergyParams, energy_forward, energy_forward_batch,
-                            energy_grad_input, energy_grad_params, init_energy_params)
-from langaug.langevin import LangevinConfig, run_chain
+from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                            energy_value_and_grad_params, init_energy_params)
+from langaug.langevin import LangevinConfig, run_chain_batch
 from langaug.numerics import AdamHyper, derive_stream, relative_error
 from langaug.pipeline import generate_augmented
 from langaug.segmenter import (SegArch, SegModel, SegTrainConfig, init_seg_model,
@@ -39,7 +39,7 @@ def batched_input_fd(params, x, h=1e-5):
     idx = np.arange(n)
     probes[2 * idx, idx] += h
     probes[2 * idx + 1, idx] -= h
-    energies = energy_forward_batch(params, probes.reshape((2 * n,) + x.shape))
+    energies, _ = energy_value_and_grad_input(params, probes.reshape((2 * n,) + x.shape))
     return (energies[0::2] - energies[1::2]) / (2 * h)
 
 
@@ -63,17 +63,18 @@ class TestCriterion1GradientFidelity:
             for cfg in range(100):
                 params = jittered_params(arch, 1000 + cfg, scale=0.2)
                 x = derive_stream(2000 + cfg, [("x", 0)]).standard_normal(arch.input_shape)
-                gx = energy_grad_input(params, x).ravel()
+                gx = energy_value_and_grad_input(params, x[None])[1][0].ravel()
                 fx = batched_input_fd(params, x)
                 worst = max(worst, relative_error(gx, fx))
                 coords = derive_stream(3000 + cfg, [("c", 0)]).choice(arch.param_count, 5)
-                gt = energy_grad_params(params, x)[coords]
+                gt = energy_value_and_grad_params(params, x[None])[1][coords]
                 ft = np.empty(5)
                 for m, c in enumerate(coords):
                     tp = params.theta.copy(); tp[c] += 1e-5
                     tm = params.theta.copy(); tm[c] -= 1e-5
-                    ft[m] = (energy_forward(EnergyParams(arch, tp), x)
-                             - energy_forward(EnergyParams(arch, tm), x)) / 2e-5
+                    e_plus, _ = energy_value_and_grad_input(EnergyParams(arch, tp), x[None])
+                    e_minus, _ = energy_value_and_grad_input(EnergyParams(arch, tm), x[None])
+                    ft[m] = (e_plus[0] - e_minus[0]) / 2e-5
                 worst = max(worst, relative_error(gt, ft))
                 assert worst <= 1e-4, f"{arch.kind}/{arch.conv_blocks} config {cfg}: {worst:.2e}"
         seg_arch = SegArch()
@@ -104,14 +105,21 @@ def run_stationarity(base_seed=7):
     arch = EnergyArch(kind="quadratic", input_shape=(2,))
     params = EnergyParams(arch, mu.copy())
     config = LangevinConfig(step_size=beta, n_steps=20000, store_stride=1, store_offset=10001)
+    # all 64 chains in one batch; each chain's x0 and then its noise come
+    # from that chain's own stream
+    x0, noise = np.empty((64, 2)), np.empty((config.n_steps, 64, 2))
+    for c in range(64):
+        rng = derive_stream(base_seed, [("chain", c)])
+        x0[c] = rng.standard_normal(2)
+        noise[:, c] = rng.standard_normal((config.n_steps, 2))
+    _, stored = run_chain_batch(x0, params, config, noise)
+    all_its = np.stack([stored[t] for t in config.stored_steps()])   # (steps, 64, 2)
     chain_means = []
     sq_sum = np.zeros(2)
     count = 0
     mean_sum = np.zeros(2)
     for c in range(64):
-        rng = derive_stream(base_seed, [("chain", c)])
-        x0 = rng.standard_normal(2)
-        its = run_chain(x0, params, config, rng).iterates()
+        its = all_its[:, c]
         chain_means.append(its.mean(axis=0))
         mean_sum += its.sum(axis=0)
         sq_sum += (its**2).sum(axis=0)

@@ -5,7 +5,8 @@ import pytest
 
 from langaug.cdtrain import CdConfig, cd_gradient, ordered_pairs, train_all_pairs, train_ebm
 from langaug import energy
-from langaug.energy import EnergyArch, EnergyParams, energy_forward_batch, init_energy_params
+from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                            init_energy_params)
 from langaug.errors import ConfigError
 from langaug.langevin import LangevinConfig
 from langaug.numerics import (AdamHyper, derive_stream, finite_diff_grad_subset,
@@ -21,7 +22,7 @@ class TestCdGradient:
         arch = EnergyArch(kind="mlp", input_shape=(3,), hidden_width=4)
         params = init_energy_params(arch, 1)
         batch = derive_stream(2, [("b", 0)]).standard_normal((6, 3))
-        grad = cd_gradient(params, batch, batch)
+        grad, _ = cd_gradient(params, batch, batch)
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_linear_energy_gradient_is_mean_difference(self):
@@ -31,12 +32,10 @@ class TestCdGradient:
         params = EnergyParams(quad_arch(), np.array([0.7]))
         pos = np.array([[1.0], [3.0]])
         neg = np.array([[0.0], [2.0], [4.0]])
-        grad = cd_gradient(params, pos, neg)
+        grad, _ = cd_gradient(params, pos, neg)
         assert grad[0] == pytest.approx(neg.mean() - pos.mean())
 
     def test_matches_finite_differences_of_surrogate(self):
-        from langaug.energy import energy_forward_batch
-
         arch = EnergyArch(kind="mlp", input_shape=(4,), hidden_width=6)
         base = init_energy_params(arch, 3)
         theta = base.theta + 0.3 * derive_stream(4, [("j", 0)]).standard_normal(arch.param_count)
@@ -45,9 +44,10 @@ class TestCdGradient:
 
         def surrogate(t):
             p = EnergyParams(arch, t)
-            return float(np.mean(energy_forward_batch(p, pos)) - np.mean(energy_forward_batch(p, neg)))
+            return float(np.mean(energy_value_and_grad_input(p, pos)[0])
+                         - np.mean(energy_value_and_grad_input(p, neg)[0]))
 
-        analytic = cd_gradient(EnergyParams(arch, theta), pos, neg)
+        analytic, _ = cd_gradient(EnergyParams(arch, theta), pos, neg)
         coords = derive_stream(7, [("c", 0)]).choice(arch.param_count, 12)
         fd = finite_diff_grad_subset(surrogate, theta, coords)
         assert relative_error(analytic[coords], fd) < 1e-4
@@ -58,8 +58,8 @@ class TestCdGradient:
         a = derive_stream(9, [("a", 0)]).standard_normal((4, 3))
         b = derive_stream(10, [("b", 0)]).standard_normal((6, 3))
         neg = derive_stream(11, [("n", 0)]).standard_normal((5, 3))
-        combined = cd_gradient(params, np.concatenate([a, b]), neg)
-        weighted = (4 * cd_gradient(params, a, neg) + 6 * cd_gradient(params, b, neg)) / 10
+        combined, _ = cd_gradient(params, np.concatenate([a, b]), neg)
+        weighted = (4 * cd_gradient(params, a, neg)[0] + 6 * cd_gradient(params, b, neg)[0]) / 10
         assert np.allclose(combined, weighted, atol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -139,8 +139,8 @@ class TestTrainEbm:
             assert np.array_equal(theta, theta_neg)
             assert all((tgt == row).all(axis=(1, 2, 3)).any() for row in pos)
             params = EnergyParams(arch, theta)
-            assert surrogate == float(np.mean(energy_forward_batch(params, pos))
-                                      - np.mean(energy_forward_batch(params, neg)))
+            assert surrogate == float(np.mean(energy_value_and_grad_input(params, pos)[0])
+                                      - np.mean(energy_value_and_grad_input(params, neg)[0]))
 
     def test_batch_size_guard(self):
         config = CdConfig(n_iters=1, batch_size=64, ld=LangevinConfig(step_size=0.1, n_steps=2))

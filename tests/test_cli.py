@@ -78,6 +78,20 @@ class TestExitCodes:
         path.write_text(json.dumps({"base_seed": 1, "theory": {"betas": [0, 0.1, 0.2, 0.4]}}))
         assert run("verify-theory", path, tmp_path / "out") == 2
 
+    def test_repeated_beta_scan_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"base_seed": 11,
+                                    "theory": {"betas": [0.02, 0.04, 0.04, 0.08, 0.16]}}))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert "distinct" in capsys.readouterr().err
+
+    def test_poisson_rho_probe_overflow_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"base_seed": 11, "theory": {
+            "family": "poisson", "k": 200, "sigma_scale": 0.49, "probe_radii": [0.5, 400.0]}}))
+        assert run("verify-theory", path, tmp_path / "out") == 4
+        assert "overflow guard" in capsys.readouterr().err
+
     def test_missing_upstream_exit_3(self, tmp_path):
         config = write_config(tmp_path / "c.json")
         assert run("train-ebms", config, tmp_path / "out") == 3

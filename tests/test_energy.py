@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from langaug.energy import (EnergyArch, EnergyParams, energy_forward, energy_forward_batch,
-                            energy_grad_input, energy_grad_params, init_energy_params,
+from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                            energy_value_and_grad_params, init_energy_params,
                             load_energy_params, save_energy_params)
 from langaug.errors import ConfigError, DimensionError
 from langaug.nets import swish_grad
 from langaug.numerics import (derive_stream, finite_diff_grad, finite_diff_grad_subset,
                               relative_error)
+
+
+def energy_of(params, x):
+    """Energy of one input, through the batched entry point."""
+    return energy_value_and_grad_input(params, x[None])[0][0]
 
 
 def random_params(arch, seed, scale=0.4):
@@ -74,44 +79,44 @@ class TestForward:
         arch = EnergyArch(kind="mlp", input_shape=(5,), hidden_width=8)
         params = EnergyParams(arch, np.zeros(arch.param_count))
         x = derive_stream(0, [("x", 0)]).standard_normal(5)
-        assert energy_forward(params, x) == 0.0
+        assert energy_of(params, x) == 0.0
 
     def test_quadratic_value(self):
         arch = EnergyArch(kind="quadratic", input_shape=(1,))
         params = EnergyParams(arch, np.array([1.0]))
-        assert energy_forward(params, np.array([3.0])) == pytest.approx(2.0)
+        assert energy_of(params, np.array([3.0])) == pytest.approx(2.0)
 
     def test_mlp_matches_straight_line_reimplementation(self):
         arch = EnergyArch(kind="mlp", input_shape=(4,), hidden_width=6)
         params = random_params(arch, 2)
         x = derive_stream(3, [("x", 0)]).standard_normal(4)
-        assert energy_forward(params, x) == pytest.approx(
+        assert energy_of(params, x) == pytest.approx(
             straight_line_mlp(params.theta, x, 6), rel=1e-12)
 
     def test_conv_matches_straight_line_reimplementation(self):
         arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=2)
         params = random_params(arch, 4, scale=0.2)
         x = derive_stream(5, [("x", 0)]).standard_normal((1, 8, 8))
-        assert energy_forward(params, x) == pytest.approx(
+        assert energy_of(params, x) == pytest.approx(
             straight_line_conv(params.theta, x, arch), rel=1e-10)
 
     def test_shape_mismatch(self):
         arch = EnergyArch(kind="mlp", input_shape=(4,))
         params = init_energy_params(arch, 0)
         with pytest.raises(DimensionError):
-            energy_forward(params, np.zeros(5))
+            energy_value_and_grad_input(params, np.zeros(5)[None])
 
 
 class TestGradients:
     def test_quadratic_input_grad(self):
         arch = EnergyArch(kind="quadratic", input_shape=(1,))
         params = EnergyParams(arch, np.array([0.0]))
-        assert energy_grad_input(params, np.array([2.0]))[0] == pytest.approx(2.0)
+        assert energy_value_and_grad_input(params, np.array([[2.0]]))[1][0][0] == pytest.approx(2.0)
 
     def test_quadratic_param_grad(self):
         arch = EnergyArch(kind="quadratic", input_shape=(1,))
         params = EnergyParams(arch, np.array([1.0]))
-        assert energy_grad_params(params, np.array([3.0]))[0] == pytest.approx(-2.0)
+        assert energy_value_and_grad_params(params, np.array([[3.0]]))[1][0] == pytest.approx(-2.0)
 
     def test_swish_derivative_at_zero(self):
         assert swish_grad(np.array([0.0]))[0] == pytest.approx(0.5)
@@ -127,8 +132,8 @@ class TestGradients:
         for trial in range(5):
             params = random_params(arch, 10 + trial)
             x = derive_stream(20 + trial, [("x", 0)]).standard_normal(shape)
-            analytic = energy_grad_input(params, x)
-            fd = finite_diff_grad(lambda z: energy_forward(params, z), x)
+            analytic = energy_value_and_grad_input(params, x[None])[1][0]
+            fd = finite_diff_grad(lambda z: energy_of(params, z), x)
             assert relative_error(analytic, fd) < 1e-4
 
     @pytest.mark.parametrize("kind,shape,blocks", [
@@ -141,19 +146,20 @@ class TestGradients:
         for trial in range(5):
             params = random_params(arch, 30 + trial)
             x = derive_stream(40 + trial, [("x", 0)]).standard_normal(shape)
-            analytic = energy_grad_params(params, x)
+            analytic = energy_value_and_grad_params(params, x[None])[1]
             coords = derive_stream(50 + trial, [("c", 0)]).choice(
                 arch.param_count, min(16, arch.param_count))
             fd = finite_diff_grad_subset(
-                lambda t: energy_forward(EnergyParams(arch, t), x), params.theta, coords)
+                lambda t: energy_of(EnergyParams(arch, t), x), params.theta, coords)
             assert relative_error(analytic[coords], fd) < 1e-4
 
     def test_batch_mean_grad_is_mean_of_per_sample_grads(self):
         arch = EnergyArch(kind="mlp", input_shape=(5,), hidden_width=8)
         params = random_params(arch, 1)
         batch = derive_stream(2, [("b", 0)]).standard_normal((7, 5))
-        mean_grad = energy_grad_params(params, batch)
-        per_sample = np.mean([energy_grad_params(params, b) for b in batch], axis=0)
+        mean_grad = energy_value_and_grad_params(params, batch)[1]
+        per_sample = np.mean([energy_value_and_grad_params(params, b[None])[1] for b in batch],
+                             axis=0)
         assert np.allclose(mean_grad, per_sample, atol=1e-12)
 
 
@@ -198,6 +204,6 @@ def test_forward_batch_matches_single():
     arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=2)
     params = random_params(arch, 9)
     batch = derive_stream(10, [("b", 0)]).standard_normal((4, 1, 8, 8))
-    batched = energy_forward_batch(params, batch)
-    singles = np.array([energy_forward(params, b) for b in batch])
+    batched, _ = energy_value_and_grad_input(params, batch)
+    singles = np.array([energy_of(params, b) for b in batch])
     assert np.allclose(batched, singles, atol=1e-12)

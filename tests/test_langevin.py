@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langaug.energy import EnergyArch, EnergyParams
+from langaug.energy import EnergyArch, EnergyParams, energy_value_and_grad_input
 from langaug.errors import ConfigError, DimensionError, DivergenceError
-from langaug.langevin import (LangevinConfig, channel_replace_hook, chain_noise_block,
-                              langevin_step, run_chain, run_chain_batch)
+from langaug.langevin import LangevinConfig, channel_replace_hook, langevin_step, run_chain_batch
 from langaug.numerics import derive_stream
 
 
@@ -14,6 +13,31 @@ def quadratic_params(mu):
     mu = np.asarray(mu, dtype=np.float64)
     arch = EnergyArch(kind="quadratic", input_shape=mu.shape)
     return EnergyParams(arch, mu.copy())
+
+
+def run_one(x0, params, config, rng):
+    """One chain through the batched runner, its noise drawn from ``rng``.
+
+    Returns the stored iterates as a (steps, ...) stack and the stored steps.
+    """
+    noise = rng.standard_normal((config.n_steps, 1) + np.shape(x0))
+    _, stored = run_chain_batch(np.asarray(x0)[None], params, config, noise)
+    steps = sorted(stored)
+    return np.stack([stored[t][0] for t in steps]), steps
+
+
+def stepwise_chain(x0, params, config, rng):
+    """Per-chain reference: one langevin_step per step, noise drawn step by step."""
+    keep = set(config.stored_steps())
+    x = np.asarray(x0, dtype=np.float64).copy()
+    stored = {}
+    for t in range(1, config.n_steps + 1):
+        noise = rng.standard_normal(x.shape)
+        _, grad = energy_value_and_grad_input(params, x[None, ...])
+        x = langevin_step(x, grad[0], config.step_size, noise)
+        if t in keep:
+            stored[t] = x.copy()
+    return stored
 
 
 class TestStep:
@@ -46,16 +70,18 @@ class TestChain:
         config = LangevinConfig(step_size=0.05, n_steps=40, store_stride=3, store_offset=3)
         assert config.stored_steps() == [3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39]
         params = quadratic_params([0.0, 0.0])
-        rec = run_chain(np.zeros(2), params, config, derive_stream(0, [("c", 0)]))
-        assert rec.steps() == config.stored_steps()
-        assert len(rec.stored) == 13
+        its, steps = run_one(np.zeros(2), params, config, derive_stream(0, [("c", 0)]))
+        assert steps == config.stored_steps()
+        assert len(its) == 13
 
     def test_zero_steps_keeps_x0(self):
         config = LangevinConfig(step_size=0.1, n_steps=0)
         params = quadratic_params([1.0])
-        rec = run_chain(np.array([2.0]), params, config, derive_stream(0, [("c", 0)]))
-        assert rec.stored == []
-        assert np.array_equal(rec.x0, np.array([2.0]))
+        x0 = np.array([[2.0]])
+        final, stored = run_chain_batch(x0, params, config, np.empty((0, 1, 1)))
+        assert stored == {}
+        assert np.array_equal(final, np.array([[2.0]]))
+        assert np.array_equal(x0, np.array([[2.0]]))
 
     def test_single_chain_stationary_mean(self):
         # One chain's 10^4 post-burn-in iterates have an autocorrelation
@@ -66,8 +92,8 @@ class TestChain:
         mu = np.array([1.0, -1.0])
         beta = 0.05
         config = LangevinConfig(step_size=beta, n_steps=20000, store_stride=1, store_offset=10001)
-        rec = run_chain(np.zeros(2), quadratic_params(mu), config, derive_stream(7, [("chain", 0)]))
-        its = rec.iterates()
+        its, _ = run_one(np.zeros(2), quadratic_params(mu), config,
+                         derive_stream(7, [("chain", 0)]))
         mean = its.mean(axis=0)
         a = 1.0 - beta**2 / 2.0
         var_analytic = 1.0 / (1.0 - beta**2 / 4.0)
@@ -79,23 +105,23 @@ class TestChain:
     def test_chains_deterministic_and_order_independent(self):
         params = quadratic_params([0.5])
         config = LangevinConfig(step_size=0.1, n_steps=50, store_stride=5, store_offset=5)
-        first = run_chain(np.zeros(1), params, config, derive_stream(3, [("chain", 4)]))
-        run_chain(np.zeros(1), params, config, derive_stream(3, [("chain", 9)]))
-        again = run_chain(np.zeros(1), params, config, derive_stream(3, [("chain", 4)]))
-        assert all(np.array_equal(a[1], b[1]) for a, b in zip(first.stored, again.stored))
+        first, _ = run_one(np.zeros(1), params, config, derive_stream(3, [("chain", 4)]))
+        run_one(np.zeros(1), params, config, derive_stream(3, [("chain", 9)]))
+        again, _ = run_one(np.zeros(1), params, config, derive_stream(3, [("chain", 4)]))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_batch_matches_per_chain(self):
         params = quadratic_params([0.3, -0.2])
         config = LangevinConfig(step_size=0.1, n_steps=12, store_stride=4, store_offset=4)
         x0 = derive_stream(1, [("x0", 0)]).standard_normal((5, 2))
         noise = np.stack([
-            chain_noise_block(derive_stream(2, [("chain", c)]), config.n_steps, (2,))
+            derive_stream(2, [("chain", c)]).standard_normal((config.n_steps, 2))
             for c in range(5)
         ], axis=1)
         _, stored = run_chain_batch(x0, params, config, noise)
         for c in range(5):
-            rec = run_chain(x0[c], params, config, derive_stream(2, [("chain", c)]))
-            for t, xt in rec.stored:
+            reference = stepwise_chain(x0[c], params, config, derive_stream(2, [("chain", c)]))
+            for t, xt in reference.items():
                 assert np.array_equal(stored[t][c], xt)
 
     def test_divergence_reported_with_step(self):
@@ -103,7 +129,7 @@ class TestChain:
         params = EnergyParams(arch, np.array([0.0]))
         config = LangevinConfig(step_size=1e160, n_steps=10)
         with pytest.raises(DivergenceError) as err:
-            run_chain(np.array([1.0]), params, config, derive_stream(0, [("c", 0)]))
+            run_one(np.array([1.0]), params, config, derive_stream(0, [("c", 0)]))
         assert err.value.step is not None
 
     def test_stationary_distribution_pooled(self):
@@ -112,11 +138,12 @@ class TestChain:
         mu = np.array([2.0])
         beta = 0.3
         config = LangevinConfig(step_size=beta, n_steps=4000, store_stride=1, store_offset=2001)
-        chains = []
-        for c in range(16):
-            rec = run_chain(np.array([2.0]), quadratic_params(mu), config,
-                            derive_stream(31, [("chain", c)]))
-            chains.append(rec.iterates().ravel())
+        # all 16 chains in one batch, each with its own stream's noise
+        noise = np.stack([derive_stream(31, [("chain", c)]).standard_normal((config.n_steps, 1))
+                          for c in range(16)], axis=1)
+        _, stored = run_chain_batch(np.full((16, 1), 2.0), quadratic_params(mu), config, noise)
+        its = np.stack([stored[t] for t in sorted(stored)])   # (steps, 16, 1)
+        chains = [its[:, c].ravel() for c in range(16)]
         chain_means = np.array([c.mean() for c in chains])
         pooled = np.concatenate(chains)
         stderr = chain_means.std(ddof=1) / np.sqrt(16)
@@ -158,8 +185,8 @@ class TestHook:
         config = LangevinConfig(step_size=0.2, n_steps=6, store_stride=1, store_offset=1,
                                 channel_replace=0)
         x0 = derive_stream(6, [("x", 0)]).standard_normal((2, 4, 4))
-        rec = run_chain(x0, params, config, derive_stream(7, [("c", 0)]))
-        for _, xt in rec.stored:
+        its, _ = run_one(x0, params, config, derive_stream(7, [("c", 0)]))
+        for xt in its:
             assert np.array_equal(xt[0], x0[0])
             assert not np.array_equal(xt[1], x0[1])
 
@@ -169,22 +196,3 @@ def test_config_validation():
         LangevinConfig(step_size=-0.1)
     with pytest.raises(ConfigError):
         LangevinConfig(store_stride=0)
-
-
-def test_chain_persistence(tmp_path):
-    from langaug.langevin import save_chain
-    from langaug.ldtn import read_meta, read_tensor
-
-    params = quadratic_params([0.0, 1.0])
-    config = LangevinConfig(step_size=0.1, n_steps=9, store_stride=3, store_offset=3)
-    rec = run_chain(np.zeros(2), params, config, derive_stream(12, [("pair", 1), ("chain", 4)]),
-                    pair=(0, 1))
-    save_chain(rec, tmp_path / "chain", config)
-    stack = read_tensor(tmp_path / "chain.ldtn")
-    assert stack.shape == (3, 2)
-    assert np.array_equal(stack, rec.iterates())
-    meta = read_meta(tmp_path / "chain")
-    assert meta["pair"] == [0, 1]
-    assert meta["steps"] == [3, 6, 9]
-    assert meta["rng_labels"] == [["pair", 1], ["chain", 4]]
-    assert meta["config"]["n_steps"] == 9

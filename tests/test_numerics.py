@@ -119,7 +119,8 @@ class TestRngStream:
             derive_stream(1, [])
 
     def test_chunked_draws_match_bulk(self):
-        # run_chain draws stepwise; batched code pre-draws blocks
+        # the per-chain reference in test_langevin draws stepwise; the
+        # batched runner's callers pre-draw blocks
         s1 = derive_stream(8, [("n", 0)])
         parts = np.concatenate([s1.standard_normal(5) for _ in range(4)])
         bulk = derive_stream(8, [("n", 0)]).standard_normal(20)

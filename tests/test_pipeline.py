@@ -4,7 +4,8 @@ import pytest
 from langaug.cdtrain import ordered_pairs
 from langaug.energy import EnergyArch, EnergyParams
 from langaug.errors import ConfigError
-from langaug.langevin import LangevinConfig
+from langaug.langevin import LangevinConfig, run_chain_batch
+from langaug.numerics import derive_stream
 from langaug.pipeline import (assemble_training_stream, generate_augmented,
                               load_augmented, save_augmented)
 from langaug.synth import generate_benchmark
@@ -95,6 +96,33 @@ class TestGenerateAugmented:
         assert aug.images.shape == (0, 1, 16, 16)
         assert aug.masks.shape == (0, 16, 16)
         assert aug.source_domain.shape == (0,)
+
+    def test_diverging_chain_skipped_and_healthy_chains_kept(self):
+        # theta = 0 and step 2.1 scale every iterate by -1.205 per step, so a
+        # training image of 1e307 overflows mid-chain while images in [0, 1]
+        # stay finite over all 40 steps
+        ds = generate_benchmark(2, 6, 8, seed=23, train_frac=0.5)
+        bad = int(ds.split[0]["train"][1])
+        ds.images[0][bad] = 1e307
+        arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
+        ebms = {pair: EnergyParams(arch, np.zeros(arch.input_dim)) for pair in ordered_pairs(2)}
+        config = LangevinConfig(step_size=2.1, n_steps=40, store_stride=10, store_offset=10)
+        aug = generate_augmented(ds, ebms, config, base_seed=5)
+        assert aug.skipped_chains == 1
+        assert len(aug) == 20
+        assert np.all(np.isfinite(aug.images))
+        for i, j in ordered_pairs(2):
+            rows = [int(s) for s in ds.split[i]["train"] if (i, int(s)) != (0, bad)]
+            noise = np.stack([
+                derive_stream(5, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", s)])
+                .standard_normal((config.n_steps, 1, 8, 8))
+                for s in rows
+            ], axis=1)
+            _, stored = run_chain_batch(ds.images[i][rows], ebms[(i, j)], config, noise)
+            for t in config.stored_steps():
+                pick = (aug.source_domain == i) & (aug.target_domain == j) & (aug.step_index == t)
+                assert aug.origin_index[pick].tolist() == rows
+                assert aug.images[pick].tobytes() == stored[t].tobytes()
 
     def test_fold_slice_equals_fold_pool(self):
         ds = generate_benchmark(4, 6, 8, seed=22, train_frac=0.5)

@@ -263,6 +263,15 @@ class TestRemainderScan:
         with pytest.raises(ConfigError):
             taylor_remainder_scan(np.ones(2), ds, [0.1, 0.2, 0.3, 0.4], n_mc=8)
 
+    def test_repeated_betas_rejected(self):
+        # draw sums are kept per beta value, so a repeated beta would have
+        # its draws counted twice against one draw count
+        ds = generate_vector_glm(200, np.zeros(2), np.eye(2) * 0.49,
+                                 np.array([1.0, 0.5]), "logistic", 11)
+        with pytest.raises(ConfigError, match="distinct"):
+            taylor_remainder_scan(np.array([1.0, -0.5]), ds, [0.02, 0.04, 0.04, 0.08, 0.16],
+                                  n_mc=4096)
+
 
 class TestRademacher:
     def test_radius_and_c_units(self):

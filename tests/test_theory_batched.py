@@ -237,6 +237,14 @@ class TestBatchedProbes:
         with pytest.raises(ConfigError, match="all probes skipped"):
             estimate_rho(ds, "gaussian", 0, 1.0, 1.0, derive_stream(0, [("p", 0)]))
 
+    def test_estimate_rho_poisson_guard(self):
+        # radius-400 probes overflow exp(u)**2; that is a numeric failure,
+        # not a probe skipped for a near-zero denominator
+        ds = glm("poisson", k=200, scale=0.49)
+        with pytest.raises(NumericError, match="overflow guard"):
+            estimate_rho(ds, "poisson", 1000, 0.2, 0.25, derive_stream(0, [("rho", 0)]),
+                         radii=(0.5, 400.0))
+
     @pytest.mark.parametrize("family,radii", [
         ("gaussian", [4.0, 4.5, 5.0]),
         ("logistic", [0.9, 1.0, 1.1]),
