@@ -27,13 +27,12 @@ from .energy import EnergyArch, load_energy_params
 from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactError,
                      NumericError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
-from .numerics import AdamHyper, derive_stream
+from .numerics import AdamHyper
 from .pipeline import generate_augmented, load_augmented, save_augmented
-from .segmenter import (SegTrainConfig, evaluate_model, leave_one_out_eval,
-                        train_segmenter, write_results_csv)
+from .segmenter import SegTrainConfig, fit_and_score, leave_one_out_eval, write_results_csv
 from .synth import (DEFAULT_SPECS, DomainSpec, generate_benchmark,
                     generate_vector_glm, load_dataset, save_dataset)
-from . import theory as th
+from .theory import verify_bounds
 
 SUBCOMMANDS = ("gen-data", "train-ebms", "augment", "train-seg", "eval-loo",
                "verify-theory", "sweep", "project")
@@ -150,6 +149,12 @@ def _validate(config) -> None:
     for beta in th_cfg["betas"]:
         if not isinstance(beta, (int, float)) or beta <= 0:
             raise ConfigError(f"theory.betas entries must be positive, got {beta!r}")
+    if not th_cfg["sigma_scale"] > 0:
+        raise ConfigError("theory.sigma_scale must be positive")
+    if th_cfg["theta"] is not None and np.shape(th_cfg["theta"]) != (th_cfg["dim"],):
+        raise ConfigError(f"theory.theta must be a list of theory.dim = {th_cfg['dim']} numbers")
+    if not 0.0 <= config["data"]["train_frac"] <= 1.0:
+        raise ConfigError("data.train_frac must lie in [0, 1]")
     if not 0.0 <= config["augment"]["mix_ratio"] <= 1.0:
         raise ConfigError("augment.mix_ratio must lie in [0, 1]")
     if config["sweep"]["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
@@ -237,24 +242,19 @@ class Stage:
     def log(self, message):
         self._log.append(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {message}")
 
-    def record_input(self, path):
+    def record_input(self, path, producer) -> Path:
+        """Checksum an upstream artifact that stage ``producer`` writes."""
         path = Path(path)
         if not path.exists():
-            raise MissingArtifactError(f"missing upstream artifact: {path}")
+            raise MissingArtifactError(f"missing upstream artifact: {path} (run `{producer}` first)")
         self.inputs[str(path)] = _sha256(path)
+        return path
 
     def finish(self):
         (self.dir / "manifest.json").write_text(
             json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True), encoding="utf-8"
         )
         (self.dir / "run.log").write_text("\n".join(self._log) + "\n", encoding="utf-8")
-
-
-def _require(path, hint) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"missing upstream artifact: {path} (run `{hint}` first)")
-    return path
 
 
 def pca_project(vectors: np.ndarray, out_dim: int = 2) -> np.ndarray:
@@ -281,13 +281,6 @@ def pca_project(vectors: np.ndarray, out_dim: int = 2) -> np.ndarray:
     return centered @ comps.T
 
 
-def explained_variance(vectors: np.ndarray) -> np.ndarray:
-    x = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), -1)
-    centered = x - x.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return svals**2 / max(x.shape[0] - 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -312,10 +305,8 @@ def _cmd_gen_data(config, out_dir, jobs):
 
 
 def _load_benchmark(out_dir, stage):
-    base = _require(Path(out_dir) / "dataset" / "benchmark.meta.json", "gen-data").parent / "benchmark"
-    dataset = load_dataset(base)
-    stage.record_input(f"{base}.meta.json")
-    return dataset
+    meta = stage.record_input(Path(out_dir) / "dataset" / "benchmark.meta.json", "gen-data")
+    return load_dataset(meta.parent / "benchmark")
 
 
 def _cmd_train_ebms(config, out_dir, jobs):
@@ -333,10 +324,8 @@ def _load_ebms(out_dir, stage, n_domains):
     ebms = {}
     for i, j in ordered_pairs(n_domains):
         base = Path(out_dir) / "ebms" / f"ebm_{i}_{j}"
-        _require(f"{base}.ldtn", "train-ebms")
-        stage.record_input(f"{base}.ldtn")
-        params, _ = load_energy_params(base)
-        ebms[(i, j)] = params
+        stage.record_input(f"{base}.ldtn", "train-ebms")
+        ebms[(i, j)] = load_energy_params(base)[0]
     return ebms
 
 
@@ -353,131 +342,69 @@ def _cmd_augment(config, out_dir, jobs):
     return 0
 
 
+def _load_augmented(out_dir, stage):
+    """The pool written by `augment`, or None when that stage has not run."""
+    path = Path(out_dir) / "aug" / "augmented.meta.json"
+    if not path.exists():
+        return None
+    return load_augmented(stage.record_input(path, "augment").parent / "augmented")
+
+
 def _cmd_train_seg(config, out_dir, jobs):
     stage = Stage(out_dir, "seg", config)
     dataset = _load_benchmark(out_dir, stage)
-    seg_config = _seg_config(config)
-    aug_path = Path(out_dir) / "aug" / "augmented.meta.json"
-    aug = None
-    if aug_path.exists():
-        stage.record_input(aug_path)
-        aug = load_augmented(aug_path.parent / "augmented")
-    src_images = np.concatenate([dataset.train_images(d) for d in range(dataset.n_domains)])
-    src_masks = np.concatenate([dataset.train_masks(d) for d in range(dataset.n_domains)])
-    results = []
-    for seed in config["segmenter"]["seeds"]:
-        methods = [("erm", None)] + ([("erm+langaug", aug)] if aug is not None else [])
-        for method, aug_data in methods:
-            model = train_segmenter(
-                src_images, src_masks, seg_config, seed=seed,
-                aug_images=aug_data.images if aug_data is not None else None,
-                aug_masks=aug_data.masks if aug_data is not None else None,
-            )
-            for d in range(dataset.n_domains):
-                if len(dataset.test_images(d)) == 0:
-                    continue
-                results.append(evaluate_model(model, dataset.test_images(d),
-                                              dataset.test_masks(d), d, method, seed))
+    aug = _load_augmented(out_dir, stage)
+    domains = range(dataset.n_domains)
+    src_images = np.concatenate([dataset.train_images(d) for d in domains])
+    src_masks = np.concatenate([dataset.train_masks(d) for d in domains])
+    eval_sets = [(d, dataset.test_images(d), dataset.test_masks(d))
+                 for d in domains if len(dataset.test_images(d)) > 0]
+    methods = ("erm",) if aug is None else ("erm", "erm+langaug")
+    results = fit_and_score(src_images, src_masks, aug, _seg_config(config),
+                            config["segmenter"]["seeds"], methods, eval_sets)
     write_results_csv(results, stage.dir / "results.csv")
     stage.finish()
     return 0
+
+
+def _loo(config, dataset, ebms_thunk, seeds, folds):
+    """Leave-one-out scores over one pool sampled from the models ``ebms_thunk()`` returns."""
+    lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
+    # built on the first fold, after leave_one_out_eval has checked its inputs
+    pool = functools.cache(
+        lambda: generate_augmented(dataset, ebms_thunk(), lv_config, config["base_seed"]))
+    return leave_one_out_eval(dataset, lambda sources: pool().within(sources),
+                              _seg_config(config), seeds=seeds, folds=folds)
 
 
 def _cmd_eval_loo(config, out_dir, jobs):
     stage = Stage(out_dir, "loo", config)
     dataset = _load_benchmark(out_dir, stage)
     ebms = _load_ebms(out_dir, stage, dataset.n_domains)
-    lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
-    # built on the first fold, after leave_one_out_eval has checked its inputs
-    pool = functools.cache(
-        lambda: generate_augmented(dataset, ebms, lv_config, config["base_seed"]))
     stage.log("running leave-one-out evaluation")
-    results = leave_one_out_eval(dataset, lambda sources: pool().within(sources),
-                                 _seg_config(config), seeds=tuple(config["segmenter"]["seeds"]))
-    write_results_csv(results, stage.dir / "results.csv", per_sample=False)
+    results = _loo(config, dataset, lambda: ebms, tuple(config["segmenter"]["seeds"]), None)
+    write_results_csv(results, stage.dir / "results.csv")
     stage.finish()
     return 0
-
-
-def _theory_dataset(config):
-    th_cfg = config["theory"]
-    dim = th_cfg["dim"]
-    sigma = np.eye(dim) * th_cfg["sigma_scale"]
-    theta = (np.asarray(th_cfg["theta"], dtype=np.float64) if th_cfg["theta"] is not None
-             else np.linspace(1.0, 0.5, dim))
-    dataset = generate_vector_glm(
-        k=th_cfg["k"], mu=np.zeros(dim), sigma_mat=sigma, theta_star=theta,
-        family=th_cfg["family"], seed=config["base_seed"],
-    )
-    return dataset, theta
 
 
 def _cmd_verify_theory(config, out_dir, jobs):
     stage = Stage(out_dir, "theory", config)
     th_cfg = config["theory"]
-    dataset, theta = _theory_dataset(config)
-    stage.log("running remainder scan")
-    report = th.taylor_remainder_scan(
-        theta, dataset, th_cfg["betas"], n_mc=th_cfg["n_mc"],
-        base_seed=config["base_seed"], max_mc=th_cfg["max_mc"],
+    dim = th_cfg["dim"]
+    theta = (np.asarray(th_cfg["theta"], dtype=np.float64) if th_cfg["theta"] is not None
+             else np.linspace(1.0, 0.5, dim))
+    dataset = generate_vector_glm(
+        k=th_cfg["k"], mu=np.zeros(dim), sigma_mat=np.eye(dim) * th_cfg["sigma_scale"],
+        theta_star=theta, family=th_cfg["family"], seed=config["base_seed"],
     )
-
-    kappa1 = th_cfg["kappa1"]
-    if kappa1 is None:
-        kappa1 = float(np.trace(np.linalg.inv(dataset.sigma_mat)))
-    radii = th_cfg["probe_radii"]
-    if radii is None:
-        scale = float(np.linalg.norm(theta))
-        radii = [0.9 * scale, scale, 1.1 * scale]
-    kappa2 = th_cfg["kappa2"] if th_cfg["kappa2"] is not None else min(radii) ** 2
-    rho_hat, skipped = th.estimate_rho(
-        dataset, th_cfg["family"], th_cfg["probe_count"], kappa1, kappa2,
-        derive_stream(config["base_seed"], [("rho", 0)]), radii=radii,
-    )
-    gamma = th.constraint_max(theta, dataset, th_cfg["probe_count"], radii,
-                              derive_stream(config["base_seed"], [("gamma_probes", 0)]))
-    sigma_min = th.lowest_nonzero_singular_value(dataset.sigma_mat)
-    rank = th.matrix_rank(dataset.sigma_mat)
-    bound_inputs = {
-        "gamma": gamma, "rho_hat": rho_hat, "rho_probes_skipped": skipped,
-        "sigma_min": sigma_min, "kappa1": kappa1, "kappa2": kappa2,
-        "rank": rank, "k": dataset.k, "delta": th_cfg["delta"],
-    }
-    if rho_hat > 0 and gamma > 0:
-        radius, c_const = th.radius_and_C(gamma, rho_hat, sigma_min)
-        for ambient in th_cfg["ambient_dims"]:
-            x_emb = _embed(dataset.x, ambient, config["base_seed"])
-            est = th.empirical_rademacher(
-                x_emb, radius, th_cfg["rad_n_mc"],
-                derive_stream(config["base_seed"], [("rad", ambient)]),
-            )
-            report.rademacher_rows.append(th.RademacherRow(
-                k=dataset.k, rank=rank, ambient_dim=ambient, estimate=est,
-                bound=c_const * float(np.sqrt(rank / dataset.k)),
-            ))
-        L, L_A, B = th.loss_constants(theta, dataset)
-        bound_inputs.update({"C": c_const, "radius": radius, "L": L, "L_A": L_A, "B": B})
-        report.bound_value = th.generalization_bound(
-            report.rows[0].l_std if report.rows else 0.0, c_const, rank,
-            dataset.k, L, L_A, B, th_cfg["delta"],
-        )
-    report.bound_inputs = bound_inputs
+    stage.log("running remainder scan and bound")
+    report = verify_bounds(theta, dataset, th_cfg, config["base_seed"])
     report.write_csv(stage.dir / "report.csv")
     report.write_summary_json(stage.dir / "summary.json")
     stage.log(f"slope {report.slope}, status {report.status}")
     stage.finish()
     return 0
-
-
-def _embed(x: np.ndarray, ambient: int, seed: int) -> np.ndarray:
-    d = x.shape[1]
-    if ambient == d:
-        return x
-    if ambient < d:
-        raise ConfigError("ambient dimension below data dimension")
-    raw = derive_stream(seed, [("embed", ambient)]).standard_normal((ambient, d))
-    q, _ = np.linalg.qr(raw)
-    return x @ q[:, :d].T
 
 
 def _cmd_sweep(config, out_dir, jobs):
@@ -498,34 +425,24 @@ def _cmd_sweep(config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // int(value))
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        rows.append(_sweep_cell(cfg, dataset, axis, value, sweep, stage, jobs))
+        results = _loo(cfg, dataset, lambda: train_all_pairs(
+            [dataset.train_images(d) for d in range(dataset.n_domains)],
+            _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs),
+            sweep["seeds"], sweep["folds"])
+        stage.log(f"{axis}={value} done")
+        row = [axis, value]
+        for method in ("erm", "erm+langaug"):
+            scores = [r for r in results if r.method == method]
+            row += [repr(float(np.mean([r.mean_dice for r in scores]))),
+                    repr(float(np.mean([r.mean_iou for r in scores])))]
+        rows.append(row)
     with open(stage.dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "mean_dice_erm", "mean_iou_erm",
                          "mean_dice_aug", "mean_iou_aug"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     stage.finish()
     return 0
-
-
-def _sweep_cell(cfg, dataset, axis, value, sweep, stage, jobs):
-    @functools.cache
-    def pool():  # built on the first fold, after leave_one_out_eval has checked its inputs
-        ebms = train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
-                               _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
-        lv_config = _langevin_from_config(cfg, dataset.images[0].shape[1])
-        return generate_augmented(dataset, ebms, lv_config, cfg["base_seed"])
-
-    results = leave_one_out_eval(dataset, lambda sources: pool().within(sources), _seg_config(cfg),
-                                 seeds=sweep["seeds"], folds=sweep["folds"])
-    stage.log(f"{axis}={value} done")
-    row = [axis, value]
-    for method in ("erm", "erm+langaug"):
-        scores = [r for r in results if r.method == method]
-        row += [repr(float(np.mean([r.mean_dice for r in scores]))),
-                repr(float(np.mean([r.mean_iou for r in scores])))]
-    return row
 
 
 def _cmd_project(config, out_dir, jobs):
@@ -537,10 +454,8 @@ def _cmd_project(config, out_dir, jobs):
         for img in dataset.images[d]:
             vectors.append(img.ravel())
             rows.append(("src", d, -1, 0))
-    aug_path = Path(out_dir) / "aug" / "augmented.meta.json"
-    if aug_path.exists():
-        stage.record_input(aug_path)
-        aug = load_augmented(aug_path.parent / "augmented")
+    aug = _load_augmented(out_dir, stage)
+    if aug is not None:
         for idx in range(len(aug)):
             vectors.append(aug.images[idx].ravel())
             rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),

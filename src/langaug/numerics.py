@@ -44,10 +44,6 @@ class RngStream:
         self.labels = labels
         self._gen = np.random.Generator(np.random.Philox(key=_philox_key(base_seed, labels)))
 
-    def child(self, *labels) -> "RngStream":
-        """Derive a sub-stream with extra labels appended."""
-        return RngStream(self.base_seed, self.labels + tuple(labels))
-
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size=size, dtype=np.float64)
 
@@ -124,23 +120,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function at x."""
-    if h <= 0:
-        raise ConfigError(f"finite difference step must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    xf = x.ravel()
-    for d in range(xf.size):
-        xp = x.copy().ravel()
-        xm = x.copy().ravel()
-        xp[d] += h
-        xm[d] -= h
-        fp = float(f(xp.reshape(x.shape)))
-        fm = float(f(xm.reshape(x.shape)))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite function value while probing coordinate {d}")
-        flat[d] = (fp - fm) / (2.0 * h)
-    return grad
+    return finite_diff_grad_subset(f, x, range(x.size), h).reshape(x.shape)
 
 
 def finite_diff_grad_subset(f, x: np.ndarray, coords, h: float = 1e-5) -> np.ndarray:

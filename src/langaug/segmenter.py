@@ -213,6 +213,26 @@ def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
     )
 
 
+def fit_and_score(src_images, src_masks, aug: AugmentedDataset | None, config: SegTrainConfig,
+                  seeds, methods, eval_sets, seed_offset: int = 0) -> list[EvalResult]:
+    """Train one segmenter per (method, seed) and score it on every eval set.
+
+    Methods run in order, each over all seeds. "erm+langaug" also trains on
+    ``aug`` when one is given. The model reported under seed s is trained
+    with seed s + ``seed_offset``. ``eval_sets`` lists (fold, images, masks).
+    """
+    results = []
+    for method in methods:
+        use_aug = method == "erm+langaug" and aug is not None
+        for seed in seeds:
+            model = train_segmenter(src_images, src_masks, config, seed=seed + seed_offset,
+                                    aug_images=aug.images if use_aug else None,
+                                    aug_masks=aug.masks if use_aug else None)
+            results += [evaluate_model(model, images, masks, fold, method, seed)
+                        for fold, images, masks in eval_sets]
+    return results
+
+
 def leave_one_out_eval(dataset: MultiDomainDataset, aug_builder, config: SegTrainConfig,
                        seeds=(0, 1, 2, 3, 4), methods=("erm", "erm+langaug"),
                        folds=None) -> list[EvalResult]:
@@ -240,32 +260,16 @@ def leave_one_out_eval(dataset: MultiDomainDataset, aug_builder, config: SegTrai
                 raise LeakageError(
                     f"augmented data for fold {held_out} touches the held-out domain"
                 )
-        eval_images = dataset.images[held_out]
-        eval_masks = dataset.masks[held_out]
-        for method in methods:
-            for seed in seeds:
-                model = train_segmenter(
-                    src_images, src_masks, config, seed=seed + 1000 * held_out,
-                    aug_images=aug.images if (method == "erm+langaug" and aug is not None) else None,
-                    aug_masks=aug.masks if (method == "erm+langaug" and aug is not None) else None,
-                )
-                results.append(evaluate_model(model, eval_images, eval_masks,
-                                              held_out, method, seed))
+        results += fit_and_score(src_images, src_masks, aug, config, seeds, methods,
+                                 [(held_out, dataset.images[held_out], dataset.masks[held_out])],
+                                 seed_offset=1000 * held_out)
     return results
 
 
-def write_results_csv(results: list[EvalResult], path, per_sample: bool = False) -> None:
+def write_results_csv(results: list[EvalResult], path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "method", "seed", "mean_dice", "mean_iou"])
         for r in sorted(results, key=lambda r: (r.fold, r.method, r.seed)):
             writer.writerow([r.fold, r.method, r.seed, repr(r.mean_dice), repr(r.mean_iou)])
-    if per_sample:
-        detail = Path(path).with_suffix(".per_sample.csv")
-        with open(detail, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "method", "seed", "sample", "dice", "iou"])
-            for r in sorted(results, key=lambda r: (r.fold, r.method, r.seed)):
-                for s, (d, i) in enumerate(r.per_sample):
-                    writer.writerow([r.fold, r.method, r.seed, s, repr(d), repr(i)])

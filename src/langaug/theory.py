@@ -585,3 +585,65 @@ def lowest_nonzero_singular_value(sigma_mat: np.ndarray, tol: float = 1e-10) -> 
 def matrix_rank(sigma_mat: np.ndarray, tol: float = 1e-10) -> int:
     vals = np.linalg.svd(np.asarray(sigma_mat, dtype=np.float64), compute_uv=False)
     return int(np.sum(vals > tol))
+
+
+def verify_bounds(theta, dataset: GlmVectorDataset, cfg: dict, base_seed: int) -> TheoryReport:
+    """Remainder scan plus the complexity bound and every constant entering it.
+
+    ``cfg`` is the ``theory`` config section. Unset constants default to
+    kappa1 = tr(Sigma^-1), probe radii of 0.9, 1 and 1.1 times ||theta||,
+    and kappa2 = the smallest radius squared. The Rademacher rows (one per
+    ambient dimension) and the bound need both rho_hat and gamma positive;
+    otherwise the report carries only the scan and the bound inputs.
+    """
+    report = taylor_remainder_scan(theta, dataset, cfg["betas"], n_mc=cfg["n_mc"],
+                                   base_seed=base_seed, max_mc=cfg["max_mc"])
+    kappa1 = cfg["kappa1"]
+    if kappa1 is None:
+        kappa1 = float(np.trace(np.linalg.inv(dataset.sigma_mat)))
+    radii = cfg["probe_radii"]
+    if radii is None:
+        scale = float(np.linalg.norm(theta))
+        radii = [0.9 * scale, scale, 1.1 * scale]
+    kappa2 = cfg["kappa2"] if cfg["kappa2"] is not None else min(radii) ** 2
+    rho_hat, skipped = estimate_rho(
+        dataset, cfg["family"], cfg["probe_count"], kappa1, kappa2,
+        derive_stream(base_seed, [("rho", 0)]), radii=radii,
+    )
+    gamma = constraint_max(theta, dataset, cfg["probe_count"], radii,
+                           derive_stream(base_seed, [("gamma_probes", 0)]))
+    sigma_min = lowest_nonzero_singular_value(dataset.sigma_mat)
+    rank = matrix_rank(dataset.sigma_mat)
+    report.bound_inputs = {
+        "gamma": gamma, "rho_hat": rho_hat, "rho_probes_skipped": skipped,
+        "sigma_min": sigma_min, "kappa1": kappa1, "kappa2": kappa2,
+        "rank": rank, "k": dataset.k, "delta": cfg["delta"],
+    }
+    if rho_hat > 0 and gamma > 0:
+        radius, c_const = radius_and_C(gamma, rho_hat, sigma_min)
+        for ambient in cfg["ambient_dims"]:
+            est = empirical_rademacher(_embed(dataset.x, ambient, base_seed), radius,
+                                       cfg["rad_n_mc"], derive_stream(base_seed, [("rad", ambient)]))
+            report.rademacher_rows.append(RademacherRow(
+                k=dataset.k, rank=rank, ambient_dim=ambient, estimate=est,
+                bound=c_const * float(np.sqrt(rank / dataset.k)),
+            ))
+        L, L_A, B = loss_constants(theta, dataset)
+        report.bound_inputs.update({"C": c_const, "radius": radius, "L": L, "L_A": L_A, "B": B})
+        report.bound_value = generalization_bound(
+            report.rows[0].l_std if report.rows else 0.0, c_const, rank,
+            dataset.k, L, L_A, B, cfg["delta"],
+        )
+    return report
+
+
+def _embed(x: np.ndarray, ambient: int, seed: int) -> np.ndarray:
+    """x mapped isometrically into ``ambient`` dimensions by a seeded rotation."""
+    d = x.shape[1]
+    if ambient == d:
+        return x
+    if ambient < d:
+        raise ConfigError("ambient dimension below data dimension")
+    raw = derive_stream(seed, [("embed", ambient)]).standard_normal((ambient, d))
+    q, _ = np.linalg.qr(raw)
+    return x @ q[:, :d].T

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langaug.cli import (DEFAULT_CONFIG, explained_variance, load_config, main,
-                         pca_project, run)
+from langaug.cli import DEFAULT_CONFIG, load_config, main, pca_project, run
 from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
 from langaug import cli, pipeline
@@ -95,6 +94,27 @@ class TestExitCodes:
     def test_missing_upstream_exit_3(self, tmp_path):
         config = write_config(tmp_path / "c.json")
         assert run("train-ebms", config, tmp_path / "out") == 3
+
+    @pytest.mark.parametrize("train_frac", [-0.2, 1.5])
+    def test_train_frac_outside_unit_interval_exit_2(self, tmp_path, capsys, train_frac):
+        # unchecked, -0.2 slices the shuffled order from its end: an 8/2 split of 10
+        config = write_config(tmp_path / "c.json", data={"n_domains": 3, "n_per_domain": 10,
+                                                         "train_frac": train_frac})
+        assert run("gen-data", config, tmp_path / "out") == 2
+        assert "data.train_frac" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dataset").exists()
+
+    def test_non_positive_sigma_scale_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"base_seed": 1, "theory": {"sigma_scale": 0.0}}))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert "theory.sigma_scale" in capsys.readouterr().err
+
+    def test_theta_of_wrong_length_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"base_seed": 1, "theory": {"dim": 3, "theta": [1.0, 0.5]}}))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert "theory.theta" in capsys.readouterr().err
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
@@ -316,14 +336,6 @@ class TestPca:
         pts = derive_stream(1, [("p", 0)]).standard_normal((40, 5))
         coords = pca_project(pts, out_dim=2)
         assert np.allclose(coords.mean(axis=0), 0.0, atol=1e-10)
-
-    def test_explained_variance_rotation_invariant(self):
-        pts = derive_stream(2, [("p", 0)]).standard_normal((50, 4)) * np.array([3, 2, 1, 0.5])
-        raw = derive_stream(3, [("q", 0)]).standard_normal((4, 4))
-        q, _ = np.linalg.qr(raw)
-        ev_a = explained_variance(pts)
-        ev_b = explained_variance(pts @ q.T)
-        assert np.allclose(ev_a, ev_b, atol=1e-8)
 
     def test_projection_deterministic(self):
         pts = derive_stream(4, [("p", 0)]).standard_normal((30, 6))

@@ -184,11 +184,10 @@ class TestLeaveOneOut:
 
         rows = [EvalResult(0, "erm", 1, 0.5, 0.4, [(0.5, 0.4)]),
                 EvalResult(0, "erm", 0, 0.7, 0.6, [(0.7, 0.6)])]
-        write_results_csv(rows, tmp_path / "r.csv", per_sample=True)
+        write_results_csv(rows, tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0] == "fold,method,seed,mean_dice,mean_iou"
         assert lines[1].startswith("0,erm,0")
-        assert (tmp_path / "r.per_sample.csv").exists()
 
 
 def test_eval_result_invariant_dice_not_below_iou():
