@@ -29,7 +29,6 @@ class CdConfig:
     ld: LangevinConfig = field(default_factory=lambda: LangevinConfig(step_size=0.1, n_steps=15))
     adam: AdamHyper = field(default_factory=AdamHyper)
     base_seed: int = 0
-    grad_clip: float | None = None
     checkpoint_every: int | None = None
 
     def __post_init__(self):
@@ -99,10 +98,6 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
                 f"training chain diverged at iteration {it}: {err}", step=it
             ) from err
         grad, surrogate = cd_gradient(params, pos, neg)
-        if config.grad_clip is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > config.grad_clip:
-                grad = grad * (config.grad_clip / norm)
         theta, state = adam_step(params.theta, grad, state)
         params = EnergyParams(arch=arch, theta=theta)
         trace.cd_surrogate.append(surrogate)

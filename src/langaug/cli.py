@@ -59,7 +59,6 @@ DEFAULT_CONFIG = {
             "step_size": 0.1,
             "n_steps": 15,
             "lr": 0.001,
-            "grad_clip": None,
             "checkpoint_every": None,
         },
     },
@@ -157,8 +156,15 @@ def _validate(config) -> None:
         raise ConfigError("data.train_frac must lie in [0, 1]")
     if not 0.0 <= config["augment"]["mix_ratio"] <= 1.0:
         raise ConfigError("augment.mix_ratio must lie in [0, 1]")
-    if config["sweep"]["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
-        raise ConfigError(f"unsupported sweep.axis {config['sweep']['axis']!r}")
+    sweep = config["sweep"]
+    if sweep["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
+        raise ConfigError(f"unsupported sweep.axis {sweep['axis']!r}")
+    for key in ("values", "seeds", "folds"):
+        if sweep[key] == []:
+            raise ConfigError(f"sweep.{key} must not be empty")
+    if sweep["axis"] == "samples_per_chain" and not all(
+            type(v) is int and v > 0 for v in sweep["values"]):
+        raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
     if config["data"]["specs"] is not None:
         if len(config["data"]["specs"]) != config["data"]["n_domains"]:
             raise ConfigError("data.specs length must equal data.n_domains")
@@ -208,7 +214,6 @@ def _cd_from_config(config) -> CdConfig:
         ld=LangevinConfig(step_size=ebm["step_size"], n_steps=ebm["n_steps"]),
         adam=AdamHyper(lr=ebm["lr"]),
         base_seed=config["base_seed"],
-        grad_clip=ebm["grad_clip"],
         checkpoint_every=ebm["checkpoint_every"],
     )
 
@@ -412,6 +417,16 @@ def _cmd_sweep(config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
+    pair_models = {}  # only the conv_blocks axis changes the ebm section
+
+    def models(cfg):
+        key = json.dumps(cfg["ebm"], sort_keys=True)
+        if key not in pair_models:
+            pair_models[key] = train_all_pairs(
+                [dataset.train_images(d) for d in range(dataset.n_domains)],
+                _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
+        return pair_models[key]
+
     rows = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -425,10 +440,8 @@ def _cmd_sweep(config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // int(value))
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        results = _loo(cfg, dataset, lambda: train_all_pairs(
-            [dataset.train_images(d) for d in range(dataset.n_domains)],
-            _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs),
-            sweep["seeds"], sweep["folds"])
+        results = _loo(cfg, dataset, functools.partial(models, cfg), sweep["seeds"],
+                       sweep["folds"])
         stage.log(f"{axis}={value} done")
         row = [axis, value]
         for method in ("erm", "erm+langaug"):

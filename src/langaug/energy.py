@@ -14,6 +14,7 @@ and never evaluated; only E and its gradients are exposed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
-from .nets import conv2d_backward, conv2d_forward, conv_out_size, sigmoid, swish_grad
+from .nets import (conv_out_size, count_params, init_params, join_params, sigmoid,
+                   split_params, swish_conv_backward, swish_conv_forward, swish_grad)
 from .numerics import derive_stream
 
 _BASE_CHANNELS = 8
@@ -53,7 +55,7 @@ class EnergyArch:
 
     @property
     def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
     def block_channels(self) -> list[tuple[int, int]]:
         chans = []
@@ -64,27 +66,23 @@ class EnergyArch:
             c_in = c_out
         return chans
 
-    def conv_spatial(self) -> list[tuple[int, int]]:
-        h, w = self.input_shape[1], self.input_shape[2]
-        sizes = []
-        for _ in range(self.conv_blocks):
+    def shapes(self) -> list[tuple[tuple, tuple]]:
+        """The theta layout as (weight, bias) shape pairs; the quadratic centre has none."""
+        if self.kind == "quadratic":
+            return []
+        if self.kind == "mlp":
+            d, h = self.input_dim, self.hidden_width
+            return [((h, d), (h,)), ((h,), ())]
+        _, h, w = self.input_shape
+        layers = []
+        for c_in, c_out in self.block_channels():
+            layers.append(((c_out, c_in, 3, 3), (c_out,)))
             h, w = conv_out_size(h, 2), conv_out_size(w, 2)
-            sizes.append((h, w))
-        return sizes
+        return layers + [((c_out * h * w,), ())]
 
     @property
     def param_count(self) -> int:
-        if self.kind == "quadratic":
-            return self.input_dim
-        if self.kind == "mlp":
-            d, h = self.input_dim, self.hidden_width
-            return h * d + h + h + 1
-        count = 0
-        for c_in, c_out in self.block_channels():
-            count += c_out * c_in * 9 + c_out
-        hh, ww = self.conv_spatial()[-1]
-        flat = self.block_channels()[-1][1] * hh * ww
-        return count + flat + 1
+        return self.input_dim if self.kind == "quadratic" else count_params(self.shapes())
 
     def to_meta(self) -> dict:
         return {
@@ -120,50 +118,10 @@ class EnergyParams:
 
 def init_energy_params(arch: EnergyArch, base_seed: int) -> EnergyParams:
     """He-scaled deterministic initialization from (arch, base_seed)."""
-    stream = derive_stream(base_seed, [("energy_init", 0)])
     if arch.kind == "quadratic":
-        theta = np.zeros(arch.input_dim)
-    elif arch.kind == "mlp":
-        d, h = arch.input_dim, arch.hidden_width
-        w1 = stream.standard_normal((h, d)) * np.sqrt(2.0 / d)
-        w2 = stream.standard_normal(h) / np.sqrt(h)
-        theta = np.concatenate([w1.ravel(), np.zeros(h), w2, np.zeros(1)])
-    else:
-        pieces = []
-        for c_in, c_out in arch.block_channels():
-            fan = c_in * 9
-            pieces.append(stream.standard_normal((c_out, c_in, 3, 3)).ravel() * np.sqrt(2.0 / fan))
-            pieces.append(np.zeros(c_out))
-        hh, ww = arch.conv_spatial()[-1]
-        flat = arch.block_channels()[-1][1] * hh * ww
-        pieces.append(stream.standard_normal(flat) / np.sqrt(flat))
-        pieces.append(np.zeros(1))
-        theta = np.concatenate(pieces)
-    return EnergyParams(arch=arch, theta=theta)
-
-
-def _unpack_mlp(arch, theta):
-    d, h = arch.input_dim, arch.hidden_width
-    i = 0
-    w1 = theta[i:i + h * d].reshape(h, d); i += h * d
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + h]; i += h
-    b2 = theta[i]
-    return w1, b1, w2, b2
-
-
-def _unpack_conv(arch, theta):
-    blocks = []
-    i = 0
-    for c_in, c_out in arch.block_channels():
-        w = theta[i:i + c_out * c_in * 9].reshape(c_out, c_in, 3, 3); i += c_out * c_in * 9
-        b = theta[i:i + c_out]; i += c_out
-        blocks.append((w, b))
-    hh, ww = arch.conv_spatial()[-1]
-    flat = arch.block_channels()[-1][1] * hh * ww
-    w_head = theta[i:i + flat]; i += flat
-    b_head = theta[i]
-    return blocks, w_head, b_head
+        return EnergyParams(arch=arch, theta=np.zeros(arch.input_dim))
+    stream = derive_stream(base_seed, [("energy_init", 0)])
+    return EnergyParams(arch=arch, theta=init_params(arch.shapes(), stream))
 
 
 def _check_batch(arch, X):
@@ -180,27 +138,21 @@ def _forward_batch(params: EnergyParams, X: np.ndarray):
     if arch.kind == "quadratic":
         diff = X.reshape(n, -1) - theta
         return 0.5 * np.sum(diff * diff, axis=1), {"diff": diff}
+    layers = split_params(theta, arch.shapes())
+    *body, (w_head, b_head) = layers
     if arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, theta)
+        (w1, b1), = body
         xf = X.reshape(n, -1)
         z1 = xf @ w1.T + b1
         s1 = sigmoid(z1)
-        a1 = z1 * s1
-        e = a1 @ w2 + b2
-        return e, {"xf": xf, "z1": z1, "s1": s1, "a1": a1}
-    blocks, w_head, b_head = _unpack_conv(arch, theta)
-    a = X
-    cache = []
-    for w, b in blocks:
-        z, xp = conv2d_forward(a, w, b, stride=2)
-        s = sigmoid(z)
-        cache.append((xp, z, s))
-        a = z * s
+        flat = z1 * s1
+        return flat @ w_head + b_head, dict(layers=layers, xf=xf, z1=z1, s1=s1, flat=flat)
+    a, body_cache = swish_conv_forward(X, body, stride=2)
     flat = a.reshape(n, -1)
     e = flat @ w_head + b_head
     if not np.all(np.isfinite(e)):
         raise NumericError("non-finite energy value in forward pass")
-    return e, {"blocks": cache, "flat": flat, "a_shape": a.shape}
+    return e, {"layers": layers, "body": body_cache, "flat": flat, "a_shape": a.shape}
 
 
 def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_params):
@@ -209,48 +161,26 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
     Returns (dX or None, dtheta or None); dtheta accumulates
     sum_n seed[n] * dE_n/dtheta.
     """
-    arch, theta = params.arch, params.theta
-    n = X.shape[0]
+    arch = params.arch
     if arch.kind == "quadratic":
         diff = cache["diff"]
         dx = (diff * seed[:, None]).reshape(X.shape) if want_input else None
         dtheta = -(diff * seed[:, None]).sum(axis=0) if want_params else None
         return dx, dtheta
+    *body, (w_head, _) = cache["layers"]
     if arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, theta)
-        xf, z1, a1 = cache["xf"], cache["z1"], cache["a1"]
-        dz1 = seed[:, None] * w2 * swish_grad(z1, cache["s1"])
+        (w1, _), = body
+        dz1 = seed[:, None] * w_head * swish_grad(cache["z1"], cache["s1"])
         dx = (dz1 @ w1).reshape(X.shape) if want_input else None
-        dtheta = None
-        if want_params:
-            dw1 = dz1.T @ xf
-            db1 = dz1.sum(axis=0)
-            dw2 = a1.T @ seed
-            db2 = seed.sum()
-            dtheta = np.concatenate([dw1.ravel(), db1, dw2, [db2]])
-        return dx, dtheta
-    blocks, w_head, b_head = _unpack_conv(arch, theta)
-    flat = cache["flat"]
-    da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
-    grads = []
-    dx = None
-    for (w, b), (xp, z, s) in zip(reversed(blocks), reversed(cache["blocks"])):
-        dz = da * swish_grad(z, s)
-        dxb, dw, db = conv2d_backward(dz, xp, w, stride=2, want_dw=want_params)
-        grads.append((dw, db))
-        da = dxb
-    if want_input:
-        dx = da
-    dtheta = None
-    if want_params:
-        pieces = []
-        for dw, db in reversed(grads):
-            pieces.append(dw.ravel())
-            pieces.append(db)
-        pieces.append(flat.T @ seed)
-        pieces.append(np.array([seed.sum()]))
-        dtheta = np.concatenate(pieces)
-    return dx, dtheta
+        grads = [(dz1.T @ cache["xf"], dz1.sum(axis=0))] if want_params else []
+    else:
+        da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
+        dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params)
+        dx = dx if want_input else None
+    if not want_params:
+        return dx, None
+    grads.append((cache["flat"].T @ seed, seed.sum()))
+    return dx, join_params(grads)
 
 
 def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):

@@ -12,8 +12,17 @@ result back onto the padded input with nine strided adds. The weight
 gradient needs the im2col matrix again and one more product;
 ``conv2d_backward(..., want_dw=False)`` skips both, for callers that only
 need the input gradient (Langevin sampling).
+
+Both networks (the energy net's conv branch and the segmenter) are a body
+of conv + swish layers, ``swish_conv_forward`` / ``swish_conv_backward``,
+under a linear head. Their parameters live in one flat theta vector whose
+layout is a list of (weight shape, bias shape) pairs: ``split_params`` cuts
+theta into those layers, ``join_params`` flattens layers (or their
+gradients) back, and ``init_params`` draws a fresh theta.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -83,3 +92,64 @@ def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, 
     wd = xp.shape[3] - 2 * pad
     dx = dxp[:, :, pad:pad + h, pad:pad + wd]
     return dx, dw, db
+
+
+def swish_conv_forward(x: np.ndarray, layers, stride: int):
+    """Conv + swish over the (w, b) ``layers``. Returns (activation, cache)."""
+    cache = []
+    for w, b in layers:
+        z, xp = conv2d_forward(x, w, b, stride=stride)
+        s = sigmoid(z)
+        cache.append((xp, z, s))
+        x = z * s
+    return x, cache
+
+
+def swish_conv_backward(da: np.ndarray, layers, cache, stride: int, want_dw: bool):
+    """Gradients for swish_conv_forward from the output gradient ``da``.
+
+    Returns (dx, grads); grads lists (dw, db) in layer order, dw None unless want_dw.
+    """
+    grads = []
+    for (w, _), (xp, z, s) in zip(reversed(layers), reversed(cache)):
+        da, dw, db = conv2d_backward(da * swish_grad(z, s), xp, w, stride=stride,
+                                     want_dw=want_dw)
+        grads.append((dw, db))
+    return da, grads[::-1]
+
+
+def count_params(shapes) -> int:
+    return sum(math.prod(w) + math.prod(b) for w, b in shapes)
+
+
+def split_params(theta: np.ndarray, shapes) -> list:
+    """Views (w, b) of flat ``theta`` per (weight shape, bias shape) pair; () gives a scalar."""
+    layers, i = [], 0
+    for pair in shapes:
+        layer = []
+        for shape in pair:
+            size = math.prod(shape)
+            part = theta[i:i + size] if shape else theta[i]
+            layer.append(part.reshape(shape) if len(shape) > 1 else part)  # 1-D: already shaped
+            i += size
+        layers.append(tuple(layer))
+    return layers
+
+
+def join_params(layers) -> np.ndarray:
+    """Flat theta (or its gradient) from (w, b) layers; the inverse of split_params."""
+    return np.concatenate([np.ravel(a) for layer in layers for a in layer])
+
+
+def init_params(shapes, stream) -> np.ndarray:
+    """Flat theta drawn from ``stream`` in layout order, biases zero.
+
+    A kernel or matrix is He-scaled by sqrt(2 / fan_in), a head vector of
+    n entries by 1 / sqrt(n).
+    """
+    layers = []
+    for w_shape, b_shape in shapes:
+        w = stream.standard_normal(w_shape)
+        w = w * np.sqrt(2.0 / math.prod(w_shape[1:])) if len(w_shape) > 1 else w / np.sqrt(w.size)
+        layers.append((w, np.zeros(b_shape)))
+    return join_params(layers)

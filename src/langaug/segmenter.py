@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LeakageError, NumericError
-from .nets import conv2d_backward, conv2d_forward, sigmoid, swish_grad
+from .nets import (count_params, init_params, join_params, sigmoid, split_params,
+                   swish_conv_backward, swish_conv_forward)
 from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
 from .pipeline import AugmentedDataset, assemble_training_stream
 from .synth import MultiDomainDataset
@@ -25,13 +26,14 @@ class SegArch:
     in_channels: int = 1
     hidden_channels: int = 8
 
+    def shapes(self) -> list[tuple[tuple, tuple]]:
+        """The theta layout as (weight, bias) shape pairs: two conv layers, then the head."""
+        c, h = self.in_channels, self.hidden_channels
+        return [((h, c, 3, 3), (h,)), ((h, h, 3, 3), (h,)), ((h,), ())]
+
     @property
     def param_count(self) -> int:
-        c, h = self.in_channels, self.hidden_channels
-        return (h * c * 9 + h) + (h * h * 9 + h) + h + 1
-
-    def to_meta(self) -> dict:
-        return {"in_channels": self.in_channels, "hidden_channels": self.hidden_channels}
+        return count_params(self.shapes())
 
 
 @dataclass
@@ -49,24 +51,7 @@ class SegModel:
 
 def init_seg_model(arch: SegArch, seed: int) -> SegModel:
     stream = derive_stream(seed, [("seg_init", 0)])
-    c, h = arch.in_channels, arch.hidden_channels
-    w1 = stream.standard_normal((h, c, 3, 3)) * np.sqrt(2.0 / (c * 9))
-    w2 = stream.standard_normal((h, h, 3, 3)) * np.sqrt(2.0 / (h * 9))
-    wh = stream.standard_normal(h) / np.sqrt(h)
-    theta = np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(h), wh, np.zeros(1)])
-    return SegModel(arch=arch, theta=theta)
-
-
-def _unpack(arch: SegArch, theta: np.ndarray):
-    c, h = arch.in_channels, arch.hidden_channels
-    i = 0
-    w1 = theta[i:i + h * c * 9].reshape(h, c, 3, 3); i += h * c * 9
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + h * h * 9].reshape(h, h, 3, 3); i += h * h * 9
-    b2 = theta[i:i + h]; i += h
-    wh = theta[i:i + h]; i += h
-    bh = theta[i]
-    return w1, b1, w2, b2, wh, bh
+    return SegModel(arch=arch, theta=init_params(arch.shapes(), stream))
 
 
 def seg_logits(model: SegModel, X: np.ndarray):
@@ -74,14 +59,11 @@ def seg_logits(model: SegModel, X: np.ndarray):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 4 or X.shape[1] != model.arch.in_channels:
         raise DimensionError(f"expected (N, {model.arch.in_channels}, H, W), got {X.shape}")
-    w1, b1, w2, b2, wh, bh = _unpack(model.arch, model.theta)
-    z1, xp1 = conv2d_forward(X, w1, b1, stride=1)
-    s1 = sigmoid(z1)
-    z2, xp2 = conv2d_forward(z1 * s1, w2, b2, stride=1)
-    s2 = sigmoid(z2)
-    a2 = z2 * s2
-    logits = np.tensordot(a2, wh, axes=([1], [0])) + bh
-    return logits, {"xp1": xp1, "z1": z1, "s1": s1, "xp2": xp2, "z2": z2, "s2": s2, "a2": a2}
+    layers = split_params(model.theta, model.arch.shapes())
+    *body, (wh, bh) = layers
+    a, body_cache = swish_conv_forward(X, body, stride=1)
+    logits = np.tensordot(a, wh, axes=([1], [0])) + bh
+    return logits, {"layers": layers, "a": a, "body": body_cache}
 
 
 def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
@@ -105,17 +87,11 @@ def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
                  - (2.0 * inter + 1.0)[:, None, None]) / ((sums + 1.0) ** 2)[:, None, None]
     dlogits = dlogits + (ddice_dp / n) * p * (1.0 - p)
 
-    w1, b1, w2, b2, wh, bh = _unpack(model.arch, model.theta)
-    a2 = cache["a2"]
-    dwh = np.tensordot(dlogits, a2, axes=([0, 1, 2], [0, 2, 3]))
-    dbh = float(dlogits.sum())
-    da2 = dlogits[:, None, :, :] * wh[None, :, None, None]
-    dz2 = da2 * swish_grad(cache["z2"], cache["s2"])
-    da1, dw2, db2 = conv2d_backward(dz2, cache["xp2"], w2, stride=1)
-    dz1 = da1 * swish_grad(cache["z1"], cache["s1"])
-    _, dw1, db1 = conv2d_backward(dz1, cache["xp1"], w1, stride=1)
-    grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dwh, [dbh]])
-    return loss, grad
+    *body, (wh, _) = cache["layers"]
+    da = dlogits[:, None, :, :] * wh[None, :, None, None]
+    _, grads = swish_conv_backward(da, body, cache["body"], stride=1, want_dw=True)
+    grads.append((np.tensordot(dlogits, cache["a"], axes=([0, 1, 2], [0, 2, 3])), dlogits.sum()))
+    return loss, join_params(grads)
 
 
 @dataclass
@@ -197,20 +173,15 @@ class EvalResult:
     seed: int
     mean_dice: float
     mean_iou: float
-    per_sample: list = field(default_factory=list)
 
 
 def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
                    fold: int, method: str, seed: int) -> EvalResult:
     # chunks of 8 images: a whole domain at once makes a large im2col matrix
     preds = [p for k in range(0, len(images), 8) for p in predict_mask(model, images[k:k + 8])]
-    per_sample = [(dice(p, m), iou(p, m)) for p, m in zip(preds, masks)]
-    return EvalResult(
-        fold=fold, method=method, seed=seed,
-        mean_dice=float(np.mean([d for d, _ in per_sample])),
-        mean_iou=float(np.mean([i for _, i in per_sample])),
-        per_sample=per_sample,
-    )
+    return EvalResult(fold=fold, method=method, seed=seed,
+                      mean_dice=float(np.mean([dice(p, m) for p, m in zip(preds, masks)])),
+                      mean_iou=float(np.mean([iou(p, m) for p, m in zip(preds, masks)])))
 
 
 def fit_and_score(src_images, src_masks, aug: AugmentedDataset | None, config: SegTrainConfig,

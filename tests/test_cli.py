@@ -270,6 +270,39 @@ class TestSweep:
         config = write_config(tmp_path / "c.json", sweep={"axis": "warp", "values": [1]})
         assert run("sweep", config, tmp_path) == 2
 
+    @pytest.mark.parametrize("sweep,key", [
+        ({"axis": "samples_per_chain", "values": [0]}, "sweep.values"),
+        ({"axis": "n_steps", "values": [4], "seeds": []}, "sweep.seeds"),
+        ({"axis": "n_steps", "values": [4], "folds": []}, "sweep.folds"),
+        ({"axis": "n_steps", "values": []}, "sweep.values"),
+    ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values"])
+    def test_degenerate_sweep_exit_2(self, tmp_path, capsys, sweep, key):
+        config = write_config(tmp_path / "c.json")
+        assert run("gen-data", config, tmp_path) == 0
+        write_config(tmp_path / "c.json", sweep=sweep)
+        assert run("sweep", config, tmp_path) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "results.csv").exists()
+
+    @pytest.mark.parametrize("axis,values,trainings", [
+        ("samples_per_chain", [1, 3], 1), ("conv_blocks", [1, 2], 2)])
+    def test_pair_models_trained_once_per_ebm_section(self, tmp_path, monkeypatch,
+                                                      axis, values, trainings):
+        config = write_config(tmp_path / "c.json", sweep={
+            "axis": axis, "values": values, "folds": [1], "seeds": [0]})
+        assert run("gen-data", config, tmp_path) == 0
+        calls = []
+        original = cli.train_all_pairs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_all_pairs", counted)
+        assert run("sweep", config, tmp_path) == 0
+        assert len(calls) == trainings
+        assert len((tmp_path / "sweep" / "results.csv").read_text().splitlines()) == 3
+
 
 def test_eval_loo_samples_each_pair_once(tmp_path, monkeypatch):
     # one pool per run: n(n-1) pair chains, where a pool per fold would

@@ -1,9 +1,13 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from langaug.nets import conv2d_backward, conv2d_forward, sigmoid
+from langaug import nets
+from langaug.nets import (conv2d_backward, conv2d_forward, count_params, init_params,
+                         join_params, sigmoid, split_params)
 from langaug.numerics import derive_stream
 
 from test_energy import naive_conv
@@ -91,3 +95,31 @@ def test_sigmoid_bits_match_sign_split_formula_without_overflow():
         s = sigmoid(z)
     assert np.array_equal(s, sign_split_sigmoid(z))
     assert s[-4] == 1.0 and s[-3] == 0.0
+
+
+def test_only_nets_calls_the_conv_kernels():
+    # both networks share nets' conv + swish body; a second caller of the
+    # kernels would be a second body
+    callers = set()
+    for path in sorted(Path(nets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("conv2d_forward", "conv2d_backward"):
+                    callers.add(path.name)
+    assert callers == {"nets.py"}
+
+
+def test_layout_split_join_and_init():
+    shapes = [((4, 2, 3, 3), (4,)), ((6, 5), (6,)), ((7,), ())]
+    theta = np.arange(count_params(shapes), dtype=np.float64)
+    layers = split_params(theta, shapes)
+    assert [(np.shape(w), np.shape(b)) for w, b in layers] == shapes
+    assert layers[-1][1] == theta[-1]
+    assert np.array_equal(join_params(layers), theta)
+    drawn = init_params(shapes, derive_stream(9, [("init", 0)]))
+    normal = derive_stream(9, [("init", 0)]).standard_normal
+    ref = [normal((4, 2, 3, 3)) * np.sqrt(2.0 / 18), np.zeros(4),
+           normal((6, 5)) * np.sqrt(2.0 / 5), np.zeros(6), normal(7) / np.sqrt(7), np.zeros(1)]
+    assert np.array_equal(drawn, np.concatenate([r.ravel() for r in ref]))

@@ -182,8 +182,7 @@ class TestLeaveOneOut:
     def test_results_csv_layout(self, tmp_path):
         from langaug.segmenter import EvalResult
 
-        rows = [EvalResult(0, "erm", 1, 0.5, 0.4, [(0.5, 0.4)]),
-                EvalResult(0, "erm", 0, 0.7, 0.6, [(0.7, 0.6)])]
+        rows = [EvalResult(0, "erm", 1, 0.5, 0.4), EvalResult(0, "erm", 0, 0.7, 0.6)]
         write_results_csv(rows, tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0] == "fold,method,seed,mean_dice,mean_iou"
@@ -194,9 +193,12 @@ def test_eval_result_invariant_dice_not_below_iou():
     ds = generate_benchmark(3, 4, 16, seed=36)
     model = init_seg_model(SegArch(), seed=0)
     res = evaluate_model(model, ds.images[0], ds.masks[0], 0, "erm", 0)
-    for d, i in res.per_sample:
+    scores = [(dice(p, m), iou(p, m)) for p, m in zip(predict_mask(model, ds.images[0]),
+                                                      ds.masks[0])]
+    for d, i in scores:
         assert 0.0 <= i <= d <= 1.0
-    assert res.mean_dice == pytest.approx(np.mean([d for d, _ in res.per_sample]))
+    assert 0.0 <= res.mean_iou <= res.mean_dice <= 1.0
+    assert res.mean_dice == pytest.approx(np.mean([d for d, _ in scores]))
 
 
 def test_eval_in_chunks_matches_one_pass_predictions():
@@ -205,4 +207,5 @@ def test_eval_in_chunks_matches_one_pass_predictions():
     model = init_seg_model(SegArch(), seed=2)
     res = evaluate_model(model, ds.images[1], ds.masks[1], 1, "erm", 0)
     preds = predict_mask(model, ds.images[1])
-    assert res.per_sample == [(dice(p, m), iou(p, m)) for p, m in zip(preds, ds.masks[1])]
+    assert res.mean_dice == float(np.mean([dice(p, m) for p, m in zip(preds, ds.masks[1])]))
+    assert res.mean_iou == float(np.mean([iou(p, m) for p, m in zip(preds, ds.masks[1])]))
