@@ -28,7 +28,9 @@ from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactE
                      NumericError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
 from .numerics import AdamHyper
-from .pipeline import generate_augmented, load_augmented, save_augmented
+from .ldtn import read_meta
+from .pipeline import (generate_augmented, load_augmented, pool_provenance,
+                       provenance_mismatch, save_augmented)
 from .segmenter import SegTrainConfig, fit_and_score, leave_one_out_eval, write_results_csv
 from .synth import (DEFAULT_SPECS, DomainSpec, generate_benchmark,
                     generate_vector_glm, load_dataset, save_dataset)
@@ -159,15 +161,23 @@ def _validate(config) -> None:
     sweep = config["sweep"]
     if sweep["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
         raise ConfigError(f"unsupported sweep.axis {sweep['axis']!r}")
-    for key in ("values", "seeds", "folds"):
-        if sweep[key] == []:
-            raise ConfigError(f"sweep.{key} must not be empty")
+    if not isinstance(sweep["values"], list) or not sweep["values"]:
+        raise ConfigError("sweep.values must be a non-empty list")
+    _check_int_list(sweep["seeds"], "sweep.seeds")
+    if sweep["folds"] is not None:
+        _check_int_list(sweep["folds"], "sweep.folds")
+    _check_int_list(config["segmenter"]["seeds"], "segmenter.seeds")
     if sweep["axis"] == "samples_per_chain" and not all(
             type(v) is int and v > 0 for v in sweep["values"]):
         raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
     if config["data"]["specs"] is not None:
         if len(config["data"]["specs"]) != config["data"]["n_domains"]:
             raise ConfigError("data.specs length must equal data.n_domains")
+
+
+def _check_int_list(value, key) -> None:
+    if not isinstance(value, list) or not value or not all(type(v) is int for v in value):
+        raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
 
 
 def _specs_from_config(config):
@@ -355,10 +365,30 @@ def _load_augmented(out_dir, stage):
     return load_augmented(stage.record_input(path, "augment").parent / "augmented")
 
 
+def _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed):
+    """(pool, None) when the pool `augment` saved is the one these inputs make, else (None, why)."""
+    path = Path(out_dir) / "aug" / "augmented.meta.json"
+    if not path.exists():
+        return None, "no pool on disk"
+    key = provenance_mismatch(read_meta(path.parent / "augmented").get("provenance", {}),
+                              pool_provenance(dataset, ebms, lv_config, base_seed))
+    if key is not None:
+        return None, f"provenance key {key} differs"
+    return _load_augmented(out_dir, stage), None
+
+
 def _cmd_train_seg(config, out_dir, jobs):
     stage = Stage(out_dir, "seg", config)
     dataset = _load_benchmark(out_dir, stage)
-    aug = _load_augmented(out_dir, stage)
+    aug = None
+    if (Path(out_dir) / "aug" / "augmented.meta.json").exists():
+        aug, stale = _saved_pool(out_dir, stage, dataset,
+                                 _load_ebms(out_dir, stage, dataset.n_domains),
+                                 _langevin_from_config(config, dataset.images[0].shape[1]),
+                                 config["base_seed"])
+        if stale is not None:
+            raise MissingArtifactError(f"the augmented pool is stale ({stale}); "
+                                       "run `augment` again")
     domains = range(dataset.n_domains)
     src_images = np.concatenate([dataset.train_images(d) for d in domains])
     src_masks = np.concatenate([dataset.train_masks(d) for d in domains])
@@ -372,12 +402,26 @@ def _cmd_train_seg(config, out_dir, jobs):
     return 0
 
 
-def _loo(config, dataset, ebms_thunk, seeds, folds):
-    """Leave-one-out scores over one pool sampled from the models ``ebms_thunk()`` returns."""
+def _loo(config, dataset, ebms_thunk, seeds, folds, out_dir, stage):
+    """Leave-one-out scores over one pool of the models ``ebms_thunk()`` returns.
+
+    The pool `augment` saved serves when its provenance equals this run's;
+    otherwise the pool is sampled.
+    """
     lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
+    base_seed = config["base_seed"]
+
+    def build():
+        ebms = ebms_thunk()
+        pool, stale = _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed)
+        if pool is not None:
+            stage.log("using the pool `augment` saved")
+            return pool
+        stage.log(f"sampling the pool: {stale}")
+        return generate_augmented(dataset, ebms, lv_config, base_seed)
+
     # built on the first fold, after leave_one_out_eval has checked its inputs
-    pool = functools.cache(
-        lambda: generate_augmented(dataset, ebms_thunk(), lv_config, config["base_seed"]))
+    pool = functools.cache(build)
     return leave_one_out_eval(dataset, lambda sources: pool().within(sources),
                               _seg_config(config), seeds=seeds, folds=folds)
 
@@ -387,7 +431,8 @@ def _cmd_eval_loo(config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     ebms = _load_ebms(out_dir, stage, dataset.n_domains)
     stage.log("running leave-one-out evaluation")
-    results = _loo(config, dataset, lambda: ebms, tuple(config["segmenter"]["seeds"]), None)
+    results = _loo(config, dataset, lambda: ebms, tuple(config["segmenter"]["seeds"]), None,
+                   out_dir, stage)
     write_results_csv(results, stage.dir / "results.csv")
     stage.finish()
     return 0
@@ -441,7 +486,7 @@ def _cmd_sweep(config, out_dir, jobs):
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
         results = _loo(cfg, dataset, functools.partial(models, cfg), sweep["seeds"],
-                       sweep["folds"])
+                       sweep["folds"], out_dir, stage)
         stage.log(f"{axis}={value} done")
         row = [axis, value]
         for method in ("erm", "erm+langaug"):

@@ -38,7 +38,7 @@ class MissingArtifactError(FileNotFoundError):
 
 
 class TensorFormatError(ValueError):
-    """Tensor file header is malformed (magic, version, or dtype byte)."""
+    """Tensor file header is malformed (magic, version, or dtype byte) or sidecar not JSON."""
 
 
 class TensorPayloadError(IOError):

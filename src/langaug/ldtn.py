@@ -69,4 +69,7 @@ def write_meta(basename, meta: dict) -> None:
 
 def read_meta(basename) -> dict:
     path = Path(str(basename) + ".meta.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise TensorFormatError(f"{path}: metadata is not valid JSON ({err})") from err

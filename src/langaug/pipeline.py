@@ -9,7 +9,7 @@ interleaves it with the originals at a configurable per-batch ratio.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ class AugmentedDataset:
         rows = np.isin(self.source_domain, list(keep)) & np.isin(self.target_domain, list(keep))
         checksums = {key: value for key, value in self.provenance.get("ebm_checksums", {}).items()
                      if {int(d) for d in key.split("_")} <= keep}
+        data = {key: value for key, value in self.provenance.get("data", {}).items()
+                if int(key) in keep}
         return AugmentedDataset(
             images=self.images[rows],
             masks=self.masks[rows],
@@ -65,13 +67,56 @@ class AugmentedDataset:
             target_domain=self.target_domain[rows],
             step_index=self.step_index[rows],
             origin_index=self.origin_index[rows],
-            provenance={**self.provenance, "ebm_checksums": checksums},
+            provenance={**self.provenance, "ebm_checksums": checksums, "data": data},
             skipped_chains=self.skipped_chains,
         )
 
 
+def _checksum(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def params_checksum(params: EnergyParams) -> str:
-    return hashlib.sha256(np.ascontiguousarray(params.theta).tobytes()).hexdigest()[:16]
+    return _checksum(params.theta)
+
+
+def _domains_and_pairs(dataset: MultiDomainDataset, domains):
+    """Sorted domain ids (default: all) and the ordered pairs among them."""
+    domains = sorted(int(d) for d in (range(dataset.n_domains) if domains is None else domains))
+    return domains, [(domains[i], domains[j]) for i, j in ordered_pairs(len(domains))]
+
+
+def pool_provenance(dataset: MultiDomainDataset, ebms: dict, config: LangevinConfig,
+                    base_seed: int, domains=None) -> dict:
+    """Everything a pool over ``domains`` (default: all) depends on, as JSON-native values.
+
+    Two pools with equal provenance hold the same bits, so a saved pool whose
+    provenance equals this one can stand in for sampling it again.
+    """
+    domains, pairs = _domains_and_pairs(dataset, domains)
+    return {
+        "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)]) for i, j in pairs},
+        "langevin": asdict(config),
+        "base_seed": base_seed,
+        "data": {str(d): _checksum(dataset.train_images(d), dataset.train_masks(d))
+                 for d in domains},
+    }
+
+
+def provenance_mismatch(found: dict, want: dict) -> str | None:
+    """The dotted name of the first key where two provenances differ; None when they are equal."""
+    for key in [*want, *(k for k in found if k not in want)]:
+        a, b = found.get(key), want.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            inner = provenance_mismatch(a, b)
+            if inner is not None:
+                return f"{key}.{inner}"
+        elif key not in found or key not in want or a != b:
+            return key
+    return None
 
 
 def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: LangevinConfig,
@@ -81,10 +126,7 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
     ``domains`` restricts the construction to a subset of domain ids (the
     leave-one-out folds pass the source domains only).
     """
-    if domains is None:
-        domains = range(dataset.n_domains)
-    domains = sorted(int(d) for d in domains)
-    pairs = [(domains[i], domains[j]) for i, j in ordered_pairs(len(domains))]
+    domains, pairs = _domains_and_pairs(dataset, domains)
     for pair in pairs:
         if pair not in ebms:
             raise ConfigError(f"missing energy model for pair {pair}")
@@ -141,14 +183,7 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
         target_domain=np.concatenate(tgt_tag),
         step_index=np.concatenate(step_tag),
         origin_index=np.concatenate(origin_tag),
-        provenance={
-            "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)]) for i, j in pairs},
-            "langevin": {
-                "step_size": config.step_size, "n_steps": config.n_steps,
-                "store_stride": config.store_stride, "store_offset": config.store_offset,
-            },
-            "base_seed": base_seed,
-        },
+        provenance=pool_provenance(dataset, ebms, config, base_seed, domains),
         skipped_chains=skipped,
     )
 

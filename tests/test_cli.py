@@ -116,6 +116,16 @@ class TestExitCodes:
         assert run("verify-theory", path, tmp_path / "out") == 2
         assert "theory.theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["eval-loo", "train-seg"])
+    def test_empty_segmenter_seeds_exit_2(self, tmp_path, capsys, subcommand):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        write_config(config, segmenter={"epochs": 1, "seeds": []})
+        assert run(subcommand, config, out) == 2
+        assert "segmenter.seeds" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["dataset"]
+
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
 
@@ -284,6 +294,19 @@ class TestSweep:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "results.csv").exists()
 
+    @pytest.mark.parametrize("sweep,key", [
+        ({"axis": "n_steps", "values": [4], "seeds": None}, "sweep.seeds"),
+        ({"axis": "n_steps", "values": [4], "seeds": [0.5]}, "sweep.seeds"),
+        ({"axis": "n_steps", "values": [4], "folds": 0}, "sweep.folds"),
+    ], ids=["null-seeds", "float-seed", "scalar-folds"])
+    def test_malformed_sweep_seeds_or_folds_exit_2(self, tmp_path, capsys, sweep, key):
+        config = write_config(tmp_path / "c.json")
+        assert run("gen-data", config, tmp_path) == 0
+        write_config(tmp_path / "c.json", sweep=sweep)
+        assert run("sweep", config, tmp_path) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("axis,values,trainings", [
         ("samples_per_chain", [1, 3], 1), ("conv_blocks", [1, 2], 2)])
     def test_pair_models_trained_once_per_ebm_section(self, tmp_path, monkeypatch,
@@ -342,6 +365,107 @@ def test_leaked_fold_exit_5(tmp_path, monkeypatch, capsys):
     assert run("eval-loo", config, out) == 5
     assert "leaked into a training fold" in capsys.readouterr().err
     assert not (out / "loo" / "results.csv").exists()
+
+
+def count_chain_runs(monkeypatch):
+    """Record every `pipeline.run_chain_batch` call; returns the list that grows."""
+    calls = []
+    original = pipeline.run_chain_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    return calls
+
+
+def test_eval_loo_after_augment_uses_the_saved_pool(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "c.json")
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    for stage in ("gen-data", "train-ebms"):
+        assert run(stage, config, fresh) == 0
+    calls = count_chain_runs(monkeypatch)
+    assert run("eval-loo", config, out) == 0
+    assert calls == []
+    assert run("eval-loo", config, fresh) == 0
+    assert len(calls) == 3 * 2
+    assert (out / "loo" / "results.csv").read_bytes() == \
+        (fresh / "loo" / "results.csv").read_bytes()
+    inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
+    assert str(out / "aug" / "augmented.meta.json") in inputs
+    assert "using the pool `augment` saved" in (out / "loo" / "run.log").read_text()
+    inputs = json.loads((fresh / "loo" / "manifest.json").read_text())["inputs"]
+    assert not any("augmented" in path for path in inputs)
+    assert "no pool on disk" in (fresh / "loo" / "run.log").read_text()
+
+
+@pytest.mark.parametrize("change,key", [
+    ("clamp_unit", "langevin.clamp_unit"), ("ebm_seed", "ebm_checksums.0_1")])
+def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypatch, capsys,
+                                                              change, key):
+    config = write_config(tmp_path / "c.json")
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    ebm_seed = None
+    if change == "clamp_unit":
+        write_config(config, langevin={"step_size": 0.05, "n_steps": 6, "store_stride": 2,
+                                       "store_offset": 2, "clamp_unit": True})
+    else:
+        ebm_seed = 6
+        assert run("train-ebms", config, out, seed=ebm_seed) == 0
+    assert run("gen-data", config, fresh) == 0
+    assert run("train-ebms", config, fresh, seed=ebm_seed) == 0
+    calls = count_chain_runs(monkeypatch)
+    assert run("eval-loo", config, out) == 0
+    assert len(calls) == 3 * 2
+    assert f"provenance key {key} differs" in (out / "loo" / "run.log").read_text()
+    inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
+    assert not any("augmented" in path for path in inputs)
+    assert run("eval-loo", config, fresh) == 0
+    assert (out / "loo" / "results.csv").read_bytes() == \
+        (fresh / "loo" / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert run("train-seg", config, out) == 3
+    err = capsys.readouterr().err
+    assert key in err and "run `augment` again" in err
+    assert not (out / "seg" / "results.csv").exists()
+
+
+def test_sweep_samples_only_values_off_the_saved_pool(tmp_path, monkeypatch):
+    # the base config runs 6 Langevin steps, so the 6 value matches the saved pool
+    config = write_config(tmp_path / "c.json", sweep={
+        "axis": "n_steps", "values": [4, 6], "folds": [0], "seeds": [0]})
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    assert run("gen-data", config, fresh) == 0
+    calls = count_chain_runs(monkeypatch)
+    assert run("sweep", config, out) == 0
+    assert len(calls) == 3 * 2
+    log = (out / "sweep" / "run.log").read_text()
+    assert "provenance key langevin.n_steps differs" in log
+    assert "using the pool `augment` saved" in log
+    calls.clear()
+    assert run("sweep", config, fresh) == 0
+    assert len(calls) == 2 * 3 * 2
+    assert (out / "sweep" / "results.csv").read_bytes() == \
+        (fresh / "sweep" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["eval-loo", "train-seg", "project"])
+def test_damaged_pool_metadata_exit_3(tmp_path, capsys, subcommand):
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    meta = out / "aug" / "augmented.meta.json"
+    meta.write_text(meta.read_text()[:-20])
+    assert run(subcommand, config, out) == 3
+    assert "augmented.meta.json: metadata is not valid JSON" in capsys.readouterr().err
 
 
 def test_checkpoints_written_when_configured(tmp_path):

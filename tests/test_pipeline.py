@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from langaug.errors import ConfigError
 from langaug.langevin import LangevinConfig, run_chain_batch
 from langaug.numerics import derive_stream
 from langaug.pipeline import (assemble_training_stream, generate_augmented,
-                              load_augmented, save_augmented)
+                              load_augmented, pool_provenance, provenance_mismatch,
+                              save_augmented)
 from langaug.synth import generate_benchmark
 
 
@@ -153,6 +156,42 @@ class TestGenerateAugmented:
         assert back.images.tobytes() == aug.images.tobytes()
         assert np.array_equal(back.step_index, aug.step_index)
         assert back.provenance["ebm_checksums"] == aug.provenance["ebm_checksums"]
+
+
+class TestProvenance:
+    def test_saved_provenance_equals_pool_provenance(self, small_setup, tmp_path):
+        ds, ebms = small_setup
+        config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3,
+                                channel_replace=None, clamp_unit=True)
+        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug")
+        want = pool_provenance(ds, ebms, config, base_seed=4)
+        assert load_augmented(tmp_path / "aug").provenance == want
+        assert set(want["langevin"]) == {f.name for f in dataclasses.fields(LangevinConfig)}
+        assert sorted(want["data"]) == ["0", "1", "2"]
+        assert all(len(v) == 16 for v in want["data"].values())
+
+    def test_every_dependency_changes_the_provenance(self, small_setup):
+        ds, ebms = small_setup
+        config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3)
+        want = pool_provenance(ds, ebms, config, base_seed=4)
+        other_ebms = {**ebms, (2, 1): EnergyParams(ebms[(2, 1)].arch, ebms[(2, 1)].theta + 1.0)}
+        other_data = dataclasses.replace(ds, masks=[m.copy() for m in ds.masks])
+        other_data.masks[1][ds.split[1]["train"][0], 0, 0] += 1.0
+        cases = {
+            "ebm_checksums.2_1": pool_provenance(ds, other_ebms, config, 4),
+            "langevin.clamp_unit": pool_provenance(
+                ds, ebms, dataclasses.replace(config, clamp_unit=True), 4),
+            "langevin.channel_replace": pool_provenance(
+                ds, ebms, dataclasses.replace(config, channel_replace=0), 4),
+            "base_seed": pool_provenance(ds, ebms, config, 5),
+            "data.1": pool_provenance(other_data, ebms, config, 4),
+        }
+        for key, found in cases.items():
+            assert found != want
+            assert provenance_mismatch(found, want) == key
+        assert provenance_mismatch(want, want) is None
+        assert provenance_mismatch({k: v for k, v in want.items() if k != "data"},
+                                   want) == "data"
 
 
 class TestStream:
