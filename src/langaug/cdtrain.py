@@ -86,8 +86,8 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
     sample_shape = dataset_i.shape[1:]
     for it in range(config.n_iters):
         pick = derive_stream(config.base_seed, [("cd_iter", it), ("pick", 0)])
-        pos = dataset_j[pick.choice(dataset_j.shape[0], config.batch_size)]
-        x0 = dataset_i[pick.choice(dataset_i.shape[0], config.batch_size)]
+        pos = dataset_j[pick.choice(dataset_j.shape[0], config.batch_size, replace=False)]
+        x0 = dataset_i[pick.choice(dataset_i.shape[0], config.batch_size, replace=False)]
         noise = derive_stream(config.base_seed, [("cd_iter", it), ("ld_noise", 0)]).standard_normal(
             (config.ld.n_steps, config.batch_size) + sample_shape
         )

@@ -158,18 +158,26 @@ def _validate(config) -> None:
         raise ConfigError("data.train_frac must lie in [0, 1]")
     if not 0.0 <= config["augment"]["mix_ratio"] <= 1.0:
         raise ConfigError("augment.mix_ratio must lie in [0, 1]")
+    store_offset = config["langevin"]["store_offset"]
+    if store_offset > config["langevin"]["n_steps"]:
+        raise ConfigError(f"langevin.store_offset {store_offset} exceeds langevin.n_steps "
+                          f"{config['langevin']['n_steps']}: no chain iterate would be stored")
     sweep = config["sweep"]
     if sweep["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
         raise ConfigError(f"unsupported sweep.axis {sweep['axis']!r}")
     if not isinstance(sweep["values"], list) or not sweep["values"]:
         raise ConfigError("sweep.values must be a non-empty list")
+    if sweep["axis"] != "step_size":
+        _check_int_list(sweep["values"], "sweep.values")
     _check_int_list(sweep["seeds"], "sweep.seeds")
     if sweep["folds"] is not None:
         _check_int_list(sweep["folds"], "sweep.folds")
     _check_int_list(config["segmenter"]["seeds"], "segmenter.seeds")
-    if sweep["axis"] == "samples_per_chain" and not all(
-            type(v) is int and v > 0 for v in sweep["values"]):
+    if sweep["axis"] == "samples_per_chain" and min(sweep["values"]) < 1:
         raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
+    if sweep["axis"] == "n_steps" and min(sweep["values"]) < store_offset:
+        raise ConfigError(f"sweep.values on the n_steps axis must be >= langevin.store_offset "
+                          f"{store_offset}: no chain iterate would be stored")
     if config["data"]["specs"] is not None:
         if len(config["data"]["specs"]) != config["data"]["n_domains"]:
             raise ConfigError("data.specs length must equal data.n_domains")
@@ -476,13 +484,13 @@ def _cmd_sweep(config, out_dir, jobs):
     for value in values:
         cfg = copy.deepcopy(config)
         if axis == "n_steps":
-            cfg["langevin"]["n_steps"] = int(value)
+            cfg["langevin"]["n_steps"] = value
         elif axis == "step_size":
             cfg["langevin"]["step_size"] = float(value)
         elif axis == "conv_blocks":
-            cfg["ebm"]["conv_blocks"] = int(value)
+            cfg["ebm"]["conv_blocks"] = value
         elif axis == "samples_per_chain":
-            stride = max(1, cfg["langevin"]["n_steps"] // int(value))
+            stride = max(1, cfg["langevin"]["n_steps"] // value)
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
         results = _loo(cfg, dataset, functools.partial(models, cfg), sweep["seeds"],

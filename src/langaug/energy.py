@@ -15,7 +15,7 @@ and never evaluated; only E and its gradients are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,23 +83,6 @@ class EnergyArch:
     @property
     def param_count(self) -> int:
         return self.input_dim if self.kind == "quadratic" else count_params(self.shapes())
-
-    def to_meta(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_shape": list(self.input_shape),
-            "conv_blocks": self.conv_blocks,
-            "hidden_width": self.hidden_width,
-        }
-
-    @staticmethod
-    def from_meta(meta: dict) -> "EnergyArch":
-        return EnergyArch(
-            kind=meta["kind"],
-            input_shape=tuple(meta["input_shape"]),
-            conv_blocks=meta["conv_blocks"],
-            hidden_width=meta["hidden_width"],
-        )
 
 
 @dataclass
@@ -204,7 +187,7 @@ def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
     base = Path(basename)
     base.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(f"{base}.ldtn", params.theta)
-    meta = {"arch": params.arch.to_meta()}
+    meta = {"arch": asdict(params.arch)}
     if pair is not None:
         meta["pair"] = {"source": int(pair[0]), "target": int(pair[1])}
     write_meta(base, meta)
@@ -213,6 +196,6 @@ def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
 def load_energy_params(basename) -> tuple[EnergyParams, dict]:
     base = Path(basename)
     meta = read_meta(base)
-    arch = EnergyArch.from_meta(meta["arch"])
+    arch = EnergyArch(**meta["arch"])
     theta = read_tensor(f"{base}.ldtn")
     return EnergyParams(arch=arch, theta=theta), meta

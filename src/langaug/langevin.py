@@ -2,12 +2,12 @@
 
 One step moves x by ``-(step^2 / 2) * grad E(x) + step * noise``; a chain
 runs K such steps and keeps the iterates at (offset, offset + stride, ...)
-up to K. A per-step content hook can overwrite one channel of the iterate
-with the starting image's channel so positional structure survives.
+up to K. On multi-channel data a per-step content hook can overwrite one
+channel of the iterate with the starting image's channel so positional
+structure survives.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +53,21 @@ def langevin_step(x: np.ndarray, grad: np.ndarray, step_size: float, noise: np.n
 
 
 def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_index: int) -> np.ndarray:
-    """Overwrite one channel of the iterate with the original's channel."""
+    """Overwrite one channel of the iterate with the original's channel.
+
+    Single-channel data is rejected: there the hook would turn every iterate
+    back into the original, and the chain would store copies of its source.
+    """
     iterate = np.asarray(iterate, dtype=np.float64)
     original = np.asarray(original, dtype=np.float64)
     if iterate.shape != original.shape:
         raise DimensionError("iterate and original must share a shape")
     n_channels = iterate.shape[-3] if iterate.ndim >= 3 else 1
-    if not 0 <= channel_index < n_channels:
-        raise ConfigError(f"channel_index {channel_index} out of range for {n_channels} channels")
-    if n_channels == 1:
-        warnings.warn("channel_replace_hook on single-channel data returns the original unchanged")
-        return original.copy()
+    if (n_channels < 2 or isinstance(channel_index, bool)
+            or not isinstance(channel_index, (int, np.integer))
+            or not 0 <= channel_index < n_channels):
+        raise ConfigError(f"channel_replace index {channel_index!r} must be an int in "
+                          f"[0, C) on data with C >= 2 channels; this data has C = {n_channels}")
     out = iterate.copy()
     out[..., channel_index, :, :] = original[..., channel_index, :, :]
     return out
@@ -71,9 +75,7 @@ def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_inde
 
 def _apply_hook(x: np.ndarray, x0: np.ndarray, config: LangevinConfig) -> np.ndarray:
     if config.channel_replace is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            x = channel_replace_hook(x, x0, config.channel_replace)
+        x = channel_replace_hook(x, x0, config.channel_replace)
     if config.clamp_unit:
         x = np.clip(x, 0.0, 1.0)
     return x

@@ -1,4 +1,4 @@
-"""Deterministic numerical substrate: RNG streams, Adam, finite differences.
+"""Deterministic numerical substrate: random streams, Adam, finite differences.
 
 Everything here is double precision. Random streams are derived by hashing
 a base seed together with a tuple of (name, index) labels, so any consumer
@@ -28,50 +28,18 @@ def _philox_key(base_seed: int, labels: Labels) -> np.ndarray:
     return np.frombuffer(h.digest(), dtype=np.uint64)
 
 
-class RngStream:
-    """Counter-based random stream keyed by (base_seed, labels).
+def derive_stream(base_seed: int, labels) -> np.random.Generator:
+    """Counter-based generator keyed by (base_seed, labels).
 
-    Identical keys give bit-identical draw sequences; distinct labels give
-    independent streams with no shared mutable state, so streams may be
-    created and consumed concurrently in any order.
+    ``labels`` is an ordered list of (name, int) tags. Identical keys give
+    bit-identical draw sequences; distinct labels give independent streams
+    with no shared mutable state, so streams may be created and consumed
+    concurrently in any order.
     """
-
-    def __init__(self, base_seed: int, labels):
-        labels = tuple((str(n), int(v)) for n, v in labels)
-        if not labels:
-            raise ConfigError("RngStream labels must be non-empty")
-        self.base_seed = int(base_seed)
-        self.labels = labels
-        self._gen = np.random.Generator(np.random.Philox(key=_philox_key(base_seed, labels)))
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size=size, dtype=np.float64)
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=size)
-
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace_draw: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace_draw)
-
-    def rademacher(self, size) -> np.ndarray:
-        return self._gen.integers(0, 2, size=size) * 2.0 - 1.0
-
-    def poisson(self, lam) -> np.ndarray:
-        return self._gen.poisson(lam)
-
-    def __repr__(self):
-        return f"RngStream(base_seed={self.base_seed}, labels={self.labels})"
-
-
-def derive_stream(base_seed: int, labels) -> RngStream:
-    """Build an RngStream; ``labels`` is an ordered list of (name, int) tags."""
-    return RngStream(base_seed, labels)
+    labels = tuple((str(n), int(v)) for n, v in labels)
+    if not labels:
+        raise ConfigError("derive_stream labels must be non-empty")
+    return np.random.Generator(np.random.Philox(key=_philox_key(base_seed, labels)))
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
     src_masks = np.asarray(src_masks, dtype=np.float64)
     if src_images.shape[0] == 0:
         raise ConfigError("empty training set")
-    have_aug = aug_images is not None and len(aug_images) > 0
+    have_aug = aug_images is not None
     mix = config.mix_ratio if have_aug else 0.0
     n_aug = len(aug_images) if have_aug else 0
     arch = SegArch(in_channels=src_images.shape[1])

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .numerics import RngStream, derive_stream
+from .numerics import derive_stream
 from .synth import GlmVectorDataset
 
 _POISSON_GUARD = 30.0
@@ -148,7 +148,7 @@ def std_risk(theta, dataset: GlmVectorDataset, family=None) -> float:
 
 
 def aug_risk_mc(theta, dataset: GlmVectorDataset, beta: float, n_mc: int, family=None,
-                rng: RngStream | None = None):
+                rng: np.random.Generator | None = None):
     """Monte Carlo augmented risk. Returns (estimate, stderr).
 
     Draw m replaces every x_i by its one-step-noised version with a fresh
@@ -431,7 +431,7 @@ def radius_and_C(gamma: float, rho: float, sigma: float):
 
 
 def empirical_rademacher(dataset_x: np.ndarray, radius: float, n_mc: int,
-                         rng: RngStream, with_stderr: bool = False):
+                         rng: np.random.Generator, with_stderr: bool = False):
     """Monte Carlo Rademacher complexity of the radius-ball linear class.
 
     The supremum over the ball has the closed form (radius/k) ||sum xi_i x_i||,
@@ -441,7 +441,7 @@ def empirical_rademacher(dataset_x: np.ndarray, radius: float, n_mc: int,
         raise ConfigError("radius must be non-negative")
     x = np.asarray(dataset_x, dtype=np.float64)
     k = x.shape[0]
-    signs = rng.rademacher((n_mc, k))
+    signs = rng.integers(0, 2, size=(n_mc, k)) * 2.0 - 1.0
     sums = signs @ x
     values = (radius / k) * np.linalg.norm(sums, axis=1)
     estimate = float(np.mean(values))
@@ -459,7 +459,7 @@ def constraint_value(theta, dataset: GlmVectorDataset, family=None) -> float:
     return float(np.mean(family.A2(u)) * (theta @ theta) - np.mean(family.A1(u) * ts))
 
 
-def _probe_thetas(rng: RngStream, count: int, dim: int, radii) -> tuple[np.ndarray, int]:
+def _probe_thetas(rng: np.random.Generator, count: int, dim: int, radii) -> tuple[np.ndarray, int]:
     """Probe parameters from ``count`` standard-normal directions of ``rng``.
 
     Direction p is the p-th draw, scaled to radius radii[p % len(radii)];
@@ -488,7 +488,7 @@ def _matvec_rows(mat, thetas):
 
 
 def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
-                 kappa1: float, kappa2: float, rng: RngStream,
+                 kappa1: float, kappa2: float, rng: np.random.Generator,
                  radii=None) -> tuple[float, int]:
     """Retentiveness estimate: worst probe of the curvature-minus-score ratio.
 
@@ -523,7 +523,7 @@ def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
 
 
 def constraint_max(theta, dataset: GlmVectorDataset, probe_count: int, radii,
-                   rng: RngStream) -> float:
+                   rng: np.random.Generator) -> float:
     """Largest constraint_value over theta and the probes drawn from ``rng``.
 
     Probes are the directions of ``rng`` scaled to the cycled ``radii``

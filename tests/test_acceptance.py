@@ -66,7 +66,8 @@ class TestCriterion1GradientFidelity:
                 gx = energy_value_and_grad_input(params, x[None])[1][0].ravel()
                 fx = batched_input_fd(params, x)
                 worst = max(worst, relative_error(gx, fx))
-                coords = derive_stream(3000 + cfg, [("c", 0)]).choice(arch.param_count, 5)
+                coords = derive_stream(3000 + cfg, [("c", 0)]).choice(arch.param_count, 5,
+                                                                  replace=False)
                 gt = energy_value_and_grad_params(params, x[None])[1][coords]
                 ft = np.empty(5)
                 for m, c in enumerate(coords):
@@ -85,7 +86,8 @@ class TestCriterion1GradientFidelity:
             x = derive_stream(cfg, [("sx", 0)]).uniform(size=(2, 1, 8, 8))
             m = (derive_stream(cfg, [("sm", 0)]).uniform(size=(2, 8, 8)) > 0.5).astype(float)
             _, grad = seg_loss_and_grad(model, x, m)
-            coords = derive_stream(cfg, [("sc", 0)]).choice(seg_arch.param_count, 6)
+            coords = derive_stream(cfg, [("sc", 0)]).choice(seg_arch.param_count, 6,
+                                                              replace=False)
             fd = np.empty(6)
             for k, c in enumerate(coords):
                 tp = model.theta.copy(); tp[c] += 1e-5

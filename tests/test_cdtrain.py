@@ -48,7 +48,7 @@ class TestCdGradient:
                          - np.mean(energy_value_and_grad_input(p, neg)[0]))
 
         analytic, _ = cd_gradient(EnergyParams(arch, theta), pos, neg)
-        coords = derive_stream(7, [("c", 0)]).choice(arch.param_count, 12)
+        coords = derive_stream(7, [("c", 0)]).choice(arch.param_count, 12, replace=False)
         fd = finite_diff_grad_subset(surrogate, theta, coords)
         assert relative_error(analytic[coords], fd) < 1e-4
 

@@ -285,7 +285,11 @@ class TestSweep:
         ({"axis": "n_steps", "values": [4], "seeds": []}, "sweep.seeds"),
         ({"axis": "n_steps", "values": [4], "folds": []}, "sweep.folds"),
         ({"axis": "n_steps", "values": []}, "sweep.values"),
-    ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values"])
+        ({"axis": "n_steps", "values": [2.5]}, "sweep.values"),
+        ({"axis": "conv_blocks", "values": [1.5]}, "sweep.values"),
+        ({"axis": "n_steps", "values": [4, 1]}, "langevin.store_offset"),
+    ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values", "fractional-n-steps",
+            "fractional-conv-blocks", "n-steps-below-store-offset"])
     def test_degenerate_sweep_exit_2(self, tmp_path, capsys, sweep, key):
         config = write_config(tmp_path / "c.json")
         assert run("gen-data", config, tmp_path) == 0
@@ -364,6 +368,26 @@ def test_leaked_fold_exit_5(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline.AugmentedDataset, "within", lambda self, domains: self)
     assert run("eval-loo", config, out) == 5
     assert "leaked into a training fold" in capsys.readouterr().err
+    assert not (out / "loo" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["augment", "eval-loo"])
+@pytest.mark.parametrize("langevin,key", [
+    ({"n_steps": 2, "store_offset": 3}, "langevin.store_offset"),
+    ({"channel_replace": 0}, "channel_replace"),
+], ids=["empty-pool", "single-channel-replace"])
+def test_degenerate_pool_exit_2(tmp_path, capsys, subcommand, langevin, key):
+    # an empty pool would train plain ERM under the erm+langaug label, and
+    # replacing the only channel would store copies of the source images
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    assert run("train-ebms", config, out) == 0
+    write_config(config, langevin={"step_size": 0.05, "n_steps": 6, "store_stride": 2,
+                                   "store_offset": 2, **langevin})
+    assert run(subcommand, config, out) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "aug" / "augmented.meta.json").exists()
     assert not (out / "loo" / "results.csv").exists()
 
 

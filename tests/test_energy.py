@@ -148,7 +148,7 @@ class TestGradients:
             x = derive_stream(40 + trial, [("x", 0)]).standard_normal(shape)
             analytic = energy_value_and_grad_params(params, x[None])[1]
             coords = derive_stream(50 + trial, [("c", 0)]).choice(
-                arch.param_count, min(16, arch.param_count))
+                arch.param_count, min(16, arch.param_count), replace=False)
             fd = finite_diff_grad_subset(
                 lambda t: energy_of(EnergyParams(arch, t), x), params.theta, coords)
             assert relative_error(analytic[coords], fd) < 1e-4

@@ -167,12 +167,19 @@ class TestHook:
         assert np.array_equal(out[2], orig[2])
         assert np.array_equal(out[:2], it[:2])
 
-    def test_single_channel_degenerates_with_warning(self):
+    def test_single_channel_rejected(self):
+        # on one channel every iterate would become the original: a pool of
+        # copies of the sources, so the hook refuses
         it = derive_stream(4, [("a", 0)]).standard_normal((1, 4, 4))
         orig = derive_stream(5, [("b", 0)]).standard_normal((1, 4, 4))
-        with pytest.warns(UserWarning):
-            out = channel_replace_hook(it, orig, 0)
-        assert np.array_equal(out, orig)
+        with pytest.raises(ConfigError, match="C = 1"):
+            channel_replace_hook(it, orig, 0)
+
+    @pytest.mark.parametrize("index", [0.0, True, "0"])
+    def test_index_must_be_an_int(self, index):
+        x = np.zeros((2, 4, 4))
+        with pytest.raises(ConfigError, match="channel_replace"):
+            channel_replace_hook(x, x, index)
 
     def test_out_of_range_channel(self):
         x = np.zeros((2, 4, 4))

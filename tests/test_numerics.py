@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langaug import numerics
 from langaug.errors import ConfigError, DimensionError, NumericError
 from langaug.numerics import (AdamHyper, adam_step, derive_stream, finite_diff_grad,
                               init_adam_state, relative_error)
@@ -125,6 +129,34 @@ class TestRngStream:
         parts = np.concatenate([s1.standard_normal(5) for _ in range(4)])
         bulk = derive_stream(8, [("n", 0)]).standard_normal(20)
         assert np.array_equal(parts, bulk)
+
+    def test_stream_is_a_numpy_generator(self):
+        assert type(derive_stream(1, [("g", 0)])) is np.random.Generator
+
+
+def test_streams_come_only_from_derive_stream():
+    # every draw is keyed by (seed, labels) through numerics; other modules
+    # may name numpy's Generator in a type hint but never build one or draw
+    # from the global state. numpy's choice defaults to replace=True, so
+    # every choice call says which draw it means.
+    namers, bare_choices = set(), []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hints = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+        hints += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        in_hint = {id(sub) for hint in hints if hint is not None for sub in ast.walk(hint)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and ast.unparse(node) == "np.random"
+                    and id(node) not in in_hint) or (
+                    isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "numpy" in ast.unparse(node) and "random" in ast.unparse(node)):
+                namers.add(path.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "choice"
+                    and "replace" not in {k.arg for k in node.keywords}):
+                bare_choices.append(f"{path.name}:{node.lineno}")
+    assert namers == {"numerics.py"}
+    assert bare_choices == []
 
 
 def test_relative_error_ignores_tiny_components():

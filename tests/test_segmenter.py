@@ -71,7 +71,7 @@ class TestModel:
         x = derive_stream(1, [("x", 0)]).uniform(size=(2, 1, 8, 8))
         m = (derive_stream(2, [("m", 0)]).uniform(size=(2, 8, 8)) > 0.5).astype(float)
         _, grad = seg_loss_and_grad(model, x, m)
-        coords = derive_stream(3, [("c", 0)]).choice(model.arch.param_count, 20)
+        coords = derive_stream(3, [("c", 0)]).choice(model.arch.param_count, 20, replace=False)
         fd = finite_diff_grad_subset(
             lambda t: seg_loss_and_grad(SegModel(model.arch, t), x, m)[0], model.theta, coords)
         assert relative_error(grad[coords], fd) < 1e-4
@@ -129,6 +129,18 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_segmenter(np.empty((0, 1, 8, 8)), np.empty((0, 8, 8)),
                             SegTrainConfig(epochs=1), seed=0)
+
+    def test_empty_pool_rejected(self):
+        # a zero-entry pool must not quietly train the source-only model
+        x = derive_stream(12, [("x", 0)]).uniform(size=(4, 1, 8, 8))
+        m = np.zeros((4, 8, 8))
+        with pytest.raises(ConfigError, match="non-empty augmented pool"):
+            train_segmenter(x, m, SegTrainConfig(epochs=1, batch_size=2), seed=0,
+                            aug_images=x[:0], aug_masks=m[:0])
+        without_mixing = SegTrainConfig(epochs=1, batch_size=2, mix_ratio=0.0)
+        assert np.array_equal(
+            train_segmenter(x, m, without_mixing, seed=0, aug_images=x[:0], aug_masks=m[:0]).theta,
+            train_segmenter(x, m, without_mixing, seed=0).theta)
 
 
 class TestLeaveOneOut:
