@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cdtrain import CdConfig, ordered_pairs, train_all_pairs
-from .energy import EnergyArch, load_energy_params
+from .energy import MAX_CONV_BLOCKS, EnergyArch, load_energy_params
 from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactError,
                      NumericError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
@@ -175,6 +175,9 @@ def _validate(config) -> None:
     _check_int_list(config["segmenter"]["seeds"], "segmenter.seeds")
     if sweep["axis"] == "samples_per_chain" and min(sweep["values"]) < 1:
         raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
+    if sweep["axis"] == "conv_blocks" and not all(1 <= v <= MAX_CONV_BLOCKS
+                                                  for v in sweep["values"]):
+        raise ConfigError(f"sweep.values on the conv_blocks axis must lie in 1..{MAX_CONV_BLOCKS}")
     if sweep["axis"] == "n_steps" and min(sweep["values"]) < store_offset:
         raise ConfigError(f"sweep.values on the n_steps axis must be >= langevin.store_offset "
                           f"{store_offset}: no chain iterate would be stored")

@@ -27,6 +27,7 @@ from .nets import (conv_out_size, count_params, init_params, join_params, sigmoi
 from .numerics import derive_stream
 
 _BASE_CHANNELS = 8
+MAX_CONV_BLOCKS = 7
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class EnergyArch:
         if self.kind == "conv":
             if len(self.input_shape) != 3:
                 raise ConfigError("conv arch needs a (C, H, W) input shape")
-            if not 1 <= self.conv_blocks <= 7:
-                raise ConfigError("conv_blocks must lie in 1..7")
+            if not 1 <= self.conv_blocks <= MAX_CONV_BLOCKS:
+                raise ConfigError(f"conv_blocks must lie in 1..{MAX_CONV_BLOCKS}")
             h, w = self.input_shape[1], self.input_shape[2]
             for _ in range(self.conv_blocks):
                 h, w = conv_out_size(h, 2), conv_out_size(w, 2)
@@ -158,8 +159,8 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
         grads = [(dz1.T @ cache["xf"], dz1.sum(axis=0))] if want_params else []
     else:
         da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
-        dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params)
-        dx = dx if want_input else None
+        dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params,
+                                        want_dx=want_input)
     if not want_params:
         return dx, None
     grads.append((cache["flat"].T @ seed, seed.sum()))

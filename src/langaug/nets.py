@@ -7,11 +7,11 @@ Each convolution is lowered to one 2-D matrix product (Chellapilla et al.
 2006): the padded input is unfolded into an im2col matrix of shape
 (C_in * 9, N * H_out * W_out) by nine strided copies, one per kernel
 offset, and multiplied by the (C_out, C_in * 9) weight matrix. The
-backward pass multiplies by the transposed weights and scatters the
-result back onto the padded input with nine strided adds. The weight
-gradient needs the im2col matrix again and one more product;
-``conv2d_backward(..., want_dw=False)`` skips both, for callers that only
-need the input gradient (Langevin sampling).
+forward returns that matrix and the backward reuses it for the weight
+gradient, so each input is unfolded once. The input gradient multiplies
+by the transposed weights and scatters the result back onto the padded
+input with nine strided adds. ``want_dw=False`` skips the weight gradient
+(Langevin sampling), ``want_dx=False`` the input gradient (training).
 
 Both networks (the energy net's conv branch and the segmenter) are a body
 of conv + swish layers, ``swish_conv_forward`` / ``swish_conv_backward``,
@@ -28,10 +28,11 @@ import numpy as np
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows; same bits as
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
+    # exp of a non-positive argument never overflows; max(e, z >= 0) is 1 for
+    # z >= 0 and e below (np.where with a scalar 1.0 is twice as slow), so the
+    # bits are 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def swish_grad(z: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
@@ -62,58 +63,63 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int = 1):
-    """Returns (y, xp); xp is the padded input cached for the backward pass."""
+    """Returns (y, xp, cols): the padded input and its im2col matrix, for the backward pass."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + wd] = x
     ho = conv_out_size(h, stride, pad, kh)
     wo = conv_out_size(wd, stride, pad, kw)
-    y = w.reshape(o, -1) @ _im2col(xp, kh, kw, stride, ho, wo)
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    y = w.reshape(o, -1) @ cols
     y += b[:, None]
-    return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp
+    return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp, cols
 
 
 def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, pad: int = 1,
-                    want_dw: bool = True):
-    """Gradients for conv2d_forward. Returns (dx, dw, db); dw is None unless want_dw."""
+                    *, cols: np.ndarray, want_dw: bool = True, want_dx: bool = True):
+    """(dx, dw, db) from conv2d_forward's xp and cols; dx, dw None unless wanted."""
     n, o, ho, wo = dy.shape
     _, c, kh, kw = w.shape
     dy_mat = dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-    dw = None
-    if want_dw:
-        dw = (dy_mat @ _im2col(xp, kh, kw, stride, ho, wo).T).reshape(w.shape)
+    dw = (dy_mat @ cols.T).reshape(w.shape) if want_dw else None
+    db = dy.sum(axis=(0, 2, 3))
+    if not want_dx:
+        return None, dw, db
     dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, kh * kw, n, ho, wo)
     dxp = np.zeros_like(xp)
     for k, dxs in enumerate(_offset_views(dxp, kh, kw, stride, ho, wo)):
         dxs += dcols[:, k].transpose(1, 0, 2, 3)
-    db = dy.sum(axis=(0, 2, 3))
     h = xp.shape[2] - 2 * pad
     wd = xp.shape[3] - 2 * pad
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd]
-    return dx, dw, db
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
 
 
 def swish_conv_forward(x: np.ndarray, layers, stride: int):
     """Conv + swish over the (w, b) ``layers``. Returns (activation, cache)."""
     cache = []
     for w, b in layers:
-        z, xp = conv2d_forward(x, w, b, stride=stride)
+        z, xp, cols = conv2d_forward(x, w, b, stride=stride)
         s = sigmoid(z)
-        cache.append((xp, z, s))
+        cache.append((xp, cols, z, s))
         x = z * s
     return x, cache
 
 
-def swish_conv_backward(da: np.ndarray, layers, cache, stride: int, want_dw: bool):
+def swish_conv_backward(da: np.ndarray, layers, cache, stride: int, want_dw: bool,
+                        want_dx: bool):
     """Gradients for swish_conv_forward from the output gradient ``da``.
 
-    Returns (dx, grads); grads lists (dw, db) in layer order, dw None unless want_dw.
+    Returns (dx, grads); grads lists (dw, db) in layer order, dw None unless
+    want_dw, and dx is None unless want_dx. ``cache`` is emptied from the last
+    layer back, so each layer's im2col matrix is freed once its dw exists.
     """
     grads = []
-    for (w, _), (xp, z, s) in zip(reversed(layers), reversed(cache)):
-        da, dw, db = conv2d_backward(da * swish_grad(z, s), xp, w, stride=stride,
-                                     want_dw=want_dw)
+    for w, _ in reversed(layers):
+        xp, cols, z, s = cache.pop()
+        # while a layer below is left in the cache, it needs this input gradient
+        da, dw, db = conv2d_backward(da * swish_grad(z, s), xp, w, stride=stride, cols=cols,
+                                     want_dw=want_dw, want_dx=want_dx or bool(cache))
         grads.append((dw, db))
     return da, grads[::-1]
 

@@ -89,7 +89,8 @@ def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
 
     *body, (wh, _) = cache["layers"]
     da = dlogits[:, None, :, :] * wh[None, :, None, None]
-    _, grads = swish_conv_backward(da, body, cache["body"], stride=1, want_dw=True)
+    _, grads = swish_conv_backward(da, body, cache["body"], stride=1, want_dw=True,
+                                   want_dx=False)
     grads.append((np.tensordot(dlogits, cache["a"], axes=([0, 1, 2], [0, 2, 3])), dlogits.sum()))
     return loss, join_params(grads)
 

@@ -288,14 +288,18 @@ class TestSweep:
         ({"axis": "n_steps", "values": [2.5]}, "sweep.values"),
         ({"axis": "conv_blocks", "values": [1.5]}, "sweep.values"),
         ({"axis": "n_steps", "values": [4, 1]}, "langevin.store_offset"),
+        ({"axis": "conv_blocks", "values": [1, 9]}, "conv_blocks axis must lie in 1..7"),
     ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values", "fractional-n-steps",
-            "fractional-conv-blocks", "n-steps-below-store-offset"])
-    def test_degenerate_sweep_exit_2(self, tmp_path, capsys, sweep, key):
+            "fractional-conv-blocks", "n-steps-below-store-offset", "conv-blocks-out-of-range"])
+    def test_degenerate_sweep_exit_2(self, tmp_path, capsys, monkeypatch, sweep, key):
         config = write_config(tmp_path / "c.json")
         assert run("gen-data", config, tmp_path) == 0
         write_config(tmp_path / "c.json", sweep=sweep)
+        trained = []
+        monkeypatch.setattr(cli, "train_all_pairs", lambda *a, **k: trained.append(1))
         assert run("sweep", config, tmp_path) == 2
         assert key in capsys.readouterr().err
+        assert trained == []  # rejected before any pair model is trained
         assert not (tmp_path / "sweep" / "results.csv").exists()
 
     @pytest.mark.parametrize("sweep,key", [

@@ -1,14 +1,17 @@
 import ast
+import importlib.util
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from langaug import nets
+from langaug import energy, nets, segmenter
+from langaug.energy import EnergyArch, init_energy_params
 from langaug.nets import (conv2d_backward, conv2d_forward, count_params, init_params,
                          join_params, sigmoid, split_params)
 from langaug.numerics import derive_stream
+from langaug.segmenter import SegArch, init_seg_model
 
 from test_energy import naive_conv
 
@@ -56,11 +59,11 @@ def conv_case(stride, n, c_in, c_out, h):
 @pytest.mark.parametrize("stride,n,c_in,c_out,h", SHAPES)
 def test_conv_matches_naive_loops(stride, n, c_in, c_out, h):
     x, w, b, dy = conv_case(stride, n, c_in, c_out, h)
-    y, xp = conv2d_forward(x, w, b, stride=stride)
+    y, xp, cols = conv2d_forward(x, w, b, stride=stride)
     assert y.shape == dy.shape
     assert rel_err(y, naive_conv(x, w, b, stride)) < 1e-12
     assert np.array_equal(xp[:, :, 1:-1, 1:-1], x)
-    dx, dw, db = conv2d_backward(dy, xp, w, stride=stride)
+    dx, dw, db = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
     ref_dx, ref_dw, ref_db = naive_conv_backward(dy, x, w, stride)
     assert rel_err(dx, ref_dx) < 1e-12
     assert rel_err(dw, ref_dw) < 1e-12
@@ -70,11 +73,35 @@ def test_conv_matches_naive_loops(stride, n, c_in, c_out, h):
 @pytest.mark.parametrize("stride,n,c_in,c_out,h", SHAPES)
 def test_skipping_dw_leaves_dx_and_db_bits(stride, n, c_in, c_out, h):
     x, w, b, dy = conv_case(stride, n, c_in, c_out, h)
-    _, xp = conv2d_forward(x, w, b, stride=stride)
-    dx, _, db = conv2d_backward(dy, xp, w, stride=stride)
-    dx_only, dw_none, db_only = conv2d_backward(dy, xp, w, stride=stride, want_dw=False)
+    _, xp, cols = conv2d_forward(x, w, b, stride=stride)
+    dx, _, db = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
+    dx_only, dw_none, db_only = conv2d_backward(dy, xp, w, stride=stride, cols=cols,
+                                                want_dw=False)
     assert dw_none is None
     assert np.array_equal(dx_only, dx)
+    assert np.array_equal(db_only, db)
+
+
+@pytest.mark.parametrize("stride,n,c_in,c_out,h", SHAPES)
+def test_dw_from_the_forward_matrix_matches_a_fresh_unfold(stride, n, c_in, c_out, h):
+    x, w, b, dy = conv_case(stride, n, c_in, c_out, h)
+    _, xp, cols = conv2d_forward(x, w, b, stride=stride)
+    _, dw, _ = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
+    ho = dy.shape[2]
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    ref = (dy_mat @ nets._im2col(xp, 3, 3, stride, ho, ho).T).reshape(w.shape)
+    assert np.array_equal(dw, ref)
+
+
+@pytest.mark.parametrize("stride,n,c_in,c_out,h", SHAPES)
+def test_skipping_dx_leaves_dw_and_db_bits(stride, n, c_in, c_out, h):
+    x, w, b, dy = conv_case(stride, n, c_in, c_out, h)
+    _, xp, cols = conv2d_forward(x, w, b, stride=stride)
+    _, dw, db = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
+    dx_none, dw_only, db_only = conv2d_backward(dy, xp, w, stride=stride, cols=cols,
+                                                want_dx=False)
+    assert dx_none is None
+    assert np.array_equal(dw_only, dw)
     assert np.array_equal(db_only, db)
 
 
@@ -89,12 +116,14 @@ def sign_split_sigmoid(z):
 
 def test_sigmoid_bits_match_sign_split_formula_without_overflow():
     z = np.concatenate([np.linspace(-60.0, 60.0, 2401),
-                        [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e3, -1e3, 5e-324, -5e-324]])
+                        [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e3, -1e3, 5e-324, -5e-324,
+                         np.inf, -np.inf, np.nan]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         s = sigmoid(z)
-    assert np.array_equal(s, sign_split_sigmoid(z))
-    assert s[-4] == 1.0 and s[-3] == 0.0
+    assert np.array_equal(s, sign_split_sigmoid(z), equal_nan=True)
+    assert s[-7] == 1.0 and s[-6] == 0.0
+    assert s[-3] == 1.0 and s[-2] == 0.0 and np.isnan(s[-1])
 
 
 def test_only_nets_calls_the_conv_kernels():
@@ -123,3 +152,72 @@ def test_layout_split_join_and_init():
     ref = [normal((4, 2, 3, 3)) * np.sqrt(2.0 / 18), np.zeros(4),
            normal((6, 5)) * np.sqrt(2.0 / 5), np.zeros(6), normal(7) / np.sqrt(7), np.zeros(1)]
     assert np.array_equal(drawn, np.concatenate([r.ravel() for r in ref]))
+
+
+def seg_batch(n=8, size=16):
+    stream = derive_stream(4, [("seg_batch", n)])
+    X = stream.standard_normal((n, 1, size, size))
+    M = (stream.random((n, size, size)) < 0.3).astype(np.float64)
+    return X, M
+
+
+def test_seg_step_unfolds_each_layer_once_and_forms_no_input_gradient(monkeypatch):
+    # the weight gradient reuses the forward's im2col matrix, and nothing
+    # reads the gradient with respect to the images
+    arch = SegArch()
+    model = init_seg_model(arch, 0)
+    X, M = seg_batch()
+    unfolded, backward = [], []
+    im2col, conv_backward = nets._im2col, nets.conv2d_backward
+
+    def counted_im2col(xp, *args):
+        unfolded.append(xp.shape)
+        return im2col(xp, *args)
+
+    def counted_backward(dy, xp, w, *args, **kwargs):
+        result = conv_backward(dy, xp, w, *args, **kwargs)
+        backward.append((w.shape, result[0] is None))
+        return result
+
+    monkeypatch.setattr(nets, "_im2col", counted_im2col)
+    monkeypatch.setattr(nets, "conv2d_backward", counted_backward)
+    segmenter.seg_loss_and_grad(model, X, M)
+    c, h = arch.in_channels, arch.hidden_channels
+    assert unfolded == [(8, c, 18, 18), (8, h, 18, 18)]
+    # last layer first; only the first layer's input gradient is skipped
+    assert backward == [((h, h, 3, 3), False), ((h, c, 3, 3), True)]
+
+
+def load_layertrace():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reads_the_conv_kernel_arguments():
+    # the benchmark's tracer reads x, w, the padded input and the stride by
+    # position, so the kernels' leading parameters must keep their places
+    layertrace = load_layertrace()
+    for layer in layertrace.LAYERS:
+        importlib.import_module(f"langaug.{layer}")
+    X, M = seg_batch()
+    params = init_energy_params(EnergyArch(kind="conv", input_shape=(1, 16, 16), conv_blocks=2),
+                                3)
+    images = derive_stream(5, [("energy_batch", 0)]).standard_normal((15, 1, 16, 16))
+    tracer = layertrace.LayerTracer()
+    try:
+        tracer.install()
+        segmenter.seg_loss_and_grad(init_seg_model(SegArch(), 0), X, M)
+        energy.energy_value_and_grad_input(params, images)
+    finally:
+        tracer.uninstall()
+    assert {key: row["calls"] for key, row in tracer.census.items()} == {
+        ("fwd", 1, 8, 1, 8, 16): 1, ("fwd", 1, 8, 8, 8, 16): 1,
+        ("bwd", 1, 8, 1, 8, 16): 1, ("bwd", 1, 8, 8, 8, 16): 1,
+        ("fwd", 2, 15, 1, 8, 16): 1, ("fwd", 2, 15, 8, 16, 8): 1,
+        ("bwd", 2, 15, 1, 8, 16): 1, ("bwd", 2, 15, 8, 16, 8): 1,
+    }
+    assert tracer.counts["nets.conv2d_backward.s1.calls"] == 2
+    assert tracer.counts["nets.conv2d_backward.s2.calls"] == 2
