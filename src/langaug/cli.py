@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import functools
 import hashlib
 import json
 import sys
@@ -31,7 +30,8 @@ from .numerics import AdamHyper
 from .ldtn import read_meta
 from .pipeline import (generate_augmented, load_augmented, pool_provenance,
                        provenance_mismatch, save_augmented)
-from .segmenter import SegTrainConfig, fit_and_score, leave_one_out_eval, write_results_csv
+from .segmenter import (SegTrainConfig, fit_and_score, leave_one_out_eval, loo_folds,
+                        write_results_csv)
 from .synth import (DEFAULT_SPECS, DomainSpec, generate_benchmark,
                     generate_vector_glm, load_dataset, save_dataset)
 from .theory import verify_bounds
@@ -368,14 +368,6 @@ def _cmd_augment(config, out_dir, jobs):
     return 0
 
 
-def _load_augmented(out_dir, stage):
-    """The pool written by `augment`, or None when that stage has not run."""
-    path = Path(out_dir) / "aug" / "augmented.meta.json"
-    if not path.exists():
-        return None
-    return load_augmented(stage.record_input(path, "augment").parent / "augmented")
-
-
 def _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed):
     """(pool, None) when the pool `augment` saved is the one these inputs make, else (None, why)."""
     path = Path(out_dir) / "aug" / "augmented.meta.json"
@@ -385,7 +377,7 @@ def _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed):
                               pool_provenance(dataset, ebms, lv_config, base_seed))
     if key is not None:
         return None, f"provenance key {key} differs"
-    return _load_augmented(out_dir, stage), None
+    return load_augmented(stage.record_input(path, "augment").parent / "augmented"), None
 
 
 def _cmd_train_seg(config, out_dir, jobs):
@@ -413,28 +405,22 @@ def _cmd_train_seg(config, out_dir, jobs):
     return 0
 
 
-def _loo(config, dataset, ebms_thunk, seeds, folds, out_dir, stage):
-    """Leave-one-out scores over one pool of the models ``ebms_thunk()`` returns.
+def _loo(config, dataset, ebms, seeds, folds, methods, out_dir, stage):
+    """Leave-one-out scores of ``methods`` over one pool of the pair models ``ebms``.
 
     The pool `augment` saved serves when its provenance equals this run's;
-    otherwise the pool is sampled.
+    otherwise the pool is sampled, after the folds have been checked.
     """
+    loo_folds(dataset.n_domains, folds)
     lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
-    base_seed = config["base_seed"]
-
-    def build():
-        ebms = ebms_thunk()
-        pool, stale = _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed)
-        if pool is not None:
-            stage.log("using the pool `augment` saved")
-            return pool
+    pool, stale = _saved_pool(out_dir, stage, dataset, ebms, lv_config, config["base_seed"])
+    if pool is not None:
+        stage.log("using the pool `augment` saved")
+    else:
         stage.log(f"sampling the pool: {stale}")
-        return generate_augmented(dataset, ebms, lv_config, base_seed)
-
-    # built on the first fold, after leave_one_out_eval has checked its inputs
-    pool = functools.cache(build)
-    return leave_one_out_eval(dataset, lambda sources: pool().within(sources),
-                              _seg_config(config), seeds=seeds, folds=folds)
+        pool = generate_augmented(dataset, ebms, lv_config, config["base_seed"])
+    return leave_one_out_eval(dataset, pool, _seg_config(config), seeds=seeds, methods=methods,
+                              folds=folds)
 
 
 def _cmd_eval_loo(config, out_dir, jobs):
@@ -442,8 +428,8 @@ def _cmd_eval_loo(config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     ebms = _load_ebms(out_dir, stage, dataset.n_domains)
     stage.log("running leave-one-out evaluation")
-    results = _loo(config, dataset, lambda: ebms, tuple(config["segmenter"]["seeds"]), None,
-                   out_dir, stage)
+    results = _loo(config, dataset, ebms, tuple(config["segmenter"]["seeds"]), None,
+                   ("erm", "erm+langaug"), out_dir, stage)
     write_results_csv(results, stage.dir / "results.csv")
     stage.finish()
     return 0
@@ -483,6 +469,14 @@ def _cmd_sweep(config, out_dir, jobs):
                 _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
         return pair_models[key]
 
+    def means(results):
+        return [repr(float(np.mean([r.mean_dice for r in results]))),
+                repr(float(np.mean([r.mean_iou for r in results])))]
+
+    # no sweep axis touches the segmenter or augment sections, so the plain arm
+    # is trained once; this call also checks the folds before any pair model
+    erm = means(leave_one_out_eval(dataset, None, _seg_config(config), seeds=sweep["seeds"],
+                                   methods=("erm",), folds=sweep["folds"]))
     rows = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -496,15 +490,10 @@ def _cmd_sweep(config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // value)
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        results = _loo(cfg, dataset, functools.partial(models, cfg), sweep["seeds"],
-                       sweep["folds"], out_dir, stage)
+        results = _loo(cfg, dataset, models(cfg), sweep["seeds"], sweep["folds"],
+                       ("erm+langaug",), out_dir, stage)
         stage.log(f"{axis}={value} done")
-        row = [axis, value]
-        for method in ("erm", "erm+langaug"):
-            scores = [r for r in results if r.method == method]
-            row += [repr(float(np.mean([r.mean_dice for r in scores]))),
-                    repr(float(np.mean([r.mean_iou for r in scores])))]
-        rows.append(row)
+        rows.append([axis, value, *erm, *means(results)])
     with open(stage.dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "mean_dice_erm", "mean_iou_erm",
@@ -523,8 +512,9 @@ def _cmd_project(config, out_dir, jobs):
         for img in dataset.images[d]:
             vectors.append(img.ravel())
             rows.append(("src", d, -1, 0))
-    aug = _load_augmented(out_dir, stage)
-    if aug is not None:
+    path = Path(out_dir) / "aug" / "augmented.meta.json"
+    if path.exists():
+        aug = load_augmented(stage.record_input(path, "augment").parent / "augmented")
         for idx in range(len(aug)):
             vectors.append(aug.images[idx].ravel())
             rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),

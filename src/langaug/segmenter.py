@@ -178,8 +178,14 @@ class EvalResult:
 
 def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
                    fold: int, method: str, seed: int) -> EvalResult:
-    # chunks of 8 images: a whole domain at once makes a large im2col matrix
-    preds = [p for k in range(0, len(images), 8) for p in predict_mask(model, images[k:k + 8])]
+    # chunks of 8 images: a whole domain at once makes a large im2col matrix.
+    # A lone last image joins the chunk before it: the head's logits at N = 1
+    # can differ in the last bits from the same image inside a batch.
+    preds, lo = [], 0
+    while lo < len(images):
+        hi = len(images) if len(images) - lo <= 9 else lo + 8
+        preds += list(predict_mask(model, images[lo:hi]))
+        lo = hi
     return EvalResult(fold=fold, method=method, seed=seed,
                       mean_dice=float(np.mean([dice(p, m) for p, m in zip(preds, masks)])),
                       mean_iou=float(np.mean([iou(p, m) for p, m in zip(preds, masks)])))
@@ -205,30 +211,35 @@ def fit_and_score(src_images, src_masks, aug: AugmentedDataset | None, config: S
     return results
 
 
-def leave_one_out_eval(dataset: MultiDomainDataset, aug_builder, config: SegTrainConfig,
-                       seeds=(0, 1, 2, 3, 4), methods=("erm", "erm+langaug"),
-                       folds=None) -> list[EvalResult]:
+def loo_folds(n_domains: int, folds=None) -> list[int]:
+    """The held-out domains in run order (default: all), checked against ``n_domains``."""
+    if n_domains < 3:
+        raise ConfigError("leave-one-out needs at least 3 domains")
+    folds = list(range(n_domains) if folds is None else folds)
+    if any(not isinstance(f, (int, np.integer)) or not 0 <= f < n_domains for f in folds):
+        raise ConfigError(f"folds {folds} must be domain ids below {n_domains}")
+    return folds
+
+
+def leave_one_out_eval(dataset: MultiDomainDataset, pool: AugmentedDataset | None,
+                       config: SegTrainConfig, seeds=(0, 1, 2, 3, 4),
+                       methods=("erm", "erm+langaug"), folds=None) -> list[EvalResult]:
     """Cross table of held-out-domain scores.
 
-    ``folds`` lists the held-out domains in run order (default: all).
-    ``aug_builder(source_domains)`` must return an AugmentedDataset built
-    from those domains only; any entry tagged with the held-out domain
-    raises LeakageError.
+    ``folds`` lists the held-out domains in run order (default: all). Each
+    fold trains "erm+langaug" on ``pool.within(source_domains)``, or on the
+    sources alone when ``pool`` is None; any entry of that slice tagged with
+    the held-out domain raises LeakageError.
     """
-    if dataset.n_domains < 3:
-        raise ConfigError("leave-one-out needs at least 3 domains")
-    folds = list(range(dataset.n_domains) if folds is None else folds)
-    if any(not isinstance(f, (int, np.integer)) or not 0 <= f < dataset.n_domains for f in folds):
-        raise ConfigError(f"folds {folds} must be domain ids below {dataset.n_domains}")
     results = []
-    for held_out in folds:
+    for held_out in loo_folds(dataset.n_domains, folds):
         sources = [d for d in range(dataset.n_domains) if d != held_out]
         src_images = np.concatenate([dataset.train_images(d) for d in sources])
         src_masks = np.concatenate([dataset.train_masks(d) for d in sources])
         aug = None
-        if "erm+langaug" in methods:
-            aug = aug_builder(sources)
-            if aug is not None and held_out in aug.domains_touched():
+        if "erm+langaug" in methods and pool is not None:
+            aug = pool.within(sources)
+            if held_out in aug.domains_touched():
                 raise LeakageError(
                     f"augmented data for fold {held_out} touches the held-out domain"
                 )

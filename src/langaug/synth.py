@@ -229,59 +229,34 @@ def generate_vector_glm(k, mu, sigma_mat, theta_star, family, seed) -> GlmVector
                             theta_star=theta_star, family=family, seed=seed)
 
 
-def save_dataset(dataset, basename) -> None:
+def save_dataset(dataset: MultiDomainDataset, basename) -> None:
+    if not isinstance(dataset, MultiDomainDataset):
+        raise ConfigError(f"cannot save object of type {type(dataset).__name__}")
     base = Path(basename)
     base.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(dataset, MultiDomainDataset):
-        for d in range(dataset.n_domains):
-            write_tensor(f"{base}.d{d}.images.ldtn", dataset.images[d])
-            write_tensor(f"{base}.d{d}.masks.ldtn", dataset.masks[d])
-        write_meta(base, {
-            "kind": "multi_domain",
-            "seed": dataset.seed,
-            "domains": [asdict(s) for s in dataset.specs],
-            "counts": dataset.counts(),
-            "split": dataset.split,
-            "clamp_fraction": dataset.clamp_fraction,
-            "format_version": FORMAT_VERSION,
-        })
-    elif isinstance(dataset, GlmVectorDataset):
-        write_tensor(f"{base}.x.ldtn", dataset.x)
-        write_tensor(f"{base}.y.ldtn", dataset.y)
-        write_meta(base, {
-            "kind": "glm_vector",
-            "seed": dataset.seed,
-            "mu": dataset.mu.tolist(),
-            "sigma_mat": dataset.sigma_mat.tolist(),
-            "theta_star": dataset.theta_star.tolist(),
-            "family": dataset.family,
-            "counts": [dataset.k],
-            "split": [],
-            "format_version": FORMAT_VERSION,
-        })
-    else:
-        raise ConfigError(f"cannot save object of type {type(dataset).__name__}")
+    for d in range(dataset.n_domains):
+        write_tensor(f"{base}.d{d}.images.ldtn", dataset.images[d])
+        write_tensor(f"{base}.d{d}.masks.ldtn", dataset.masks[d])
+    write_meta(base, {
+        "kind": "multi_domain",
+        "seed": dataset.seed,
+        "domains": [asdict(s) for s in dataset.specs],
+        "counts": dataset.counts(),
+        "split": dataset.split,
+        "clamp_fraction": dataset.clamp_fraction,
+        "format_version": FORMAT_VERSION,
+    })
 
 
-def load_dataset(basename):
+def load_dataset(basename) -> MultiDomainDataset:
     base = Path(basename)
     meta = read_meta(base)
-    if meta["kind"] == "multi_domain":
-        specs = [DomainSpec(**s) for s in meta["domains"]]
-        images = [read_tensor(f"{base}.d{d}.images.ldtn") for d in range(len(specs))]
-        masks = [read_tensor(f"{base}.d{d}.masks.ldtn") for d in range(len(specs))]
-        return MultiDomainDataset(
-            images=images, masks=masks, specs=specs, seed=meta["seed"],
-            split=meta["split"], clamp_fraction=meta["clamp_fraction"],
-        )
-    if meta["kind"] == "glm_vector":
-        return GlmVectorDataset(
-            x=read_tensor(f"{base}.x.ldtn"),
-            y=read_tensor(f"{base}.y.ldtn"),
-            mu=np.asarray(meta["mu"]),
-            sigma_mat=np.asarray(meta["sigma_mat"]),
-            theta_star=np.asarray(meta["theta_star"]),
-            family=meta["family"],
-            seed=meta["seed"],
-        )
-    raise ConfigError(f"unknown dataset kind {meta['kind']!r}")
+    if meta["kind"] != "multi_domain":
+        raise ConfigError(f"unknown dataset kind {meta['kind']!r}")
+    specs = [DomainSpec(**s) for s in meta["domains"]]
+    images = [read_tensor(f"{base}.d{d}.images.ldtn") for d in range(len(specs))]
+    masks = [read_tensor(f"{base}.d{d}.masks.ldtn") for d in range(len(specs))]
+    return MultiDomainDataset(
+        images=images, masks=masks, specs=specs, seed=meta["seed"],
+        split=meta["split"], clamp_fraction=meta["clamp_fraction"],
+    )

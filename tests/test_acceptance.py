@@ -350,12 +350,10 @@ def run_loo_experiment(bench_seed=11, seeds=(0, 1, 2, 3, 4)):
     lv = LangevinConfig(step_size=0.02, n_steps=40, store_stride=3, store_offset=3,
                         clamp_unit=True)
 
-    def builder(sources):
-        sub = {(i, j): ebms[(i, j)] for i in sources for j in sources if i != j}
-        return generate_augmented(ds, sub, lv, bench_seed, domains=sources)
-
+    # one pool over all domains; each fold trains on its slice `pool.within(sources)`
+    pool = generate_augmented(ds, ebms, lv, bench_seed)
     seg = SegTrainConfig(epochs=40, batch_size=8, mix_ratio=0.5, adam=AdamHyper(lr=0.003))
-    return leave_one_out_eval(ds, builder, seg, seeds=seeds)
+    return leave_one_out_eval(ds, pool, seg, seeds=seeds)
 
 
 @pytest.fixture(scope="session")

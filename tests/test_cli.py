@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from langaug.cli import DEFAULT_CONFIG, load_config, main, pca_project, run
 from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
-from langaug import cli, pipeline
+from langaug import cli, pipeline, segmenter
 from langaug.numerics import derive_stream
 
 
@@ -482,6 +483,55 @@ def test_sweep_samples_only_values_off_the_saved_pool(tmp_path, monkeypatch):
     assert len(calls) == 2 * 3 * 2
     assert (out / "sweep" / "results.csv").read_bytes() == \
         (fresh / "sweep" / "results.csv").read_bytes()
+
+
+def test_sweep_trains_the_plain_arm_once(tmp_path, monkeypatch):
+    # no sweep axis touches the segmenter section: V*F*S bridge-arm segmenters
+    # plus F*S plain ones, with the rows that one eval-loo run per value gives
+    sweep = {"axis": "n_steps", "values": [4, 6], "folds": [0, 1], "seeds": [0]}
+    config = write_config(tmp_path / "c.json", sweep=sweep)
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    trainings = []
+    original = segmenter.train_segmenter
+
+    def counted(*args, **kwargs):
+        trainings.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(segmenter, "train_segmenter", counted)
+    assert run("sweep", config, out) == 0
+    assert len(trainings) == 2 * 2 * 1 + 2 * 1
+    assert run("train-ebms", config, out) == 0
+    rows = []
+    for value in sweep["values"]:
+        write_config(config, sweep=sweep, langevin={"step_size": 0.05, "n_steps": value,
+                                                    "store_stride": 2, "store_offset": 2})
+        assert run("eval-loo", config, out) == 0
+        with open(out / "loo" / "results.csv", newline="") as fh:
+            loo = [r for r in csv.DictReader(fh) if int(r["fold"]) in sweep["folds"]]
+        row = ["n_steps", str(value)]
+        for method in ("erm", "erm+langaug"):
+            row += [repr(float(np.mean([float(r[key]) for r in loo if r["method"] == method])))
+                    for key in ("mean_dice", "mean_iou")]
+        rows.append(",".join(row))
+    assert (out / "sweep" / "results.csv").read_text().splitlines()[1:] == rows
+
+
+def test_eval_loo_on_two_domains_exit_2_before_sampling(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path / "c.json",
+                          data={"n_domains": 2, "n_per_domain": 4, "image_size": 8,
+                                "train_frac": 0.5},
+                          ebm={"conv_blocks": 1, "cd": {"n_iters": 1, "batch_size": 2,
+                                                        "n_steps": 2}})
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    assert run("train-ebms", config, out) == 0
+    calls = count_chain_runs(monkeypatch)
+    assert run("eval-loo", config, out) == 2
+    assert "at least 3 domains" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "loo" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["eval-loo", "train-seg", "project"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langaug import segmenter
 from langaug.errors import ConfigError, LeakageError
 from langaug.numerics import AdamHyper, derive_stream, finite_diff_grad_subset, relative_error
 from langaug.pipeline import AugmentedDataset
@@ -143,53 +144,53 @@ class TestTraining:
             train_segmenter(x, m, without_mixing, seed=0).theta)
 
 
+def one_entry_pool(ds, source, target):
+    return AugmentedDataset(
+        images=ds.images[0][:1], masks=ds.masks[0][:1],
+        source_domain=np.array([source]), target_domain=np.array([target]),
+        step_index=np.array([1]), origin_index=np.array([0]),
+    )
+
+
 class TestLeaveOneOut:
-    def test_fold_structure_and_leakage_guard(self):
+    def test_fold_structure_and_leakage_guard(self, monkeypatch):
         ds = generate_benchmark(4, 8, 16, seed=33, train_frac=0.75)
         calls = []
-
-        def builder(sources):
-            calls.append(tuple(sources))
-            return None
+        monkeypatch.setattr(AugmentedDataset, "within",
+                            lambda self, sources: calls.append(tuple(sources)))
 
         config = SegTrainConfig(epochs=1, batch_size=4)
-        results = leave_one_out_eval(ds, builder, config, seeds=(0,), methods=("erm",))
-        assert len(calls) == 0  # erm-only runs never build augmentation
+        results = leave_one_out_eval(ds, one_entry_pool(ds, 0, 1), config, seeds=(0,),
+                                     methods=("erm",))
+        assert len(calls) == 0  # erm-only runs never call within
         assert {r.fold for r in results} == {0, 1, 2, 3}
-        results = leave_one_out_eval(ds, lambda s: None, config, seeds=(0,),
+        results = leave_one_out_eval(ds, None, config, seeds=(0,),
                                      methods=("erm", "erm+langaug"))
         assert len(results) == 8
 
-    def test_leakage_raises(self):
+    def test_leakage_raises(self, monkeypatch):
         ds = generate_benchmark(3, 6, 16, seed=34, train_frac=0.8)
-
-        def leaky_builder(sources):
-            # tag an entry with a domain outside the fold sources
-            bad = [d for d in range(3) if d not in sources][0]
-            return AugmentedDataset(
-                images=ds.images[0][:1], masks=ds.masks[0][:1],
-                source_domain=np.array([bad]), target_domain=np.array([sources[0]]),
-                step_index=np.array([1]), origin_index=np.array([0]),
-            )
-
+        # a slice that ignores the fold's sources keeps an entry tagged with
+        # the first fold's held-out domain
+        monkeypatch.setattr(AugmentedDataset, "within", lambda self, sources: self)
         with pytest.raises(LeakageError):
-            leave_one_out_eval(ds, leaky_builder, SegTrainConfig(epochs=1, batch_size=4),
-                               seeds=(0,))
+            leave_one_out_eval(ds, one_entry_pool(ds, 0, 1),
+                               SegTrainConfig(epochs=1, batch_size=4), seeds=(0,))
 
     def test_folds_run_in_given_order_and_are_checked(self):
         ds = generate_benchmark(3, 6, 8, seed=36, train_frac=0.5)
         config = SegTrainConfig(epochs=1, batch_size=4)
-        results = leave_one_out_eval(ds, lambda s: None, config, seeds=(0, 1), methods=("erm",),
+        results = leave_one_out_eval(ds, None, config, seeds=(0, 1), methods=("erm",),
                                      folds=[2, 0])
         assert [(r.fold, r.seed) for r in results] == [(2, 0), (2, 1), (0, 0), (0, 1)]
         for folds in ([3], [-1]):
             with pytest.raises(ConfigError, match="must be domain ids"):
-                leave_one_out_eval(ds, lambda s: None, config, seeds=(0,), folds=folds)
+                leave_one_out_eval(ds, None, config, seeds=(0,), folds=folds)
 
     def test_needs_three_domains(self):
         ds = generate_benchmark(2, 4, 16, seed=35)
         with pytest.raises(ConfigError):
-            leave_one_out_eval(ds, lambda s: None, SegTrainConfig(epochs=1), seeds=(0,))
+            leave_one_out_eval(ds, None, SegTrainConfig(epochs=1), seeds=(0,))
 
     def test_results_csv_layout(self, tmp_path):
         from langaug.segmenter import EvalResult
@@ -221,3 +222,30 @@ def test_eval_in_chunks_matches_one_pass_predictions():
     preds = predict_mask(model, ds.images[1])
     assert res.mean_dice == float(np.mean([dice(p, m) for p, m in zip(preds, ds.masks[1])]))
     assert res.mean_iou == float(np.mean([iou(p, m) for p, m in zip(preds, ds.masks[1])]))
+
+
+@pytest.mark.parametrize("n_images", [9, 17])
+def test_eval_chunks_never_hold_one_image(monkeypatch, n_images):
+    # the head's logits for a lone image can differ in the last bits from the
+    # same image inside a batch, so a tail of one joins the chunk before it
+    ds = generate_benchmark(3, n_images, 16, seed=38)
+    model = init_seg_model(SegArch(), seed=3)
+    whole = predict_mask(model, ds.images[2])
+    sizes, preds = [], []
+    original_logits, original_predict = segmenter.seg_logits, segmenter.predict_mask
+
+    def counted_logits(model, X):
+        sizes.append(len(X))
+        return original_logits(model, X)
+
+    def kept_predict(model, images):
+        masks = original_predict(model, images)
+        preds.extend(masks)
+        return masks
+
+    monkeypatch.setattr(segmenter, "seg_logits", counted_logits)
+    monkeypatch.setattr(segmenter, "predict_mask", kept_predict)
+    res = evaluate_model(model, ds.images[2], ds.masks[2], 2, "erm", 0)
+    assert sum(sizes) == n_images and min(sizes) >= 2
+    assert np.array_equal(np.stack(preds), whole)
+    assert res.mean_dice == float(np.mean([dice(p, m) for p, m in zip(whole, ds.masks[2])]))

@@ -121,10 +121,13 @@ class TestPersistence:
         assert back.split == ds.split
         assert back.specs == ds.specs
 
-    def test_glm_round_trip(self, tmp_path):
+    def test_only_multi_domain_datasets_persist(self, tmp_path):
+        # the theory harness builds its GLM data in memory; nothing stores it
         ds = generate_vector_glm(20, np.zeros(2), np.eye(2), np.array([1.0, 2.0]), "logistic", 7)
-        save_dataset(ds, tmp_path / "glm")
-        back = load_dataset(tmp_path / "glm")
-        assert back.x.tobytes() == ds.x.tobytes()
-        assert back.y.tobytes() == ds.y.tobytes()
-        assert back.family == "logistic"
+        with pytest.raises(ConfigError, match="cannot save"):
+            save_dataset(ds, tmp_path / "glm")
+        save_dataset(generate_benchmark(3, 2, 8, seed=13), tmp_path / "bench")
+        meta = tmp_path / "bench.meta.json"
+        meta.write_text(meta.read_text().replace('"multi_domain"', '"glm_vector"'))
+        with pytest.raises(ConfigError, match="unknown dataset kind 'glm_vector'"):
+            load_dataset(tmp_path / "bench")
