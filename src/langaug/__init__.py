@@ -11,9 +11,8 @@ from .cdtrain import CdConfig, TrainTrace, cd_gradient, train_all_pairs, train_e
 from .pipeline import AugmentedDataset, assemble_training_stream, generate_augmented
 from .segmenter import (EvalResult, SegModel, SegTrainConfig, dice, iou,
                         leave_one_out_eval, predict_mask, train_segmenter)
-from .theory import (GlmFamily, TheoryReport, aug_risk_mc, empirical_rademacher,
-                     estimate_rho, generalization_bound, glm_nll, one_step_ld,
-                     radius_and_C, reg_glm, reg_terms_general, std_risk,
+from .theory import (GlmFamily, TheoryReport, empirical_rademacher, estimate_rho,
+                     generalization_bound, radius_and_C, reg_glm, reg_terms_general,
                      taylor_remainder_scan)
 
 __version__ = "0.1.0"

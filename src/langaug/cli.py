@@ -154,6 +154,14 @@ def _validate(config) -> None:
         raise ConfigError("theory.sigma_scale must be positive")
     if th_cfg["theta"] is not None and np.shape(th_cfg["theta"]) != (th_cfg["dim"],):
         raise ConfigError(f"theory.theta must be a list of theory.dim = {th_cfg['dim']} numbers")
+    # the bound branch reads these only when rho_hat and gamma are positive
+    if not isinstance(th_cfg["delta"], (int, float)) or not 0.0 < th_cfg["delta"] < 1.0:
+        raise ConfigError(f"theory.delta must lie in (0, 1), got {th_cfg['delta']!r}")
+    if type(th_cfg["rad_n_mc"]) is not int or th_cfg["rad_n_mc"] < 1:
+        raise ConfigError(f"theory.rad_n_mc must be an integer >= 1, got {th_cfg['rad_n_mc']!r}")
+    _check_int_list(th_cfg["ambient_dims"], "theory.ambient_dims")
+    if min(th_cfg["ambient_dims"]) < th_cfg["dim"]:
+        raise ConfigError(f"theory.ambient_dims entries must be >= theory.dim = {th_cfg['dim']}")
     if not 0.0 <= config["data"]["train_frac"] <= 1.0:
         raise ConfigError("data.train_frac must lie in [0, 1]")
     if not 0.0 <= config["augment"]["mix_ratio"] <= 1.0:

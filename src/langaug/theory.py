@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, NumericError
 from .numerics import derive_stream
 from .synth import GlmVectorDataset
 
@@ -31,12 +31,11 @@ _SCAN_BLOCK = 128       # draws per column block of the remainder scan
 
 
 def _sigmoid(u):
-    out = np.empty_like(u, dtype=np.float64)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # the formula of nets.sigmoid, which theory may not import: max(e, u >= 0)
+    # is 1 for u >= 0 and e below, so the bits are 1 / (1 + exp(-u)) for
+    # u >= 0 and exp(u) / (1 + exp(u)) below, and exp never overflows
+    e = np.exp(-np.abs(u))
+    return np.maximum(e, u >= 0) / (1.0 + e)
 
 
 def _softplus(u):
@@ -62,11 +61,6 @@ class GlmFamily:
     A1: callable
     A2: callable
     A3: callable
-
-    def lipschitz_A(self, lo: float, hi: float) -> float:
-        """Lipschitz constant of A on [lo, hi] (sup of |A'|)."""
-        grid = np.linspace(lo, hi, 513)
-        return float(np.max(np.abs(self.A1(grid))))
 
 
 FAMILIES = {
@@ -94,9 +88,7 @@ FAMILIES = {
 }
 
 
-def get_family(name) -> GlmFamily:
-    if isinstance(name, GlmFamily):
-        return name
+def get_family(name: str) -> GlmFamily:
     if name not in FAMILIES:
         raise ConfigError(f"unknown GLM family {name!r}")
     return FAMILIES[name]
@@ -110,100 +102,36 @@ def _guard(u, family: GlmFamily):
     return u
 
 
-def _natural_params(theta, x, family: GlmFamily):
-    u = np.asarray(x, dtype=np.float64) @ np.asarray(theta, dtype=np.float64)
-    return _guard(u, family)
-
-
-def glm_nll(theta, x, y, family) -> float:
-    """Negative log-likelihood A(theta.x) - y * theta.x (base measure dropped)."""
-    family = get_family(family)
+def _glm_terms(theta, dataset: GlmVectorDataset):
+    """(family, theta, u, ts) with u = x.theta (guarded) and ts = s(x).theta per sample."""
+    family = get_family(dataset.family)
     theta = np.asarray(theta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != theta.shape[0]:
-        raise DimensionError(f"x dim {x.shape[-1]} vs theta dim {theta.shape[0]}")
-    u = _natural_params(theta, x, family)
-    return float(np.mean(family.A(u) - np.asarray(y) * u)) if u.ndim else float(family.A(u) - y * u)
+    u = _guard(dataset.x @ theta, family)
+    return family, theta, u, dataset.scores() @ theta
 
 
-def one_step_ld(x: np.ndarray, score: np.ndarray, beta: float, noise: np.ndarray) -> np.ndarray:
-    """x - (beta^2 / 2) * score + beta * noise."""
-    x = np.asarray(x, dtype=np.float64)
-    score = np.asarray(score, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if x.shape != score.shape or x.shape != noise.shape:
-        raise DimensionError(
-            f"one_step_ld shape mismatch: x {x.shape}, score {score.shape}, noise {noise.shape}"
-        )
-    return x - 0.5 * beta * beta * score + beta * noise
-
-
-def std_risk(theta, dataset: GlmVectorDataset, family=None) -> float:
-    """Plain empirical risk: mean NLL over the dataset."""
-    family = get_family(family or dataset.family)
-    if dataset.k == 0:
-        raise ConfigError("empty dataset")
-    u = _natural_params(theta, dataset.x, family)
-    return float(np.mean(family.A(u) - dataset.y * u))
-
-
-def aug_risk_mc(theta, dataset: GlmVectorDataset, beta: float, n_mc: int, family=None,
-                rng: np.random.Generator | None = None):
-    """Monte Carlo augmented risk. Returns (estimate, stderr).
-
-    Draw m replaces every x_i by its one-step-noised version with a fresh
-    standard-normal epsilon; the stderr comes from the spread of the
-    per-draw dataset means.
-    """
-    family = get_family(family or dataset.family)
-    if n_mc < 1:
-        raise ConfigError("n_mc must be >= 1")
-    rng = rng or derive_stream(dataset.seed, [("aug_risk", 0)])
-    theta = np.asarray(theta, dtype=np.float64)
-    scores = dataset.scores()
-    replicate_means = np.empty(n_mc)
-    for m in range(n_mc):
-        eps = rng.standard_normal(dataset.x.shape)
-        xt = one_step_ld(dataset.x, scores, beta, eps)
-        u = _natural_params(theta, xt, family)
-        replicate_means[m] = float(np.mean(family.A(u) - dataset.y * u))
-    estimate = float(np.mean(replicate_means))
-    stderr = float(np.std(replicate_means, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return estimate, stderr
-
-
-def reg_terms_general(theta, dataset: GlmVectorDataset, beta: float, family=None):
+def reg_terms_general(theta, dataset: GlmVectorDataset, beta: float):
     """Second-order regularization terms (R1, R2, R3) of the noised risk.
 
     With linear features the Hessian term R3 is identically zero; it is
     returned anyway so the decomposition reads R1 + R2 + R3.
     """
-    family = get_family(family or dataset.family)
-    theta = np.asarray(theta, dtype=np.float64)
-    u = _natural_params(theta, dataset.x, family)
-    ts = dataset.scores() @ theta
+    family, theta, u, ts = _glm_terms(theta, dataset)
     half_beta2 = 0.5 * beta * beta
     r1 = float(-half_beta2 * np.mean((family.A1(u) - dataset.y) * ts))
-    r2 = float(half_beta2 * np.mean(family.A2(u)) * float(theta @ theta))
+    r2 = float(half_beta2 * np.mean(family.A2(u)) * float(np.linalg.norm(theta)) ** 2)
     return r1, r2, 0.0
 
 
-def reg_glm(theta, dataset: GlmVectorDataset, beta: float, family=None) -> float:
+def reg_glm(theta, dataset: GlmVectorDataset, beta: float) -> float:
     """Label-free regularizer: (beta^2 / 2k) sum(A'' theta.theta - A' theta.s(x)).
 
     Identical to R1 + R2 + R3 evaluated with the labels zeroed out; the
     label-dependent part of R1 is deliberately dropped.
     """
-    family = get_family(family or dataset.family)
-    theta = np.asarray(theta, dtype=np.float64)
-    u = _natural_params(theta, dataset.x, family)
-    ts = dataset.scores() @ theta
-    return _reg_glm_value(beta, family.A1(u), family.A2(u), ts, float(theta @ theta))
-
-
-def _reg_glm_value(beta, a1u, a2u, ts, theta_sq) -> float:
+    family, theta, u, ts = _glm_terms(theta, dataset)
     half_beta2 = 0.5 * beta * beta
-    return float(half_beta2 * np.mean(a2u * theta_sq - a1u * ts))
+    return float(half_beta2 * np.mean(family.A2(u) * float(theta @ theta) - family.A1(u) * ts))
 
 
 @dataclass
@@ -290,8 +218,8 @@ def _column_blocks(m: int, width: int = _SCAN_BLOCK):
 
 
 def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4096,
-                          family=None, base_seed: int | None = None,
-                          max_mc: int = 1 << 19, stderr_frac: float = 0.1) -> TheoryReport:
+                          base_seed: int | None = None, max_mc: int = 1 << 19,
+                          stderr_frac: float = 0.1) -> TheoryReport:
     """Remainder of the second-order decomposition across step sizes.
 
     The per-draw loss depends on the noise only through a = theta.eps, a
@@ -308,7 +236,6 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
     the draw-independent Taylor terms are formed once per block for all
     betas, and every per-draw mean has the bits of a whole-chunk pass.
     """
-    family = get_family(family or dataset.family)
     betas = [float(b) for b in betas]
     if len(betas) < 4:
         raise ConfigError("need at least 4 beta values")
@@ -318,12 +245,16 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
         raise ConfigError("beta values must be distinct")
     if max(betas) / min(betas) < 7.9:
         raise ConfigError("beta values must span at least a factor of 8")
+    if n_mc < 1:
+        raise ConfigError(f"n_mc must be >= 1, got {n_mc!r}")
+    if max_mc < 1:
+        raise ConfigError(f"max_mc must be >= 1, got {max_mc!r}")
+    if dataset.k == 0:
+        raise ConfigError("k must be >= 1: the dataset has no samples")
     betas = sorted(betas)
     base_seed = dataset.seed if base_seed is None else base_seed
 
-    theta = np.asarray(theta, dtype=np.float64)
-    u = _natural_params(theta, dataset.x, family)
-    ts = dataset.scores() @ theta          # theta . s(x_i)
+    family, theta, u, ts = _glm_terms(theta, dataset)
     b = -0.5 * ts                          # second-order drift coefficient
     k = dataset.k
     norm_theta = float(np.linalg.norm(theta))
@@ -331,13 +262,6 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
     l_std = float(np.mean(nll))
     a1u, a2u, a3u = family.A1(u), family.A2(u), family.A3(u)
     resid = a1u - dataset.y
-    theta_sq = float(theta @ theta)
-    r_rows = {}
-    for beta in betas:
-        half_beta2 = 0.5 * beta * beta
-        r1 = float(-half_beta2 * np.mean(resid * ts))
-        r2 = float(half_beta2 * np.mean(a2u) * (norm_theta ** 2))
-        r_rows[beta] = (r1, r2, 0.0, _reg_glm_value(beta, a1u, a2u, ts, theta_sq))
 
     # per-sample columns of the draw-independent Taylor coefficients
     u_c, y_c, b_c, resid_c, nll_c = (v[:, None] for v in (u, dataset.y, b, resid, nll))
@@ -396,14 +320,14 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
         mean_q = sq / drawn
         var_q = max(sq2 / drawn - mean_q * mean_q, 0.0)
         se = math.sqrt(var_q / drawn)
-        r1, r2, r3, r_glm = r_rows[beta]
+        r1, r2, r3 = reg_terms_general(theta, dataset, beta)
         rows.append(TheoryRow(
             beta=beta,
             l_std=l_std,
             l_aug_mc=l_std + r1 + r2 + r3 + mean_q,
             mc_stderr=se,
             r1=r1, r2=r2, r3=r3,
-            r_glm=r_glm,
+            r_glm=reg_glm(theta, dataset, beta),
         ))
 
     report = TheoryReport(rows=rows, status=status, mc_draws=drawn)
@@ -439,6 +363,8 @@ def empirical_rademacher(dataset_x: np.ndarray, radius: float, n_mc: int,
     """
     if radius < 0:
         raise ConfigError("radius must be non-negative")
+    if n_mc < 1:
+        raise ConfigError(f"n_mc must be >= 1, got {n_mc!r}")
     x = np.asarray(dataset_x, dtype=np.float64)
     k = x.shape[0]
     signs = rng.integers(0, 2, size=(n_mc, k)) * 2.0 - 1.0
@@ -450,12 +376,9 @@ def empirical_rademacher(dataset_x: np.ndarray, radius: float, n_mc: int,
     return estimate
 
 
-def constraint_value(theta, dataset: GlmVectorDataset, family=None) -> float:
+def constraint_value(theta, dataset: GlmVectorDataset) -> float:
     """Empirical value of theta^T E[A''(theta.x) theta - A'(theta.x) s(x)]."""
-    family = get_family(family or dataset.family)
-    theta = np.asarray(theta, dtype=np.float64)
-    u = _natural_params(theta, dataset.x, family)
-    ts = dataset.scores() @ theta
+    family, theta, u, ts = _glm_terms(theta, dataset)
     return float(np.mean(family.A2(u)) * (theta @ theta) - np.mean(family.A1(u) * ts))
 
 
@@ -499,7 +422,7 @@ def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
     at sqrt(kappa2) so the kappa2 bound is tight. Returns (rho_hat,
     skipped_probes) where skips count near-zero denominators.
     """
-    family = get_family(family or dataset.family)
+    family = get_family(family)
     if radii is None:
         base = math.sqrt(kappa2)
         radii = (base, 2.0 * base, 4.0 * base)
@@ -552,22 +475,21 @@ def generalization_bound(l_std: float, C: float, rank: int, k: int, L: float,
             + B * math.sqrt(math.log(1.0 / delta) / (2.0 * k)))
 
 
-def loss_constants(theta, dataset: GlmVectorDataset, family=None, margin: float = 1.1):
+def loss_constants(theta, dataset: GlmVectorDataset, margin: float = 1.1):
     """(L, L_A, B) measured on the working box of natural parameters.
 
     L is the loss's Lipschitz constant in u = theta.x, L_A the Lipschitz
     constant of A alone, B the loss's sup, all over the data-spanned
     u-interval stretched by ``margin``.
     """
-    family = get_family(family or dataset.family)
-    u = _natural_params(theta, dataset.x, family)
+    family, _, u, _ = _glm_terms(theta, dataset)
     lo, hi = margin * float(np.min(u)), margin * float(np.max(u))
     lo, hi = min(lo, hi), max(lo, hi)
     grid = np.linspace(lo, hi, 1025)
     y_lo, y_hi = float(np.min(dataset.y)), float(np.max(dataset.y))
     slope = np.abs(family.A1(grid)[:, None] - np.array([y_lo, y_hi])[None, :])
     L = float(np.max(slope))
-    L_A = family.lipschitz_A(lo, hi)
+    L_A = float(np.max(np.abs(family.A1(np.linspace(lo, hi, 513)))))
     losses = np.abs(family.A(grid)[:, None] - grid[:, None] * np.array([y_lo, y_hi])[None, :])
     B = float(np.max(losses))
     return L, L_A, B

@@ -14,6 +14,7 @@ from langaug.errors import ConfigError
 from langaug import cli, pipeline, segmenter
 from langaug.numerics import derive_stream
 
+THEORY_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 def write_config(path, **overrides):
     config = {
@@ -116,6 +117,28 @@ class TestExitCodes:
         path.write_text(json.dumps({"base_seed": 1, "theory": {"dim": 3, "theta": [1.0, 0.5]}}))
         assert run("verify-theory", path, tmp_path / "out") == 2
         assert "theory.theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n_mc", "max_mc", "k"])
+    def test_empty_scan_exit_2(self, tmp_path, capsys, key):
+        # n_mc or max_mc 0 divided by a zero draw count; k 0 blamed the rho probes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"base_seed": 1, "theory": {key: 0}}))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["theory.json", "theory_bound.json"])
+    @pytest.mark.parametrize("key,value", [("rad_n_mc", 0), ("ambient_dims", []),
+                                           ("delta", 1.5)])
+    def test_bound_keys_checked_whatever_rho(self, tmp_path, capsys, name, key, value):
+        # the bound branch reads these keys only when rho_hat > 0, which
+        # holds for theory_bound.json and not for theory.json
+        config = json.loads((THEORY_CONFIGS / name).read_text())
+        config["theory"][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert f"theory.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", ["eval-loo", "train-seg"])
     def test_empty_segmenter_seeds_exit_2(self, tmp_path, capsys, subcommand):

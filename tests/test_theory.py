@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from langaug.errors import ConfigError, DimensionError, NumericError
+from langaug.errors import ConfigError, NumericError
 from langaug.numerics import derive_stream
 from langaug.synth import GlmVectorDataset, generate_vector_glm
-from langaug.theory import (FAMILIES, aug_risk_mc, constraint_value, empirical_rademacher,
-                            estimate_rho, generalization_bound, get_family, glm_nll,
-                            loss_constants, lowest_nonzero_singular_value, matrix_rank,
-                            one_step_ld, radius_and_C, reg_glm, reg_terms_general,
-                            std_risk, taylor_remainder_scan)
+from langaug.theory import (FAMILIES, constraint_value, empirical_rademacher, estimate_rho,
+                            generalization_bound, get_family, loss_constants,
+                            lowest_nonzero_singular_value, matrix_rank, radius_and_C,
+                            reg_glm, reg_terms_general, taylor_remainder_scan)
+
+BETAS = [0.02, 0.04, 0.08, 0.16]
 
 
 def make_dataset(x, y, mu=None, sigma=None, family="logistic"):
@@ -32,20 +33,28 @@ def zero_labels(ds):
                             theta_star=ds.theta_star, family=ds.family, seed=ds.seed)
 
 
+def scan_l_std(theta, x, y, family):
+    """The plain empirical risk mean(A(x.theta) - y x.theta) as the scan reports it."""
+    ds = make_dataset(x, y, family=family)
+    report = taylor_remainder_scan(np.asarray(theta, dtype=np.float64), ds, BETAS,
+                                   n_mc=2, max_mc=2)
+    return report.rows[0].l_std
+
+
 class TestNll:
     def test_logistic_at_zero(self):
-        assert glm_nll(np.zeros(2), np.array([1.0, 2.0]), 1.0, "logistic") == pytest.approx(
+        assert scan_l_std(np.zeros(2), [[1.0, 2.0]], [1.0], "logistic") == pytest.approx(
             math.log(2.0))
 
     def test_gaussian(self):
-        assert glm_nll(np.array([1.0]), np.array([1.0]), 1.0, "gaussian") == pytest.approx(-0.5)
+        assert scan_l_std([1.0], [[1.0]], [1.0], "gaussian") == pytest.approx(-0.5)
 
     def test_poisson(self):
-        assert glm_nll(np.array([0.0]), np.array([1.0]), 2.0, "poisson") == pytest.approx(1.0)
+        assert scan_l_std([0.0], [[1.0]], [2.0], "poisson") == pytest.approx(1.0)
 
     def test_poisson_overflow_guard(self):
         with pytest.raises(NumericError):
-            glm_nll(np.array([40.0]), np.array([1.0]), 1.0, "poisson")
+            scan_l_std([40.0], [[1.0]], [1.0], "poisson")
 
     def test_families_log_partition_convex(self):
         u = derive_stream(0, [("u", 0)]).standard_normal(10_000) * 4.0
@@ -54,68 +63,65 @@ class TestNll:
             assert np.all(vals >= 0.0)
 
 
-class TestOneStepLd:
-    def test_beta_zero(self):
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(one_step_ld(x, np.ones(2), 0.0, np.ones(2)), x)
+# A per family, written independently of theory.FAMILIES
+LOG_PARTITION = {
+    "gaussian": lambda u: 0.5 * u * u,
+    "logistic": lambda u: np.logaddexp(0.0, u),
+    "poisson": np.exp,
+}
+ENVELOPE_THETAS = {"gaussian": [0.8, -0.4], "logistic": [1.0, -0.5], "poisson": [0.4, 0.2]}
 
-    def test_no_score_no_noise(self):
-        x = np.array([3.0])
-        assert np.array_equal(one_step_ld(x, np.zeros(1), 0.7, np.zeros(1)), x)
 
-    def test_arithmetic(self):
-        out = one_step_ld(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1.0, np.array([0.0, 1.0]))
-        assert np.allclose(out, [-1.0, 1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            one_step_ld(np.zeros(2), np.zeros(3), 0.1, np.zeros(2))
+def envelope_dataset(family):
+    return generate_vector_glm(150, np.zeros(2), np.eye(2) * 0.25, np.array([0.5, 0.3]),
+                               family, 44)
 
 
 class TestRisks:
     def test_single_sample_equals_nll(self):
-        ds = make_dataset([[1.0, 0.5]], [1.0])
-        theta = np.array([0.3, -0.2])
-        assert std_risk(theta, ds) == pytest.approx(glm_nll(theta, ds.x[0], 1.0, "logistic"))
+        u = 0.3 * 1.0 - 0.2 * 0.5
+        assert scan_l_std([0.3, -0.2], [[1.0, 0.5]], [1.0], "logistic") == pytest.approx(
+            math.log1p(math.exp(u)) - u)
 
     def test_logistic_zero_theta_is_log_two(self):
         ds = generate_vector_glm(50, np.zeros(2), np.eye(2), np.ones(2), "logistic", 3)
-        assert std_risk(np.zeros(2), ds) == pytest.approx(math.log(2.0))
+        assert scan_l_std(np.zeros(2), ds.x, ds.y, "logistic") == pytest.approx(math.log(2.0))
 
     def test_duplication_invariance(self):
         ds = generate_vector_glm(20, np.zeros(2), np.eye(2), np.ones(2), "gaussian", 4)
-        doubled = GlmVectorDataset(x=np.concatenate([ds.x, ds.x]),
-                                   y=np.concatenate([ds.y, ds.y]), mu=ds.mu,
-                                   sigma_mat=ds.sigma_mat, theta_star=ds.theta_star,
-                                   family="gaussian")
         theta = np.array([0.5, 1.0])
-        assert std_risk(theta, doubled) == pytest.approx(std_risk(theta, ds))
-
-    def test_aug_risk_beta_zero_exact(self):
-        ds = generate_vector_glm(30, np.zeros(2), np.eye(2), np.ones(2), "logistic", 5)
-        theta = np.array([1.0, -1.0])
-        est, se = aug_risk_mc(theta, ds, 0.0, 50, rng=derive_stream(1, [("mc", 0)]))
-        assert est == pytest.approx(std_risk(theta, ds), abs=1e-14)
-        assert se == 0.0
+        doubled = scan_l_std(theta, np.concatenate([ds.x, ds.x]),
+                             np.concatenate([ds.y, ds.y]), "gaussian")
+        assert doubled == pytest.approx(scan_l_std(theta, ds.x, ds.y, "gaussian"))
 
     def test_aug_risk_stderr_halving(self):
-        ds = generate_vector_glm(20, np.zeros(1), np.eye(1), np.ones(1), "gaussian", 6)
+        # a fixed draw budget (n_mc = max_mc): four times the draws, half the stderr
+        ds = generate_vector_glm(20, np.zeros(1), np.eye(1), np.ones(1), "logistic", 6)
         theta = np.array([0.8])
-        _, se_small = aug_risk_mc(theta, ds, 0.3, 10_000, rng=derive_stream(2, [("a", 0)]))
-        _, se_large = aug_risk_mc(theta, ds, 0.3, 40_000, rng=derive_stream(2, [("b", 0)]))
-        assert se_large == pytest.approx(se_small / 2.0, rel=0.2)
+        small = taylor_remainder_scan(theta, ds, BETAS, n_mc=10_000, max_mc=10_000, base_seed=2)
+        large = taylor_remainder_scan(theta, ds, BETAS, n_mc=40_000, max_mc=40_000, base_seed=3)
+        for s_row, l_row in zip(small.rows, large.rows):
+            assert l_row.mc_stderr == pytest.approx(s_row.mc_stderr / 2.0, rel=0.2)
 
     def test_aug_risk_gauss_hermite_oracle(self):
-        # 1-D gaussian family, theta=1, x=0, y=0, s(0)=0, beta=0.5:
-        # quadrature over eps gives E[(0.5 eps)^2 / 2] = 0.125
+        # the noised natural parameter is u + beta a + beta^2 b with
+        # a = theta.eps ~ N(0, ||theta||^2) and b = -theta.s(x) / 2, so a
+        # 64-node Gauss-Hermite rule gives the augmented risk far below the
+        # Monte Carlo error, without the scan's draws or control variates
         nodes, weights = hermegauss(64)
-        beta, theta = 0.5, 1.0
-        oracle = float(np.sum(weights * 0.5 * (theta * beta * nodes) ** 2) / math.sqrt(2 * math.pi))
-        assert oracle == pytest.approx(0.125, abs=1e-12)
-        ds = make_dataset([[0.0]], [0.0], family="gaussian")
-        est, se = aug_risk_mc(np.array([theta]), ds, beta, 20_000,
-                              rng=derive_stream(3, [("mc", 0)]))
-        assert est == pytest.approx(oracle, abs=4 * se)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        for family, theta in ENVELOPE_THETAS.items():
+            ds = envelope_dataset(family)
+            theta = np.array(theta)
+            report = taylor_remainder_scan(theta, ds, BETAS, n_mc=4096)
+            u = ds.x @ theta
+            b = -0.5 * (ds.scores() @ theta)
+            a = np.linalg.norm(theta) * nodes
+            for row in report.rows:
+                ut = u[:, None] + row.beta * a[None, :] + row.beta ** 2 * b[:, None]
+                per_sample = (LOG_PARTITION[family](ut) - ds.y[:, None] * ut) @ weights
+                oracle = float(np.mean(per_sample))
+                assert abs(row.l_aug_mc - oracle) <= 4 * row.mc_stderr + 1e-15, family
 
 
 class TestRegTerms:
@@ -228,18 +234,12 @@ class TestRemainderScan:
         for row in report.rows:
             assert row.rem_gen == pytest.approx(0.0, abs=3 * row.mc_stderr + 1e-15)
 
-    @pytest.mark.parametrize("family,theta", [
-        ("gaussian", [0.8, -0.4]),
-        ("logistic", [1.0, -0.5]),
-        ("poisson", [0.4, 0.2]),
-    ])
+    @pytest.mark.parametrize("family,theta", list(ENVELOPE_THETAS.items()))
     def test_remainder_envelope_all_families(self, family, theta):
         # |rem| <= max(3 stderr, c beta^2.5) with c fitted on the largest
         # beta row, plus a > 2 log-log slope, for every family
-        ds = generate_vector_glm(150, np.zeros(2), np.eye(2) * 0.25,
-                                 np.array([0.5, 0.3]), family, 44)
-        report = taylor_remainder_scan(np.array(theta), ds,
-                                       [0.02, 0.04, 0.08, 0.16], n_mc=4096)
+        report = taylor_remainder_scan(np.array(theta), envelope_dataset(family), BETAS,
+                                       n_mc=4096)
         assert report.status == "ok"
         top = report.rows[-1]
         c = abs(top.rem_gen) / top.beta**2.5

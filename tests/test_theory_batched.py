@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langaug import theory
+from langaug import nets, theory
 from langaug.errors import ConfigError, NumericError
 from langaug.numerics import derive_stream
 from langaug.synth import GlmVectorDataset, generate_vector_glm
@@ -95,7 +95,7 @@ def reference_scan(theta, dataset, betas, n_mc=4096, base_seed=None, max_mc=1 <<
         r1, r2, r3 = r_rows[beta]
         rows.append(TheoryRow(beta=beta, l_std=l_std, l_aug_mc=l_std + r1 + r2 + r3 + mean_q,
                               mc_stderr=math.sqrt(var_q / drawn), r1=r1, r2=r2, r3=r3,
-                              r_glm=reg_glm(theta, dataset, beta, family)))
+                              r_glm=reg_glm(theta, dataset, beta)))
     report = TheoryReport(rows=rows, status=status, mc_draws=drawn)
     rems = np.array([abs(r.rem_gen) for r in rows])
     wrong = np.array([abs(r.rem_gen - (r.r1 + r.r2 + r.r3)) for r in rows])
@@ -278,6 +278,17 @@ def test_logistic_derivatives_share_one_sigmoid():
     family = get_family("logistic")
     assert np.array_equal(family.A2(u), s * (1.0 - s))
     assert np.array_equal(family.A3(u), s * (1.0 - s) * (1.0 - 2.0 * s))
+
+
+def test_sigmoid_has_the_bits_of_nets_sigmoid():
+    # theory may not import nets, so it states the same formula; the two
+    # must agree bit for bit, also at +-0, +-inf, subnormals and |u| > 745
+    stream = derive_stream(6, [("u", 0)])
+    u = np.concatenate([
+        stream.standard_normal(200_000) * scale for scale in (1.0, 8.0, 40.0, 800.0)
+    ] + [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                   -2.2e-308, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308])])
+    assert np.array_equal(theory._sigmoid(u), nets.sigmoid(u), equal_nan=True)
 
 
 def test_theory_imports_no_image_layers():
