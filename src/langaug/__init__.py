@@ -1,7 +1,6 @@
 """Langevin-bridge data augmentation and its verification harness."""
 
-from .numerics import (AdamHyper, AdamState, adam_step, derive_stream,
-                       finite_diff_grad, init_adam_state)
+from .numerics import AdamHyper, AdamState, adam_step, derive_stream, init_adam_state
 from .synth import (DomainSpec, GlmVectorDataset, MultiDomainDataset,
                     generate_benchmark, generate_vector_glm, load_dataset, save_dataset)
 from .energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,

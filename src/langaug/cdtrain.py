@@ -44,7 +44,6 @@ class CdConfig:
 class TrainTrace:
     cd_surrogate: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    grad_mean: list[float] = field(default_factory=list)  # mean component, drift diagnostics
 
     def write_csv(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -102,7 +101,6 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
         params = EnergyParams(arch=arch, theta=theta)
         trace.cd_surrogate.append(surrogate)
         trace.grad_norm.append(float(np.linalg.norm(grad)))
-        trace.grad_mean.append(float(np.mean(grad)))
         if (checkpoint_dir is not None and config.checkpoint_every
                 and (it + 1) % config.checkpoint_every == 0):
             save_energy_params(params, Path(checkpoint_dir) / f"ckpt_{it + 1:06d}")

@@ -1,8 +1,9 @@
 """Config-driven experiment runner.
 
 Subcommands: gen-data, train-ebms, augment, train-seg, eval-loo,
-verify-theory, sweep, project. Configs are strict JSON (unknown keys are
-rejected with their dotted path); each stage writes its resolved config, a
+verify-theory, sweep, project. Configs are strict JSON checked against SCHEMA
+(an unknown key, or a value of the wrong kind or range, is named by its
+dotted path); each stage writes its resolved config, a
 checksum manifest of its inputs, and CSV/JSON artifacts into the output
 directory. Timestamps go to run.log only, so repeated runs with the same
 config and seed produce byte-identical tables.
@@ -14,10 +15,13 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,101 +36,152 @@ from .pipeline import (generate_augmented, load_augmented, pool_provenance,
                        provenance_mismatch, save_augmented)
 from .segmenter import (SegTrainConfig, fit_and_score, leave_one_out_eval, loo_folds,
                         write_results_csv)
-from .synth import (DEFAULT_SPECS, DomainSpec, generate_benchmark,
-                    generate_vector_glm, load_dataset, save_dataset)
-from .theory import verify_bounds
-
-SUBCOMMANDS = ("gen-data", "train-ebms", "augment", "train-seg", "eval-loo",
-               "verify-theory", "sweep", "project")
+from .synth import (DomainSpec, generate_benchmark, generate_vector_glm, load_dataset,
+                    save_dataset)
+from .theory import FAMILIES, verify_bounds
 
 _REQUIRED = object()
+# a seed derived from a configured one adds under 7919·n² (pair models) or 1000·n
+# (folds), so for n < 2·10**7 domains it stays inside derive_stream's int64 key
+_SEED_BOUND = 1 << 62
 
-DEFAULT_CONFIG = {
-    "base_seed": _REQUIRED,
+
+class Leaf(NamedTuple):
+    """A config value's default, JSON kind and range. A kind is ``int`` (bool excluded), ``float``
+    (a finite number), ``bool``, a literal (a string or None), ``[kind]`` (a non-empty list
+    whose entries take the range), a section (a dict of leaves) or a tuple of these."""
+    default: object
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    exclusive: bool = False  # lo and hi are out of range; with no hi, lo is 0 ("positive")
+
+
+SCHEMA = {
+    "base_seed": Leaf(_REQUIRED, int, -_SEED_BOUND, _SEED_BOUND),
     "data": {
-        "n_domains": 4,
-        "n_per_domain": 50,
-        "image_size": 16,
-        "channels": 1,
-        "train_frac": 0.8,
-        "specs": None,
+        "n_domains": Leaf(4, int, 2),
+        "n_per_domain": Leaf(50, int, 1),
+        "image_size": Leaf(16, int, 8),
+        "channels": Leaf(1, int, 1),
+        "train_frac": Leaf(0.8, float, 0, 1),
+        # an entry has DomainSpec's fields, whose ranges DomainSpec.validate checks;
+        # entries are checked, not filled
+        "specs": Leaf(None, (None, [{f.name: Leaf(f.default, float) for f in fields(DomainSpec)}
+                                    | {"domain_id": Leaf(_REQUIRED, int, 0)}])),
     },
     "ebm": {
-        "kind": "conv",
-        "conv_blocks": 2,
-        "hidden_width": 64,
+        "kind": Leaf("conv", ("conv", "mlp", "quadratic")),
+        "conv_blocks": Leaf(2, int, 1, MAX_CONV_BLOCKS),
+        "hidden_width": Leaf(64, int, 1),
         "cd": {
-            "n_iters": 150,
-            "batch_size": 8,
-            "step_size": 0.1,
-            "n_steps": 15,
-            "lr": 0.001,
-            "checkpoint_every": None,
+            "n_iters": Leaf(150, int, 0),
+            "batch_size": Leaf(8, int, 1),
+            "step_size": Leaf(0.1, float, 0),
+            "n_steps": Leaf(15, int, 1),
+            "lr": Leaf(0.001, float, 0, exclusive=True),
+            "checkpoint_every": Leaf(None, (None, int), 1),
         },
     },
-    "langevin": {
-        "step_size": 1.0,
-        "n_steps": 40,
-        "store_stride": 3,
-        "store_offset": 3,
-        "channel_replace": "auto",
-        "clamp_unit": False,
+    "langevin": {  # LangevinConfig's fields; "auto" replaces channel 0 on multi-channel data
+        "step_size": Leaf(1.0, float, 0),
+        "n_steps": Leaf(40, int, 0),
+        "store_stride": Leaf(3, int, 1),
+        "store_offset": Leaf(3, int, 1),
+        "channel_replace": Leaf("auto", ("auto", None, int), 0),
+        "clamp_unit": Leaf(False, bool),
     },
-    "augment": {
-        "mix_ratio": 0.5,
-    },
+    "augment": {"mix_ratio": Leaf(0.5, float, 0, 1)},
     "segmenter": {
-        "epochs": 30,
-        "batch_size": 8,
-        "lr": 0.003,
-        "seeds": [0, 1, 2, 3, 4],
+        "epochs": Leaf(30, int, 0),
+        "batch_size": Leaf(8, int, 1),
+        "lr": Leaf(0.003, float, 0, exclusive=True),
+        "seeds": Leaf([0, 1, 2, 3, 4], [int], -_SEED_BOUND, _SEED_BOUND),
     },
     "theory": {
-        "family": "logistic",
-        "k": 200,
-        "dim": 2,
-        "sigma_scale": 0.49,
-        "theta": None,
-        "betas": [0.02, 0.04, 0.08, 0.16],
-        "n_mc": 4096,
-        "max_mc": 524288,
-        "probe_count": 1000,
-        "probe_radii": None,
-        "kappa1": None,
-        "kappa2": None,
-        "rad_n_mc": 2000,
-        "ambient_dims": [2, 20, 200],
-        "delta": 0.05,
+        "family": Leaf("logistic", tuple(FAMILIES)),
+        "k": Leaf(200, int, 1),
+        "dim": Leaf(2, int, 1),
+        "sigma_scale": Leaf(0.49, float, 0, exclusive=True),
+        "theta": Leaf(None, (None, [float])),
+        "betas": Leaf([0.02, 0.04, 0.08, 0.16], [float], 0, exclusive=True),
+        "n_mc": Leaf(4096, int, 1),
+        "max_mc": Leaf(524288, int, 1),
+        "probe_count": Leaf(1000, int, 1),
+        "probe_radii": Leaf(None, (None, [float]), 0, exclusive=True),
+        "kappa1": Leaf(None, (None, float), 0, exclusive=True),
+        "kappa2": Leaf(None, (None, float), 0, exclusive=True),
+        "rad_n_mc": Leaf(2000, int, 1),
+        "ambient_dims": Leaf([2, 20, 200], [int], 1),
+        "delta": Leaf(0.05, float, 0, 1, exclusive=True),
     },
     "sweep": {
-        "axis": "n_steps",
-        "values": [20, 40, 60, 80],
-        "folds": None,
-        "seeds": [0],
+        "axis": Leaf("n_steps", ("n_steps", "step_size", "conv_blocks", "samples_per_chain")),
+        "values": Leaf([20, 40, 60, 80], [float], 0),
+        "folds": Leaf(None, (None, [int]), 0),
+        "seeds": Leaf([0], [int], -_SEED_BOUND, _SEED_BOUND),
     },
 }
 
 
-def _merge_strict(defaults, given, path=""):
-    if not isinstance(given, dict):
+def _defaults(schema) -> dict:
+    return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf.default
+            for key, leaf in schema.items()}
+
+
+DEFAULT_CONFIG = _defaults(SCHEMA)
+_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+          list: "a non-empty list", dict: "an object"}
+
+
+def _range_text(leaf: Leaf) -> str:
+    if leaf.hi < math.inf:
+        ends = "()" if leaf.exclusive else "[]"
+        return f"lie in {ends[0]}{leaf.lo}, {leaf.hi}{ends[1]}"
+    return "be positive" if leaf.exclusive else f"be >= {leaf.lo}"
+
+
+def _check(leaf: Leaf, value, key: str):
+    """``value`` if it fits ``leaf`` (a section comes back merged over its defaults)."""
+    kinds = leaf.kind if isinstance(leaf.kind, tuple) else (leaf.kind,)
+    for kind in kinds:
+        if isinstance(kind, dict) and type(value) is dict:
+            return _merge_strict(kind, value, key)
+        if isinstance(kind, list) and type(value) is list and value:
+            for i, entry in enumerate(value):
+                _check(leaf._replace(kind=kind[0]), entry, f"{key}[{i}]")
+            return value
+        # a float kind turns away inf and ints beyond the float range
+        if isinstance(kind, type) and type(value) in _TYPES[kind] and (
+                kind is not float or abs(value) <= sys.float_info.max):
+            if not (leaf.lo < value < leaf.hi if leaf.exclusive else leaf.lo <= value <= leaf.hi):
+                raise ConfigError(f"{key} must {_range_text(leaf)}, got {value!r}")
+            return value
+        if type(value) is type(kind) and value == kind:  # a literal
+            return value
+    wanted = " or ".join(_NAMES.get(k if isinstance(k, type) else type(k)) or json.dumps(k)
+                         for k in kinds)
+    raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+
+
+def _merge_strict(schema, given, path=""):
+    if type(given) is not dict:
         raise ConfigError(f"config section {path or '<root>'} must be an object")
-    merged = {}
-    for key, default in defaults.items():
-        dotted = f"{path}.{key}" if path else key
-        if key in given:
-            value = given[key]
-            if isinstance(default, dict):
-                merged[key] = _merge_strict(default, value, dotted)
-            else:
-                merged[key] = value
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required config key {dotted}")
-        else:
-            merged[key] = copy.deepcopy(default)
+    prefix = f"{path}." if path else ""
     for key in given:
-        if key not in defaults:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key {dotted}")
+        if key not in schema:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    merged = {}
+    for key, leaf in schema.items():
+        if isinstance(leaf, dict):
+            merged[key] = _merge_strict(leaf, given.get(key, {}), prefix + key)
+        elif key in given:
+            merged[key] = _check(leaf, given[key], prefix + key)
+        elif leaf.default is _REQUIRED:
+            raise ConfigError(f"missing required config key {prefix}{key}")
+        else:
+            merged[key] = copy.deepcopy(leaf.default)
     return merged
 
 
@@ -135,97 +190,48 @@ def load_config(path, seed_override=None) -> dict:
     if not path.exists():
         raise MissingArtifactError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        # NaN and Infinity are read as strings, which no number leaf accepts
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=str)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    config = _merge_strict(DEFAULT_CONFIG, raw)
+    config = _merge_strict(SCHEMA, raw)
     if seed_override is not None:
-        config["base_seed"] = int(seed_override)
+        config["base_seed"] = _check(SCHEMA["base_seed"], int(seed_override), "base_seed")
     _validate(config)
     return config
 
 
 def _validate(config) -> None:
+    """The rules that relate two or more keys; each leaf is checked as it is merged."""
     th_cfg = config["theory"]
-    for beta in th_cfg["betas"]:
-        if not isinstance(beta, (int, float)) or beta <= 0:
-            raise ConfigError(f"theory.betas entries must be positive, got {beta!r}")
-    if not th_cfg["sigma_scale"] > 0:
-        raise ConfigError("theory.sigma_scale must be positive")
-    if th_cfg["theta"] is not None and np.shape(th_cfg["theta"]) != (th_cfg["dim"],):
+    if th_cfg["theta"] is not None and len(th_cfg["theta"]) != th_cfg["dim"]:
         raise ConfigError(f"theory.theta must be a list of theory.dim = {th_cfg['dim']} numbers")
-    # the bound branch reads these only when rho_hat and gamma are positive
-    if not isinstance(th_cfg["delta"], (int, float)) or not 0.0 < th_cfg["delta"] < 1.0:
-        raise ConfigError(f"theory.delta must lie in (0, 1), got {th_cfg['delta']!r}")
-    if type(th_cfg["rad_n_mc"]) is not int or th_cfg["rad_n_mc"] < 1:
-        raise ConfigError(f"theory.rad_n_mc must be an integer >= 1, got {th_cfg['rad_n_mc']!r}")
-    _check_int_list(th_cfg["ambient_dims"], "theory.ambient_dims")
     if min(th_cfg["ambient_dims"]) < th_cfg["dim"]:
         raise ConfigError(f"theory.ambient_dims entries must be >= theory.dim = {th_cfg['dim']}")
-    if not 0.0 <= config["data"]["train_frac"] <= 1.0:
-        raise ConfigError("data.train_frac must lie in [0, 1]")
-    if not 0.0 <= config["augment"]["mix_ratio"] <= 1.0:
-        raise ConfigError("augment.mix_ratio must lie in [0, 1]")
     store_offset = config["langevin"]["store_offset"]
     if store_offset > config["langevin"]["n_steps"]:
         raise ConfigError(f"langevin.store_offset {store_offset} exceeds langevin.n_steps "
                           f"{config['langevin']['n_steps']}: no chain iterate would be stored")
-    sweep = config["sweep"]
-    if sweep["axis"] not in ("n_steps", "step_size", "conv_blocks", "samples_per_chain"):
-        raise ConfigError(f"unsupported sweep.axis {sweep['axis']!r}")
-    if not isinstance(sweep["values"], list) or not sweep["values"]:
-        raise ConfigError("sweep.values must be a non-empty list")
-    if sweep["axis"] != "step_size":
-        _check_int_list(sweep["values"], "sweep.values")
-    _check_int_list(sweep["seeds"], "sweep.seeds")
-    if sweep["folds"] is not None:
-        _check_int_list(sweep["folds"], "sweep.folds")
-    _check_int_list(config["segmenter"]["seeds"], "segmenter.seeds")
-    if sweep["axis"] == "samples_per_chain" and min(sweep["values"]) < 1:
+    axis, values = config["sweep"]["axis"], config["sweep"]["values"]
+    if axis != "step_size" and not all(type(v) is int for v in values):
+        raise ConfigError(f"sweep.values must be integers on the {axis} axis, got {values!r}")
+    if axis == "samples_per_chain" and min(values) < 1:
         raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
-    if sweep["axis"] == "conv_blocks" and not all(1 <= v <= MAX_CONV_BLOCKS
-                                                  for v in sweep["values"]):
+    if axis == "conv_blocks" and not all(1 <= v <= MAX_CONV_BLOCKS for v in values):
         raise ConfigError(f"sweep.values on the conv_blocks axis must lie in 1..{MAX_CONV_BLOCKS}")
-    if sweep["axis"] == "n_steps" and min(sweep["values"]) < store_offset:
+    if axis == "n_steps" and min(values) < store_offset:
         raise ConfigError(f"sweep.values on the n_steps axis must be >= langevin.store_offset "
                           f"{store_offset}: no chain iterate would be stored")
-    if config["data"]["specs"] is not None:
-        if len(config["data"]["specs"]) != config["data"]["n_domains"]:
-            raise ConfigError("data.specs length must equal data.n_domains")
-
-
-def _check_int_list(value, key) -> None:
-    if not isinstance(value, list) or not value or not all(type(v) is int for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of integers, got {value!r}")
-
-
-def _specs_from_config(config):
-    data = config["data"]
-    if data["specs"] is None:
-        return list(DEFAULT_SPECS[:data["n_domains"]])
-    fields = {"domain_id", "gamma", "contrast", "texture_freq", "texture_amp", "noise_sigma"}
-    specs = []
-    for entry in data["specs"]:
-        unknown = set(entry) - fields
-        if unknown:
-            raise ConfigError(f"unknown DomainSpec keys {sorted(unknown)}")
-        specs.append(DomainSpec(**entry))
-    return specs
+    specs = config["data"]["specs"]
+    if specs is not None and len(specs) != config["data"]["n_domains"]:
+        raise ConfigError("data.specs length must equal data.n_domains")
 
 
 def _langevin_from_config(config, channels: int) -> LangevinConfig:
-    lv = config["langevin"]
-    replace_ch = lv["channel_replace"]
-    if replace_ch == "auto":
-        replace_ch = 0 if channels > 1 else None
-    return LangevinConfig(
-        step_size=lv["step_size"],
-        n_steps=lv["n_steps"],
-        store_stride=lv["store_stride"],
-        store_offset=lv["store_offset"],
-        channel_replace=replace_ch,
-        clamp_unit=lv["clamp_unit"],
-    )
+    lv = dict(config["langevin"])
+    if lv["channel_replace"] == "auto":
+        lv["channel_replace"] = 0 if channels > 1 else None
+    return LangevinConfig(**lv)
 
 
 def _arch_from_config(config, dataset) -> EnergyArch:
@@ -236,29 +242,17 @@ def _arch_from_config(config, dataset) -> EnergyArch:
 
 
 def _cd_from_config(config) -> CdConfig:
-    ebm = config["ebm"]["cd"]
-    return CdConfig(
-        n_iters=ebm["n_iters"],
-        batch_size=ebm["batch_size"],
-        ld=LangevinConfig(step_size=ebm["step_size"], n_steps=ebm["n_steps"]),
-        adam=AdamHyper(lr=ebm["lr"]),
-        base_seed=config["base_seed"],
-        checkpoint_every=ebm["checkpoint_every"],
-    )
+    cd = config["ebm"]["cd"]
+    return CdConfig(n_iters=cd["n_iters"], batch_size=cd["batch_size"],
+                    ld=LangevinConfig(step_size=cd["step_size"], n_steps=cd["n_steps"]),
+                    adam=AdamHyper(lr=cd["lr"]), base_seed=config["base_seed"],
+                    checkpoint_every=cd["checkpoint_every"])
 
 
 def _seg_config(config) -> SegTrainConfig:
     seg = config["segmenter"]
-    return SegTrainConfig(
-        epochs=seg["epochs"],
-        batch_size=seg["batch_size"],
-        mix_ratio=config["augment"]["mix_ratio"],
-        adam=AdamHyper(lr=seg["lr"]),
-    )
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return SegTrainConfig(epochs=seg["epochs"], batch_size=seg["batch_size"],
+                          mix_ratio=config["augment"]["mix_ratio"], adam=AdamHyper(lr=seg["lr"]))
 
 
 class Stage:
@@ -281,7 +275,7 @@ class Stage:
         path = Path(path)
         if not path.exists():
             raise MissingArtifactError(f"missing upstream artifact: {path} (run `{producer}` first)")
-        self.inputs[str(path)] = _sha256(path)
+        self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
 
     def finish(self):
@@ -327,7 +321,7 @@ def _cmd_gen_data(config, out_dir, jobs):
         n_domains=data["n_domains"],
         n_per_domain=data["n_per_domain"],
         image_size=data["image_size"],
-        specs=_specs_from_config(config),
+        specs=None if data["specs"] is None else [DomainSpec(**e) for e in data["specs"]],
         seed=config["base_seed"],
         channels=data["channels"],
         train_frac=data["train_frac"],
@@ -405,6 +399,8 @@ def _cmd_train_seg(config, out_dir, jobs):
     src_masks = np.concatenate([dataset.train_masks(d) for d in domains])
     eval_sets = [(d, dataset.test_images(d), dataset.test_masks(d))
                  for d in domains if len(dataset.test_images(d)) > 0]
+    if not eval_sets:
+        raise ConfigError("no domain has test images to score: data.train_frac left none")
     methods = ("erm",) if aug is None else ("erm", "erm+langaug")
     results = fit_and_score(src_images, src_masks, aug, _seg_config(config),
                             config["segmenter"]["seeds"], methods, eval_sets)
@@ -593,7 +589,7 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="langaug", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="strict JSON experiment config")
     parser.add_argument("--out", required=True, help="experiment output directory")
     parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel stages")

@@ -16,7 +16,8 @@ from langaug.cdtrain import CdConfig, train_all_pairs, train_ebm
 from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
                             energy_value_and_grad_params, init_energy_params)
 from langaug.langevin import LangevinConfig, run_chain_batch
-from langaug.numerics import AdamHyper, derive_stream, relative_error
+from langaug.numerics import AdamHyper, derive_stream
+from finite_diff import relative_error
 from langaug.pipeline import generate_augmented
 from langaug.segmenter import (SegArch, SegModel, SegTrainConfig, init_seg_model,
                                leave_one_out_eval, seg_loss_and_grad, write_results_csv)

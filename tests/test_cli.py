@@ -106,6 +106,19 @@ class TestExitCodes:
         assert "data.train_frac" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dataset").exists()
 
+    def test_train_seg_without_test_images_exit_2(self, tmp_path, capsys):
+        # a header-only table before; eval-loo scores whole held-out domains,
+        # so train_frac 1.0 stays valid there
+        config = write_config(tmp_path / "c.json", data={"n_domains": 3, "n_per_domain": 6,
+                                                         "train_frac": 1.0})
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        assert run("train-seg", config, out) == 2
+        assert "data.train_frac" in capsys.readouterr().err
+        assert not (out / "seg" / "results.csv").exists()
+        assert run("train-ebms", config, out) == 0
+        assert run("eval-loo", config, out) == 0
+
     def test_non_positive_sigma_scale_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"base_seed": 1, "theory": {"sigma_scale": 0.0}}))

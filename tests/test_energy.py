@@ -6,8 +6,8 @@ from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_inpu
                             load_energy_params, save_energy_params)
 from langaug.errors import ConfigError, DimensionError
 from langaug.nets import swish_grad
-from langaug.numerics import (derive_stream, finite_diff_grad, finite_diff_grad_subset,
-                              relative_error)
+from langaug.numerics import derive_stream
+from finite_diff import finite_diff_grad, finite_diff_grad_subset, relative_error
 
 
 def energy_of(params, x):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from langaug import numerics
 from langaug.errors import ConfigError, DimensionError, NumericError
-from langaug.numerics import (AdamHyper, adam_step, derive_stream, finite_diff_grad,
-                              init_adam_state, relative_error)
+from langaug.numerics import AdamHyper, adam_step, derive_stream, init_adam_state
+from finite_diff import finite_diff_grad, relative_error
 
 
 def reference_adam(theta0, grad_fn, lr, n_steps, beta1=0.9, beta2=0.99, eps=1e-8):

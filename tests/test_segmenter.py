@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from langaug import segmenter
 from langaug.errors import ConfigError, LeakageError
-from langaug.numerics import AdamHyper, derive_stream, finite_diff_grad_subset, relative_error
+from langaug.numerics import AdamHyper, derive_stream
+from finite_diff import finite_diff_grad_subset, relative_error
 from langaug.pipeline import AugmentedDataset
 from langaug.segmenter import (SegArch, SegModel, SegTrainConfig, dice, evaluate_model,
                                init_seg_model, iou, leave_one_out_eval, predict_mask,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from langaug.errors import ConfigError
-from langaug.numerics import derive_stream, finite_diff_grad, relative_error
+from langaug.numerics import derive_stream
+from finite_diff import finite_diff_grad, relative_error
 from langaug.synth import (DomainSpec, generate_benchmark, generate_vector_glm,
                            load_dataset, save_dataset)
 
