@@ -112,7 +112,8 @@ SCHEMA = {
         "kappa1": Leaf(None, (None, float), 0, exclusive=True),
         "kappa2": Leaf(None, (None, float), 0, exclusive=True),
         "rad_n_mc": Leaf(2000, int, 1),
-        "ambient_dims": Leaf([2, 20, 200], [int], 1),
+        # each entry also labels a derive_stream key, which is int64
+        "ambient_dims": Leaf([2, 20, 200], [int], 1, _SEED_BOUND),
         "delta": Leaf(0.05, float, 0, 1, exclusive=True),
     },
     "sweep": {

@@ -1,7 +1,9 @@
 """Small-net building blocks with explicit backward passes.
 
 All convolutions are 3x3 with configurable stride and padding 1, applied
-to (N, C, H, W) batches. Gradients are exact; no autodiff anywhere.
+to (N, C, H, W) batches. Gradients are exact; no autodiff anywhere. Every
+kernel computes in its input's dtype (``np.result_type(x, w)`` for a conv),
+so float32 arrays stay float32 and float64 arrays keep their float64 bits.
 
 Each convolution is lowered to one 2-D matrix product (Chellapilla et al.
 2006): the padded input is unfolded into an im2col matrix of shape
@@ -56,7 +58,7 @@ def _offset_views(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: in
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Unfold xp into the (C * kh * kw, N * ho * wo) im2col matrix."""
     n, c = xp.shape[:2]
-    cols = np.empty((c, kh * kw, n, ho, wo))
+    cols = np.empty((c, kh * kw, n, ho, wo), dtype=xp.dtype)
     for k, xs in enumerate(_offset_views(xp, kh, kw, stride, ho, wo)):
         cols[:, k] = xs.transpose(1, 0, 2, 3)
     return cols.reshape(c * kh * kw, n * ho * wo)
@@ -66,7 +68,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad
     """Returns (y, xp, cols): the padded input and its im2col matrix, for the backward pass."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.result_type(x, w))
     xp[:, :, pad:pad + h, pad:pad + wd] = x
     ho = conv_out_size(h, stride, pad, kh)
     wo = conv_out_size(wd, stride, pad, kw)

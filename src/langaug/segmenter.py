@@ -4,6 +4,13 @@ The model is two 3x3 stride-1 conv layers (8 channels, swish) with a 1x1
 per-pixel logit head, trained on pixel cross-entropy plus soft-Dice with a
 hand-derived gradient. Evaluation holds one domain out, trains on the rest
 with or without bridge-sample augmentation, and reports IoU and Dice.
+
+Training runs in float32 over float64 master weights (Micikevicius et al.
+2018): each step casts its batch and theta to float32, and Adam casts the
+gradient back up and keeps theta and its moments in float64. The network
+computes in float32 only when given float32 images, so evaluation
+(``predict_mask``, ``evaluate_model``) and the finite-difference checks
+run in float64.
 """
 from __future__ import annotations
 
@@ -55,11 +62,15 @@ def init_seg_model(arch: SegArch, seed: int) -> SegModel:
 
 
 def seg_logits(model: SegModel, X: np.ndarray):
-    """Per-pixel logits (N, H, W) plus the cache for the backward pass."""
-    X = np.asarray(X, dtype=np.float64)
+    """Per-pixel logits (N, H, W) plus the cache for the backward pass.
+
+    Computes in float32 if ``X`` is float32 and in float64 otherwise.
+    """
+    X = np.asarray(X)
+    X = X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
     if X.ndim != 4 or X.shape[1] != model.arch.in_channels:
         raise DimensionError(f"expected (N, {model.arch.in_channels}, H, W), got {X.shape}")
-    layers = split_params(model.theta, model.arch.shapes())
+    layers = split_params(model.theta.astype(X.dtype, copy=False), model.arch.shapes())
     *body, (wh, bh) = layers
     a, body_cache = swish_conv_forward(X, body, stride=1)
     logits = np.tensordot(a, wh, axes=([1], [0])) + bh
@@ -69,7 +80,7 @@ def seg_logits(model: SegModel, X: np.ndarray):
 def seg_loss_and_grad(model: SegModel, X: np.ndarray, M: np.ndarray):
     """Cross-entropy plus (1 - soft Dice), with the exact theta gradient."""
     logits, cache = seg_logits(model, X)
-    M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=logits.dtype)
     if M.shape != logits.shape:
         raise DimensionError(f"mask shape {M.shape} vs logits {logits.shape}")
     n = X.shape[0]
@@ -109,9 +120,12 @@ class SegTrainConfig:
 
 def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
                     aug_images=None, aug_masks=None) -> SegModel:
-    """Adam training over per-epoch streams; deterministic in seed."""
-    src_images = np.asarray(src_images, dtype=np.float64)
-    src_masks = np.asarray(src_masks, dtype=np.float64)
+    """Adam training over per-epoch streams; deterministic in seed.
+
+    Each step runs on a float32 batch; the returned theta is float64.
+    """
+    src_images = np.asarray(src_images, dtype=np.float32)
+    src_masks = np.asarray(src_masks, dtype=np.float32)
     if src_images.shape[0] == 0:
         raise ConfigError("empty training set")
     have_aug = aug_images is not None
@@ -125,8 +139,11 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
                                           batch_size=config.batch_size, epoch=epoch)
         for start in range(0, len(stream), config.batch_size):
             batch = stream[start:start + config.batch_size]
-            xs = np.stack([src_images[i] if kind == "src" else aug_images[i] for kind, i in batch])
-            ms = np.stack([src_masks[i] if kind == "src" else aug_masks[i] for kind, i in batch])
+            # cast per batch: a float32 copy of the pool would raise peak memory
+            xs = np.stack([src_images[i] if kind == "src" else aug_images[i] for kind, i in batch],
+                          dtype=np.float32)
+            ms = np.stack([src_masks[i] if kind == "src" else aug_masks[i] for kind, i in batch],
+                          dtype=np.float32)
             try:
                 _, grad = seg_loss_and_grad(model, xs, ms)
             except NumericError as err:

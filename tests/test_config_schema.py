@@ -106,6 +106,18 @@ def test_bad_leaf_exits_2_naming_it(tmp_path, capsys, upstream, stage, key, valu
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(NEEDS[stage])
 
 
+def test_ambient_dim_beyond_int64_exits_2_naming_it(tmp_path, capsys):
+    # theory_bound.json has a positive rho, so its Rademacher rows run; there an
+    # entry of 10**19 overflowed derive_stream's int64 label in theory._embed
+    config = json.loads((THEORY_CONFIGS / "theory_bound.json").read_text())
+    config["theory"]["ambient_dims"] = [2, 10**19]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert run("verify-theory", path, tmp_path / "out") == 2
+    assert "theory.ambient_dims" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_numbers_rejected(tmp_path, value):
     path = tmp_path / "c.json"

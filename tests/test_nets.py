@@ -105,6 +105,20 @@ def test_skipping_dx_leaves_dw_and_db_bits(stride, n, c_in, c_out, h):
     assert np.array_equal(db_only, db)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_kernels_compute_in_the_input_dtype(stride, dtype):
+    # an allocation without dtype= would upcast float32 inputs to float64
+    x, w, b, dy = (a.astype(dtype) for a in conv_case(stride, 8, 2, 4, 16))
+    y, xp, cols = conv2d_forward(x, w, b, stride=stride)
+    dx, dw, db = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
+    a, cache = nets.swish_conv_forward(x, [(w, b)], stride=stride)
+    body_dx, grads = nets.swish_conv_backward(dy, [(w, b)], cache, stride=stride, want_dw=True,
+                                              want_dx=True)
+    outputs = [y, xp, cols, dx, dw, db, a, body_dx, *grads[0]]
+    assert [o.dtype for o in outputs] == [np.dtype(dtype)] * len(outputs)
+
+
 def sign_split_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

