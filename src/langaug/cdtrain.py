@@ -8,7 +8,6 @@ from domain i every iteration; there is no replay buffer.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,6 +18,7 @@ from .energy import (EnergyArch, EnergyParams, energy_value_and_grad_params,
                      init_energy_params, save_energy_params)
 from .errors import ConfigError, DivergenceError
 from .langevin import LangevinConfig, run_chain_batch
+from .ldtn import write_csv
 from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
 
 
@@ -46,12 +46,9 @@ class TrainTrace:
     grad_norm: list[float] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "cd_surrogate", "grad_norm"])
-            for i, (s, g) in enumerate(zip(self.cd_surrogate, self.grad_norm)):
-                writer.writerow([i, repr(s), repr(g)])
+        write_csv(path, ["iter", "cd_surrogate", "grad_norm"],
+                  ([i, repr(s), repr(g)]
+                   for i, (s, g) in enumerate(zip(self.cd_surrogate, self.grad_norm))))
 
 
 def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarray):

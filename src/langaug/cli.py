@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import math
@@ -31,7 +30,7 @@ from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactE
                      NumericError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
 from .numerics import AdamHyper
-from .ldtn import read_meta
+from .ldtn import read_meta, write_csv, write_json
 from .pipeline import (generate_augmented, load_augmented, pool_provenance,
                        provenance_mismatch, save_augmented)
 from .segmenter import (SegTrainConfig, fit_and_score, leave_one_out_eval, loo_folds,
@@ -261,11 +260,8 @@ class Stage:
 
     def __init__(self, out_dir, name, config):
         self.dir = Path(out_dir) / name
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.inputs = {}
-        (self.dir / "config.resolved.json").write_text(
-            json.dumps(config, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_json(self.dir / "config.resolved.json", config)
         self._log = []
 
     def log(self, message):
@@ -280,9 +276,7 @@ class Stage:
         return path
 
     def finish(self):
-        (self.dir / "manifest.json").write_text(
-            json.dumps({"inputs": self.inputs}, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_json(self.dir / "manifest.json", {"inputs": self.inputs})
         (self.dir / "run.log").write_text("\n".join(self._log) + "\n", encoding="utf-8")
 
 
@@ -499,11 +493,8 @@ def _cmd_sweep(config, out_dir, jobs):
                        ("erm+langaug",), out_dir, stage)
         stage.log(f"{axis}={value} done")
         rows.append([axis, value, *erm, *means(results)])
-    with open(stage.dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "mean_dice_erm", "mean_iou_erm",
-                         "mean_dice_aug", "mean_iou_aug"])
-        writer.writerows(rows)
+    write_csv(stage.dir / "results.csv", ["axis", "value", "mean_dice_erm", "mean_iou_erm",
+                                          "mean_dice_aug", "mean_iou_aug"], rows)
     stage.finish()
     return 0
 
@@ -525,12 +516,10 @@ def _cmd_project(config, out_dir, jobs):
             rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),
                          int(aug.step_index[idx])))
     coords = pca_project(np.stack(vectors), out_dim=2)
-    with open(stage.dir / "coords.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "domain", "target", "step", "pc1", "pc2"])
-        for (kind, dom, tgt, step), xy in zip(rows, coords):
-            writer.writerow([kind, dom, tgt, step, repr(float(xy[0])),
-                             repr(float(xy[1])) if coords.shape[1] > 1 else repr(0.0)])
+    write_csv(stage.dir / "coords.csv", ["kind", "domain", "target", "step", "pc1", "pc2"],
+              ([kind, dom, tgt, step, repr(float(xy[0])),
+                repr(float(xy[1])) if coords.shape[1] > 1 else repr(0.0)]
+               for (kind, dom, tgt, step), xy in zip(rows, coords)))
     _write_centroid_report(rows, coords, stage.dir / "centroids.json")
     stage.finish()
     return 0
@@ -552,7 +541,7 @@ def _write_centroid_report(rows, coords, path):
             "dist_to_source": float(np.linalg.norm(centroid - src_centroids[i])),
             "dist_to_target": float(np.linalg.norm(centroid - src_centroids[j])),
         }
-    Path(path).write_text(json.dumps(out, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(path, out)
 
 
 _HANDLERS = {
@@ -576,6 +565,10 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
         return _HANDLERS[subcommand](config, out_dir, max(1, int(jobs)))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"config error: the configured sizes need more memory than is available ({err})",
+              file=sys.stderr)
         return 2
     except (MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError) as err:
         print(f"missing or unusable artifact: {err}", file=sys.stderr)

@@ -186,7 +186,6 @@ def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):
 
 def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
     base = Path(basename)
-    base.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(f"{base}.ldtn", params.theta)
     meta = {"arch": asdict(params.arch)}
     if pair is not None:

@@ -1,6 +1,7 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ConfigError -> 2; a missing or
+The CLI maps these onto exit codes: ConfigError and MemoryError (configured
+sizes beyond the memory available) -> 2; a missing or
 unusable upstream artifact (MissingArtifactError, DimensionError,
 TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
 subclass DivergenceError) -> 4; LeakageError (held-out domain leaked into a
@@ -21,12 +22,12 @@ class NumericError(ArithmeticError):
 
 
 class DivergenceError(NumericError):
-    """A sampling chain or training loop left the finite range."""
+    """A sampling chain or training loop left the finite range (``chains``: the batch rows that did)."""
 
-    def __init__(self, message, step=None, value=None):
+    def __init__(self, message, step=None, chains=None):
         super().__init__(message)
         self.step = step
-        self.value = value
+        self.chains = chains
 
 
 class LeakageError(RuntimeError):

@@ -98,10 +98,9 @@ def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig
         if config.channel_replace is not None or config.clamp_unit:
             x = _apply_hook(x, x0, config)
         if not np.all(np.isfinite(x)):
-            bad = np.where(~np.all(np.isfinite(x.reshape(x.shape[0], -1)), axis=1))[0]
-            raise DivergenceError(
-                f"batched chain diverged at step {t} (chains {bad.tolist()})", step=t
-            )
+            bad = np.where(~np.all(np.isfinite(x.reshape(x.shape[0], -1)), axis=1))[0].tolist()
+            raise DivergenceError(f"batched chain diverged at step {t} (chains {bad})",
+                                  step=t, chains=bad)
         if t in keep:
             stored[t] = x.copy()
     return x, stored

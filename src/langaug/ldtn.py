@@ -4,9 +4,13 @@ Layout: magic ``4C 44 54 4E`` ("LDTN"), version byte (1), dtype byte
 (0 = float32, 1 = float64), ndim byte, one reserved byte, then ndim
 little-endian uint64 dims, then the row-major little-endian payload.
 Metadata rides in a sidecar ``<basename>.meta.json``.
+
+This module also holds the one JSON writer and the one CSV writer, so every
+artifact's bytes are decided here. Each writer creates the parent directory.
 """
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -21,13 +25,19 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
+def _with_parent(path) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_tensor(path, array: np.ndarray) -> None:
     array = np.asarray(array)
     if array.dtype not in _DTYPE_CODES:
         array = array.astype(np.float64)
     code = _DTYPE_CODES[array.dtype]
     payload = np.ascontiguousarray(array).astype(_DTYPES[code]).tobytes()
-    with open(path, "wb") as fh:
+    with open(_with_parent(path), "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION, code, array.ndim, 0]))
         for d in array.shape:
@@ -62,9 +72,22 @@ def read_tensor(path) -> np.ndarray:
     return arr.reshape(dims).copy()
 
 
+def write_json(path, obj) -> None:
+    """``obj`` as UTF-8 JSON with sorted keys, a two-space indent and no trailing newline."""
+    _with_parent(path).write_text(json.dumps(obj, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """The ``header`` row, then ``rows``, UTF-8 in the csv module's default dialect
+    (``\\r\\n`` row ends). Callers format their own values."""
+    with open(_with_parent(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_meta(basename, meta: dict) -> None:
-    path = Path(str(basename) + ".meta.json")
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(str(basename) + ".meta.json", meta)
 
 
 def read_meta(basename) -> dict:

@@ -138,7 +138,7 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
     stored_steps = config.stored_steps()
     for i, j in pairs:
         params = ebms[(i, j)]
-        train_idx = dataset.split[i]["train"]
+        train_idx = np.asarray(dataset.split[i]["train"], dtype=np.int64)
         x0 = dataset.images[i][train_idx]
         m0 = dataset.masks[i][train_idx]
         if x0.shape[0] == 0:
@@ -148,33 +148,27 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
             .standard_normal((config.n_steps,) + x0.shape[1:])
             for s in train_idx
         ], axis=1)  # (K, n_i, C, H, W)
-        try:
-            _, stored = run_chain_batch(x0, params, config, noise)
-        except DivergenceError:
-            # Fall back to per-chain execution so healthy chains survive.
-            stored = {t: [] for t in stored_steps}
-            keep_rows = []
-            for row in range(x0.shape[0]):
-                try:
-                    _, one = run_chain_batch(x0[row:row + 1], params, config, noise[:, row:row + 1])
-                except DivergenceError:
-                    skipped += 1
-                    continue
-                keep_rows.append(row)
-                for t in stored_steps:
-                    stored[t].append(one[t][0])
-            stored = {t: np.stack(v) if v else np.empty((0,) + x0.shape[1:])
-                      for t, v in stored.items()}
-            x0 = x0[keep_rows]
-            m0 = m0[keep_rows]
-            train_idx = [train_idx[r] for r in keep_rows]
+        n_chains = x0.shape[0]
+        while True:
+            # chains do not interact, so the batch without the diverged ones
+            # gives the survivors the bits they would have had alone
+            try:
+                _, stored = run_chain_batch(x0, params, config, noise)
+                break
+            except DivergenceError as err:
+                keep = np.setdiff1d(np.arange(x0.shape[0]), err.chains)
+                if keep.size == 0:
+                    raise DivergenceError(f"pair ({i}, {j}): all {n_chains} chains diverged, "
+                                          f"the last at step {err.step}", step=err.step) from err
+                skipped += x0.shape[0] - keep.size
+                x0, m0, train_idx, noise = x0[keep], m0[keep], train_idx[keep], noise[:, keep]
         for t in stored_steps:
             images.append(stored[t])
             masks.append(m0)
             src_tag.append(np.full(x0.shape[0], i, dtype=np.int64))
             tgt_tag.append(np.full(x0.shape[0], j, dtype=np.int64))
             step_tag.append(np.full(x0.shape[0], t, dtype=np.int64))
-            origin_tag.append(np.asarray(train_idx, dtype=np.int64))
+            origin_tag.append(train_idx)
 
     return AugmentedDataset(
         images=np.concatenate(images),
@@ -229,7 +223,6 @@ def assemble_training_stream(n_src: int, n_aug: int, mix_ratio: float, seed: int
 
 def save_augmented(aug: AugmentedDataset, basename) -> None:
     base = Path(basename)
-    base.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(f"{base}.images.ldtn", aug.images)
     write_tensor(f"{base}.masks.ldtn", aug.masks)
     write_tensor(f"{base}.tags.ldtn", np.stack([

@@ -14,13 +14,12 @@ run in float64.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LeakageError, NumericError
+from .ldtn import write_csv
 from .nets import (count_params, init_params, join_params, sigmoid, split_params,
                    swish_conv_backward, swish_conv_forward)
 from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
@@ -267,9 +266,6 @@ def leave_one_out_eval(dataset: MultiDomainDataset, pool: AugmentedDataset | Non
 
 
 def write_results_csv(results: list[EvalResult], path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "method", "seed", "mean_dice", "mean_iou"])
-        for r in sorted(results, key=lambda r: (r.fold, r.method, r.seed)):
-            writer.writerow([r.fold, r.method, r.seed, repr(r.mean_dice), repr(r.mean_iou)])
+    write_csv(path, ["fold", "method", "seed", "mean_dice", "mean_iou"],
+              ([r.fold, r.method, r.seed, repr(r.mean_dice), repr(r.mean_iou)]
+               for r in sorted(results, key=lambda r: (r.fold, r.method, r.seed))))

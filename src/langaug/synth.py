@@ -233,7 +233,6 @@ def save_dataset(dataset: MultiDomainDataset, basename) -> None:
     if not isinstance(dataset, MultiDomainDataset):
         raise ConfigError(f"cannot save object of type {type(dataset).__name__}")
     base = Path(basename)
-    base.parent.mkdir(parents=True, exist_ok=True)
     for d in range(dataset.n_domains):
         write_tensor(f"{base}.d{d}.images.ldtn", dataset.images[d])
         write_tensor(f"{base}.d{d}.masks.ldtn", dataset.masks[d])

@@ -14,15 +14,13 @@ astronomically large draw budget at the smallest step sizes.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .ldtn import write_csv, write_json
 from .numerics import derive_stream
 from .synth import GlmVectorDataset
 
@@ -175,19 +173,14 @@ class TheoryReport:
     bound_value: float | None = None
 
     def write_csv(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "l_std", "l_aug", "mc_stderr", "R1", "R2", "R3",
-                             "R_glm", "rem_gen", "rem_glm"])
-            for r in self.rows:
-                writer.writerow([repr(r.beta), repr(r.l_std), repr(r.l_aug_mc),
-                                 repr(r.mc_stderr), repr(r.r1), repr(r.r2), repr(r.r3),
-                                 repr(r.r_glm), repr(r.rem_gen), repr(r.rem_glm)])
+        write_csv(path, ["beta", "l_std", "l_aug", "mc_stderr", "R1", "R2", "R3", "R_glm",
+                         "rem_gen", "rem_glm"],
+                  ([repr(r.beta), repr(r.l_std), repr(r.l_aug_mc), repr(r.mc_stderr),
+                    repr(r.r1), repr(r.r2), repr(r.r3), repr(r.r_glm), repr(r.rem_gen),
+                    repr(r.rem_glm)] for r in self.rows))
 
     def write_summary_json(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        write_json(path, {
             "status": self.status,
             "slope": self.slope,
             "slope_wrong_factor": self.slope_wrong_factor,
@@ -199,8 +192,7 @@ class TheoryReport:
             ],
             "bound_inputs": self.bound_inputs,
             "bound_value": self.bound_value,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+        })
 
 
 def _column_blocks(m: int, width: int = _SCAN_BLOCK):

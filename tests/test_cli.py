@@ -205,6 +205,31 @@ class TestExitCodes:
             assert run("augment", config, out) == 4
         assert "non-finite energy" in capsys.readouterr().err
 
+    def test_pair_with_every_chain_diverged_exit_4(self, tmp_path, capsys):
+        # a step of 1e200 sends every iterate past the float range at step 1,
+        # before the energy overflows; an empty pool used to exit 0
+        data = {"n_domains": 3, "n_per_domain": 8, "image_size": 16, "train_frac": 0.5}
+        config = write_config(tmp_path / "c.json", data=data, langevin={
+            "step_size": 1e200, "n_steps": 6, "store_stride": 2, "store_offset": 2})
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        assert run("train-ebms", config, out) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("augment", config, out) == 4
+        err = capsys.readouterr().err
+        assert "pair (0, 1): all 4 chains diverged" in err and "step 1" in err
+        assert not (out / "aug" / "augmented.meta.json").exists()
+
+    def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys):
+        # a (10**14, 2) float64 rotation lies beyond the 47-bit address space,
+        # so its allocation fails without touching memory
+        config = json.loads((THEORY_CONFIGS / "theory_bound.json").read_text())
+        config["theory"]["ambient_dims"] = [2, 10**14]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert run("verify-theory", path, tmp_path / "out") == 2
+        assert "need more memory than is available" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):

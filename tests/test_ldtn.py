@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langaug.errors import TensorFormatError, TensorPayloadError
-from langaug.ldtn import read_tensor, write_tensor
+from langaug.ldtn import read_meta, read_tensor, write_csv, write_json, write_meta, write_tensor
 
 
 @given(st.lists(st.integers(1, 5), min_size=0, max_size=4), st.sampled_from([np.float32, np.float64]))
@@ -75,3 +75,33 @@ def test_dims_payload_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(TensorPayloadError, match="payload"):
         read_tensor(path)
+
+
+def test_writers_create_the_parent_directory(tmp_path):
+    write_tensor(tmp_path / "a" / "t.ldtn", np.zeros(2))
+    write_json(tmp_path / "b" / "c" / "d.json", {})
+    write_csv(tmp_path / "e" / "f.csv", ["x"], [])
+    write_meta(tmp_path / "g" / "h", {"k": 1})
+    assert read_tensor(tmp_path / "a" / "t.ldtn").shape == (2,)
+    assert (tmp_path / "b" / "c" / "d.json").read_bytes() == b"{}"
+    assert (tmp_path / "e" / "f.csv").read_bytes() == b"x\r\n"
+    assert read_meta(tmp_path / "g" / "h") == {"k": 1}
+
+
+def test_json_format(tmp_path):
+    # sorted keys at every depth, a two-space indent, no trailing newline
+    write_json(tmp_path / "d.json", {"b": [1, 0.5], "a": {"z": None, "y": "s"}})
+    assert (tmp_path / "d.json").read_bytes() == (
+        b'{\n  "a": {\n    "y": "s",\n    "z": null\n  },\n'
+        b'  "b": [\n    1,\n    0.5\n  ]\n}')
+    write_meta(tmp_path / "m", {"b": 1, "a": 2})
+    assert (tmp_path / "m.meta.json").read_bytes() == b'{\n  "a": 2,\n  "b": 1\n}'
+
+
+def test_csv_format(tmp_path):
+    # the header row first, then the rows as given, each ended by \r\n;
+    # values are written as the caller formatted them
+    write_csv(tmp_path / "t.csv", ["fold", "dice"],
+              ([i, repr(v)] for i, v in enumerate([0.1, 1 / 3])))
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"fold,dice\r\n0,0.1\r\n1,0.3333333333333333\r\n")

@@ -5,12 +5,13 @@ import pytest
 
 from langaug.cdtrain import ordered_pairs
 from langaug.energy import EnergyArch, EnergyParams
-from langaug.errors import ConfigError
+from langaug.errors import ConfigError, DivergenceError
 from langaug.langevin import LangevinConfig, run_chain_batch
 from langaug.numerics import derive_stream
 from langaug.pipeline import (assemble_training_stream, generate_augmented,
                               load_augmented, pool_provenance, provenance_mismatch,
                               save_augmented)
+from langaug import pipeline
 from langaug.synth import generate_benchmark
 
 
@@ -126,6 +127,33 @@ class TestGenerateAugmented:
                 pick = (aug.source_domain == i) & (aug.target_domain == j) & (aug.step_index == t)
                 assert aug.origin_index[pick].tolist() == rows
                 assert aug.images[pick].tobytes() == stored[t].tobytes()
+
+    def test_chains_diverging_at_later_steps_dropped_batch_by_batch(self, monkeypatch):
+        # as above, 1e307 overflows near step 16 and 1e306 near step 28: the
+        # pair (0, 1) runs three batches of 3, 2 and 1 chains; once every
+        # chain is gone the pair raises, naming itself and its chain count
+        ds = generate_benchmark(2, 6, 8, seed=23, train_frac=0.5)
+        train = [int(s) for s in ds.split[0]["train"]]
+        ds.images[0][train[0]] = 1e307
+        ds.images[0][train[2]] = 1e306
+        arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
+        ebms = {pair: EnergyParams(arch, np.zeros(arch.input_dim)) for pair in ordered_pairs(2)}
+        config = LangevinConfig(step_size=2.1, n_steps=40, store_stride=10, store_offset=10)
+        batches = []
+
+        def counted(x0, *args):
+            batches.append(x0.shape[0])
+            return run_chain_batch(x0, *args)
+
+        monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+        aug = generate_augmented(ds, ebms, config, base_seed=5, domains=[0, 1])
+        assert batches == [3, 2, 1, 3]
+        assert aug.skipped_chains == 2
+        pick = aug.source_domain == 0
+        assert sorted(set(aug.origin_index[pick].tolist())) == [train[1]]
+        ds.images[0][train[1]] = 1e307
+        with pytest.raises(DivergenceError, match=r"pair \(0, 1\): all 3 chains diverged"):
+            generate_augmented(ds, ebms, config, base_seed=5)
 
     def test_fold_slice_equals_fold_pool(self):
         ds = generate_benchmark(4, 6, 8, seed=22, train_frac=0.5)
