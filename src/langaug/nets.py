@@ -11,9 +11,18 @@ Each convolution is lowered to one 2-D matrix product (Chellapilla et al.
 offset, and multiplied by the (C_out, C_in * 9) weight matrix. The
 forward returns that matrix and the backward reuses it for the weight
 gradient, so each input is unfolded once. The input gradient multiplies
-by the transposed weights and scatters the result back onto the padded
-input with nine strided adds. ``want_dw=False`` skips the weight gradient
-(Langevin sampling), ``want_dx=False`` the input gradient (training).
+by the transposed weights and folds the products back with one flat
+shifted add per kernel offset: under same padding the input splits into
+stride x stride phase planes, and an offset sends every output pixel to
+one phase plane, one constant flat index further on once all image
+planes are laid end to end. Products that the shift would wrap into a
+neighbouring row or image plane are zeroed first. Every input pixel then
+sums the same products in the same offset order, plus exact zeros, as
+nine adds into strided windows of the padded input would, so it gets the
+same bits; a plain 1-D add runs several times faster than an add into
+such a window, which numpy walks one short row at a time.
+``want_dw=False`` skips the weight and bias gradients (Langevin sampling),
+``want_dx=False`` the input gradient (training).
 
 Both networks (the energy net's conv branch and the segmenter) are a body
 of conv + swish layers, ``swish_conv_forward`` / ``swish_conv_backward``,
@@ -24,6 +33,7 @@ gradients) back, and ``init_params`` draws a fresh theta.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,19 +58,15 @@ def conv_out_size(size: int, stride: int, pad: int = 1, kernel: int = 3) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _offset_views(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
-    """The (N, C, ho, wo) strided view of xp under each kernel offset (u, v)."""
-    for u in range(kh):
-        for v in range(kw):
-            yield xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-
-
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Unfold xp into the (C * kh * kw, N * ho * wo) im2col matrix."""
     n, c = xp.shape[:2]
-    cols = np.empty((c, kh * kw, n, ho, wo), dtype=xp.dtype)
-    for k, xs in enumerate(_offset_views(xp, kh, kw, stride, ho, wo)):
-        cols[:, k] = xs.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            # the (N, C, ho, wo) strided view of xp under kernel offset (u, v)
+            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            cols[:, u, v] = xs.transpose(1, 0, 2, 3)
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
@@ -78,23 +84,74 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad
     return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp, cols
 
 
+@functools.lru_cache(maxsize=None)
+def _taps(kh: int, kw: int, stride: int, ho: int, wo: int, pad: int = 1):
+    """The input gradient's shifted adds: ((k, p, q, d), ...), row wraps, column wraps.
+
+    Under same padding (3x3, pad 1) ho = ceil(h / stride), so the input
+    splits into stride x stride phase planes of ho x wo pixels; plane
+    (p, q) holds the rows r with r % stride == p and the columns likewise.
+    With (di, p) = divmod(u - pad, stride) and (dj, q) = divmod(v - pad,
+    stride), kernel offset k = (u, v) sends output pixel m = i * wo + j to
+    pixel m + d, d = di * wo + dj, of phase plane (p, q). Where i + di or
+    j + dj leaves the plane, m + d lands in a neighbouring row or image
+    plane instead: the wrap lists give, per kernel row u and column v, the
+    output rows and columns whose products are zeroed first.
+    """
+    taps = []
+    for u in range(kh):
+        di, p = divmod(u - pad, stride)
+        for v in range(kw):
+            dj, q = divmod(v - pad, stride)
+            taps.append((u * kw + v, p, q, di * wo + dj))
+
+    def wraps(kernel, size):
+        wrapped = []
+        for t in range(kernel):
+            shift = (t - pad) // stride
+            if shift:
+                wrapped.append((t, slice(0, -shift) if shift < 0 else slice(size - shift, size)))
+        return tuple(wrapped)
+
+    return tuple(taps), wraps(kh, ho), wraps(kw, wo)
+
+
 def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, pad: int = 1,
                     *, cols: np.ndarray, want_dw: bool = True, want_dx: bool = True):
-    """(dx, dw, db) from conv2d_forward's xp and cols; dx, dw None unless wanted."""
+    """(dx, dw, db) from conv2d_forward's xp and cols; dx, and dw with db, None unless wanted."""
     n, o, ho, wo = dy.shape
     _, c, kh, kw = w.shape
     dy_mat = dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-    dw = (dy_mat @ cols.T).reshape(w.shape) if want_dw else None
-    db = dy.sum(axis=(0, 2, 3))
+    # (cols @ dy_mat.T).T has the bits of dy_mat @ cols.T and is faster at C_out < C_in * 9
+    dw = (cols @ dy_mat.T).T.reshape(w.shape) if want_dw else None
+    db = dy.sum(axis=(0, 2, 3)) if want_dw else None
     if not want_dx:
         return None, dw, db
-    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, kh * kw, n, ho, wo)
-    dxp = np.zeros_like(xp)
-    for k, dxs in enumerate(_offset_views(dxp, kh, kw, stride, ho, wo)):
-        dxs += dcols[:, k].transpose(1, 0, 2, 3)
+    taps, row_wraps, col_wraps = _taps(kh, kw, stride, ho, wo, pad)
+    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, kh, kw, n, ho, wo)
+    for u, rows in row_wraps:
+        dcols[:, u, :, :, rows] = 0.0
+    for v, columns in col_wraps:
+        dcols[:, :, v, :, :, columns] = 0.0
+    dcols = dcols.reshape(c, kh * kw, n * ho * wo)
+    size = c * n * ho * wo
+    # the phase planes, image planes laid end to end in dcols' (C, N) order
+    planes = np.zeros((stride, stride, size), dtype=dcols.dtype)
+    for k, p, q, d in taps:
+        lo, hi = max(0, -d), size - max(0, d)
+        # one offset's products as a flat run, a copy unless C == 1; at the
+        # segmenter's 8->8 layer nine such copies beat one offset-major copy
+        # of all of dcols by about 3x
+        planes[p, q, lo + d:hi + d] += dcols[:, k].ravel()[lo:hi]
     h = xp.shape[2] - 2 * pad
     wd = xp.shape[3] - 2 * pad
-    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+    dx = np.empty((n, c, h, wd), dtype=dcols.dtype)
+    for p in range(stride):
+        for q in range(stride):
+            plane = planes[p, q].reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
+            dx[:, :, p::stride, q::stride] = plane[:, :, :len(range(p, h, stride)),
+                                                   :len(range(q, wd, stride))]
+    return dx, dw, db
 
 
 def swish_conv_forward(x: np.ndarray, layers, stride: int):
@@ -112,7 +169,7 @@ def swish_conv_backward(da: np.ndarray, layers, cache, stride: int, want_dw: boo
                         want_dx: bool):
     """Gradients for swish_conv_forward from the output gradient ``da``.
 
-    Returns (dx, grads); grads lists (dw, db) in layer order, dw None unless
+    Returns (dx, grads); grads lists (dw, db) in layer order, both None unless
     want_dw, and dx is None unless want_dx. ``cache`` is emptied from the last
     layer back, so each layer's im2col matrix is freed once its dw exists.
     """
