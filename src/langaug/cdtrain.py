@@ -29,7 +29,6 @@ class CdConfig:
     ld: LangevinConfig = field(default_factory=lambda: LangevinConfig(step_size=0.1, n_steps=15))
     adam: AdamHyper = field(default_factory=AdamHyper)
     base_seed: int = 0
-    checkpoint_every: int | None = None
 
     def __post_init__(self):
         if self.n_iters < 0:
@@ -67,7 +66,7 @@ def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarr
 
 
 def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
-              config: CdConfig, checkpoint_dir=None) -> tuple[EnergyParams, TrainTrace]:
+              config: CdConfig) -> tuple[EnergyParams, TrainTrace]:
     """Train the (i -> j) bridge model. dataset_* are sample stacks (n, ...)."""
     dataset_i = np.asarray(dataset_i, dtype=np.float64)
     dataset_j = np.asarray(dataset_j, dtype=np.float64)
@@ -98,9 +97,6 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
         params = EnergyParams(arch=arch, theta=theta)
         trace.cd_surrogate.append(surrogate)
         trace.grad_norm.append(float(np.linalg.norm(grad)))
-        if (checkpoint_dir is not None and config.checkpoint_every
-                and (it + 1) % config.checkpoint_every == 0):
-            save_energy_params(params, Path(checkpoint_dir) / f"ckpt_{it + 1:06d}")
     return params, trace
 
 
@@ -113,8 +109,8 @@ def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: 
     """One trained model per ordered domain pair; n domains give n(n-1).
 
     Each pair trains from its own base seed, so ``jobs`` worker threads give
-    the same models as one. ``out_dir`` receives ``ebm_{i}_{j}``,
-    ``trace_{i}_{j}.csv`` and, with ``checkpoint_every``, ``ckpt_{i}_{j}/``.
+    the same models as one. ``out_dir`` receives ``ebm_{i}_{j}`` and
+    ``trace_{i}_{j}.csv``.
     """
     n = len(domain_samples)
     if n < 2:
@@ -124,10 +120,8 @@ def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: 
     def train_pair(pair):
         i, j = pair
         pair_config = replace(config, base_seed=config.base_seed + 7919 * (i * n + j) + 1)
-        ckpt_dir = None if out_dir is None else Path(out_dir) / f"ckpt_{i}_{j}"
         try:
-            return train_ebm(domain_samples[i], domain_samples[j], arch, pair_config,
-                             checkpoint_dir=ckpt_dir)
+            return train_ebm(domain_samples[i], domain_samples[j], arch, pair_config)
         except (ConfigError, DivergenceError) as err:
             raise type(err)(f"pair ({i}, {j}): {err}") from err
 

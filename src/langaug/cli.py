@@ -70,16 +70,14 @@ SCHEMA = {
                                     | {"domain_id": Leaf(_REQUIRED, int, 0)}])),
     },
     "ebm": {
-        "kind": Leaf("conv", ("conv", "mlp", "quadratic")),
+        "kind": Leaf("conv", "conv"),
         "conv_blocks": Leaf(2, int, 1, MAX_CONV_BLOCKS),
-        "hidden_width": Leaf(64, int, 1),
         "cd": {
             "n_iters": Leaf(150, int, 0),
             "batch_size": Leaf(8, int, 1),
             "step_size": Leaf(0.1, float, 0),
             "n_steps": Leaf(15, int, 1),
             "lr": Leaf(0.001, float, 0, exclusive=True),
-            "checkpoint_every": Leaf(None, (None, int), 1),
         },
     },
     "langevin": {  # LangevinConfig's fields; "auto" replaces channel 0 on multi-channel data
@@ -238,15 +236,14 @@ def _arch_from_config(config, dataset) -> EnergyArch:
     ebm = config["ebm"]
     channels, size = dataset.images[0].shape[1:3]
     return EnergyArch(kind=ebm["kind"], input_shape=(channels, size, size),
-                      conv_blocks=ebm["conv_blocks"], hidden_width=ebm["hidden_width"])
+                      conv_blocks=ebm["conv_blocks"])
 
 
 def _cd_from_config(config) -> CdConfig:
     cd = config["ebm"]["cd"]
     return CdConfig(n_iters=cd["n_iters"], batch_size=cd["batch_size"],
                     ld=LangevinConfig(step_size=cd["step_size"], n_steps=cd["n_steps"]),
-                    adam=AdamHyper(lr=cd["lr"]), base_seed=config["base_seed"],
-                    checkpoint_every=cd["checkpoint_every"])
+                    adam=AdamHyper(lr=cd["lr"]), base_seed=config["base_seed"])
 
 
 def _seg_config(config) -> SegTrainConfig:

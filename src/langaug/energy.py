@@ -1,10 +1,10 @@
 """Parametric energy functions with exact input and parameter gradients.
 
-Three architectures:
+Two architectures:
 
 * ``conv``: stride-2 3x3 convolution blocks (channels double from 8),
-  swish activations, dense scalar head — the image energy.
-* ``mlp``: two-layer perceptron for vector data.
+  swish activations, dense scalar head — the image energy, and the only
+  kind a config can name.
 * ``quadratic``: the diagnostic family E(x) = ||x - theta||^2 / 2, whose
   Langevin stationary law and contrastive-divergence optimum are known in
   closed form; it anchors the sampler and trainer tests.
@@ -15,15 +15,15 @@ and never evaluated; only E and its gradients are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError, TensorFormatError
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
-from .nets import (conv_out_size, count_params, init_params, join_params, sigmoid,
-                   split_params, swish_conv_backward, swish_conv_forward, swish_grad)
+from .nets import (conv_out_size, count_params, init_params, join_params, split_params,
+                   swish_conv_backward, swish_conv_forward)
 from .numerics import derive_stream
 
 _BASE_CHANNELS = 8
@@ -32,14 +32,13 @@ MAX_CONV_BLOCKS = 7
 
 @dataclass(frozen=True)
 class EnergyArch:
-    kind: str                      # "conv" | "mlp" | "quadratic"
+    kind: str                      # "conv" | "quadratic"
     input_shape: tuple
     conv_blocks: int = 4
-    hidden_width: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        if self.kind not in ("conv", "mlp", "quadratic"):
+        if self.kind not in ("conv", "quadratic"):
             raise ConfigError(f"unknown energy arch kind {self.kind!r}")
         if self.kind == "conv":
             if len(self.input_shape) != 3:
@@ -51,8 +50,6 @@ class EnergyArch:
                 h, w = conv_out_size(h, 2), conv_out_size(w, 2)
                 if h < 1 or w < 1:
                     raise ConfigError("spatial size collapsed below 1 pixel")
-        if self.kind == "mlp" and self.hidden_width < 1:
-            raise ConfigError("hidden_width must be positive")
 
     @property
     def input_dim(self) -> int:
@@ -71,9 +68,6 @@ class EnergyArch:
         """The theta layout as (weight, bias) shape pairs; the quadratic centre has none."""
         if self.kind == "quadratic":
             return []
-        if self.kind == "mlp":
-            d, h = self.input_dim, self.hidden_width
-            return [((h, d), (h,)), ((h,), ())]
         _, h, w = self.input_shape
         layers = []
         for c_in, c_out in self.block_channels():
@@ -124,13 +118,6 @@ def _forward_batch(params: EnergyParams, X: np.ndarray):
         return 0.5 * np.sum(diff * diff, axis=1), {"diff": diff}
     layers = split_params(theta, arch.shapes())
     *body, (w_head, b_head) = layers
-    if arch.kind == "mlp":
-        (w1, b1), = body
-        xf = X.reshape(n, -1)
-        z1 = xf @ w1.T + b1
-        s1 = sigmoid(z1)
-        flat = z1 * s1
-        return flat @ w_head + b_head, dict(layers=layers, xf=xf, z1=z1, s1=s1, flat=flat)
     a, body_cache = swish_conv_forward(X, body, stride=2)
     flat = a.reshape(n, -1)
     e = flat @ w_head + b_head
@@ -152,15 +139,9 @@ def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_param
         dtheta = -(diff * seed[:, None]).sum(axis=0) if want_params else None
         return dx, dtheta
     *body, (w_head, _) = cache["layers"]
-    if arch.kind == "mlp":
-        (w1, _), = body
-        dz1 = seed[:, None] * w_head * swish_grad(cache["z1"], cache["s1"])
-        dx = (dz1 @ w1).reshape(X.shape) if want_input else None
-        grads = [(dz1.T @ cache["xf"], dz1.sum(axis=0))] if want_params else []
-    else:
-        da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
-        dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params,
-                                        want_dx=want_input)
+    da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
+    dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params,
+                                    want_dx=want_input)
     if not want_params:
         return dx, None
     grads.append((cache["flat"].T @ seed, seed.sum()))
@@ -194,8 +175,21 @@ def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
 
 
 def load_energy_params(basename) -> tuple[EnergyParams, dict]:
+    """The model saved at ``basename``; a sidecar whose ``arch`` does not spell out exactly
+    EnergyArch's fields, with values it accepts, raises TensorFormatError."""
     base = Path(basename)
     meta = read_meta(base)
-    arch = EnergyArch(**meta["arch"])
+    sidecar = f"{base}.meta.json"
+    spec = meta.get("arch") if isinstance(meta, dict) else None
+    if not isinstance(spec, dict):
+        raise TensorFormatError(f"{sidecar}: no \"arch\" object; rerun train-ebms")
+    wrong = sorted(set(spec) ^ {f.name for f in fields(EnergyArch)})
+    if wrong:
+        state = "unknown" if wrong[0] in spec else "missing"
+        raise TensorFormatError(f"{sidecar}: {state} arch key {wrong[0]!r}; rerun train-ebms")
+    try:
+        arch = EnergyArch(**spec)
+    except (TypeError, ValueError) as err:  # ConfigError is a ValueError
+        raise TensorFormatError(f"{sidecar}: unusable arch ({err}); rerun train-ebms") from err
     theta = read_tensor(f"{base}.ldtn")
     return EnergyParams(arch=arch, theta=theta), meta

@@ -1,11 +1,11 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: ConfigError and MemoryError (configured
-sizes beyond the memory available) -> 2; a missing or
-unusable upstream artifact (MissingArtifactError, DimensionError,
-TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
-subclass DivergenceError) -> 4; LeakageError (held-out domain leaked into a
-training fold) -> 5.
+sizes beyond the memory available) -> 2; a missing or unusable upstream
+artifact, such as an ebm sidecar no model can be built from
+(MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError)
+-> 3; NumericError (including its subclass DivergenceError) -> 4;
+LeakageError (held-out domain leaked into a training fold) -> 5.
 """
 
 
@@ -39,7 +39,8 @@ class MissingArtifactError(FileNotFoundError):
 
 
 class TensorFormatError(ValueError):
-    """Tensor file header is malformed (magic, version, or dtype byte) or sidecar not JSON."""
+    """Tensor file header is malformed (magic, version, or dtype byte), or a sidecar is not
+    JSON or unusable (an ebm sidecar whose arch has an unknown, missing or invalid field)."""
 
 
 class TensorPayloadError(IOError):

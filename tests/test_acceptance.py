@@ -54,7 +54,6 @@ class TestCriterion1GradientFidelity:
     def test_energy_and_segmenter_gradients(self):
         t0 = time.time()
         archs = [
-            EnergyArch(kind="mlp", input_shape=(8,), hidden_width=16),
             EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1),
             EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=4),
             EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=7),
@@ -99,7 +98,7 @@ class TestCriterion1GradientFidelity:
             assert worst <= 1e-4
         report(1, worst <= 1e-4,
                f"gradient fidelity: worst rel err {worst:.2e} <= 1e-4 "
-               f"(4 energy archs + segmenter loss x 100 configs, {time.time()-t0:.0f}s)")
+               f"(3 energy archs + segmenter loss x 100 configs, {time.time()-t0:.0f}s)")
 
 
 def run_stationarity(base_seed=7):

@@ -17,16 +17,18 @@ def quad_arch():
     return EnergyArch(kind="quadratic", input_shape=(1,))
 
 
+def small_conv_arch():
+    return EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1)
+
+
 class TestCdGradient:
     def test_identical_batches_give_zero(self):
-        arch = EnergyArch(kind="mlp", input_shape=(3,), hidden_width=4)
-        params = init_energy_params(arch, 1)
-        batch = derive_stream(2, [("b", 0)]).standard_normal((6, 3))
+        params = init_energy_params(small_conv_arch(), 1)
+        batch = derive_stream(2, [("b", 0)]).standard_normal((6, 1, 8, 8))
         grad, _ = cd_gradient(params, batch, batch)
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_linear_energy_gradient_is_mean_difference(self):
-        # E_theta(x) = theta . x via an mlp in its linear regime is awkward;
         # the quadratic family gives d/dtheta = -(x - theta), so the CD
         # gradient is mean(neg) - mean(pos)
         params = EnergyParams(quad_arch(), np.array([0.7]))
@@ -36,11 +38,11 @@ class TestCdGradient:
         assert grad[0] == pytest.approx(neg.mean() - pos.mean())
 
     def test_matches_finite_differences_of_surrogate(self):
-        arch = EnergyArch(kind="mlp", input_shape=(4,), hidden_width=6)
+        arch = small_conv_arch()
         base = init_energy_params(arch, 3)
         theta = base.theta + 0.3 * derive_stream(4, [("j", 0)]).standard_normal(arch.param_count)
-        pos = derive_stream(5, [("p", 0)]).standard_normal((5, 4))
-        neg = derive_stream(6, [("n", 0)]).standard_normal((8, 4))
+        pos = derive_stream(5, [("p", 0)]).standard_normal((5, 1, 8, 8))
+        neg = derive_stream(6, [("n", 0)]).standard_normal((8, 1, 8, 8))
 
         def surrogate(t):
             p = EnergyParams(arch, t)
@@ -53,11 +55,10 @@ class TestCdGradient:
         assert relative_error(analytic[coords], fd) < 1e-4
 
     def test_concatenation_linearity(self):
-        arch = EnergyArch(kind="mlp", input_shape=(3,), hidden_width=4)
-        params = init_energy_params(arch, 8)
-        a = derive_stream(9, [("a", 0)]).standard_normal((4, 3))
-        b = derive_stream(10, [("b", 0)]).standard_normal((6, 3))
-        neg = derive_stream(11, [("n", 0)]).standard_normal((5, 3))
+        params = init_energy_params(small_conv_arch(), 8)
+        a = derive_stream(9, [("a", 0)]).standard_normal((4, 1, 8, 8))
+        b = derive_stream(10, [("b", 0)]).standard_normal((6, 1, 8, 8))
+        neg = derive_stream(11, [("n", 0)]).standard_normal((5, 1, 8, 8))
         combined, _ = cd_gradient(params, np.concatenate([a, b]), neg)
         weighted = (4 * cd_gradient(params, a, neg)[0] + 6 * cd_gradient(params, b, neg)[0]) / 10
         assert np.allclose(combined, weighted, atol=1e-12)
@@ -70,10 +71,10 @@ class TestCdGradient:
 
 class TestTrainEbm:
     def test_zero_iters_returns_initialization(self):
-        arch = EnergyArch(kind="mlp", input_shape=(2,), hidden_width=4)
+        arch = small_conv_arch()
         config = CdConfig(n_iters=0, batch_size=2, ld=LangevinConfig(step_size=0.1, n_steps=5),
                           base_seed=17)
-        data = derive_stream(0, [("d", 0)]).standard_normal((10, 2))
+        data = derive_stream(0, [("d", 0)]).standard_normal((10, 1, 8, 8))
         params, trace = train_ebm(data, data, arch, config)
         assert np.array_equal(params.theta, init_energy_params(arch, 17).theta)
         assert trace.cd_surrogate == []

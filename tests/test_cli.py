@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -607,17 +608,29 @@ def test_damaged_pool_metadata_exit_3(tmp_path, capsys, subcommand):
     assert "augmented.meta.json: metadata is not valid JSON" in capsys.readouterr().err
 
 
-def test_checkpoints_written_when_configured(tmp_path):
-    config = write_config(tmp_path / "c.json",
-                          data={"n_domains": 2, "n_per_domain": 4, "image_size": 8,
-                                "train_frac": 1.0},
-                          ebm={"conv_blocks": 1,
-                               "cd": {"n_iters": 4, "batch_size": 2, "n_steps": 2,
-                                      "checkpoint_every": 2}})
-    assert run("gen-data", config, tmp_path / "o") == 0
-    assert run("train-ebms", config, tmp_path / "o") == 0
-    assert (tmp_path / "o" / "ebms" / "ckpt_0_1" / "ckpt_000002.ldtn").exists()
-    assert (tmp_path / "o" / "ebms" / "ckpt_0_1" / "ckpt_000004.ldtn").exists()
+# a model trained while the mlp arch existed has hidden_width in its sidecar; the
+# other edits stand for a damaged file
+SIDECAR_DAMAGE = {
+    "extra hidden_width": (lambda meta: meta["arch"].update(hidden_width=64), "hidden_width"),
+    "kind mlp": (lambda meta: meta["arch"].update(kind="mlp"), "mlp"),
+    "no conv_blocks": (lambda meta: meta["arch"].pop("conv_blocks"), "conv_blocks"),
+    "no arch": (lambda meta: meta.pop("arch"), "arch"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_unusable_ebm_sidecar_exit_3_naming_it(out_dir, tmp_path, capsys, damage):
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms"):
+        shutil.copytree(out_dir / name, out / name)
+    sidecar = out / "ebms" / "ebm_0_1.meta.json"
+    meta = json.loads(sidecar.read_text())
+    edit, key = SIDECAR_DAMAGE[damage]
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    assert run("augment", out_dir / "c.json", out) == 3
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and key in err and "rerun train-ebms" in err
 
 
 class TestPca:

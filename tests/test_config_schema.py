@@ -93,6 +93,9 @@ REPROS = [
     # exit 2 that blamed the rho probes
     ("verify-theory", "theory.dim", 0),
     ("verify-theory", "theory.probe_count", 0),
+    # energy kinds that once trained; conv is the only one a config may name
+    ("train-ebms", "ebm.kind", "mlp"),
+    ("train-ebms", "ebm.kind", "quadratic"),
 ]
 
 

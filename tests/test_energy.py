@@ -21,23 +21,6 @@ def random_params(arch, seed, scale=0.4):
     return EnergyParams(arch, base.theta + scale * jitter)
 
 
-def straight_line_mlp(theta, x, hidden):
-    # independent re-evaluation of the layer math, no shared code
-    d = x.size
-    i = 0
-    w1 = theta[i:i + hidden * d].reshape(hidden, d); i += hidden * d
-    b1 = theta[i:i + hidden]; i += hidden
-    w2 = theta[i:i + hidden]; i += hidden
-    b2 = theta[i]
-    total = b2
-    for h in range(hidden):
-        z = b1[h]
-        for k in range(d):
-            z += w1[h, k] * x[k]
-        total += w2[h] * (z / (1.0 + np.exp(-z)))
-    return total
-
-
 def naive_conv(x, w, b, stride):
     # naive loop convolution, pad 1, over a batch (N, C, H, W); each
     # accumulator holds one output pixel of every sample
@@ -75,23 +58,20 @@ def straight_line_conv(theta, x, arch):
 
 
 class TestForward:
-    def test_zero_mlp_is_zero(self):
-        arch = EnergyArch(kind="mlp", input_shape=(5,), hidden_width=8)
+    def test_zero_conv_is_zero(self):
+        # a noise-only Langevin control runs the conv energy at theta = 0,
+        # which must give E = 0 and grad_x E = 0 with no rounding residue
+        arch = EnergyArch(kind="conv", input_shape=(1, 16, 16), conv_blocks=2)
         params = EnergyParams(arch, np.zeros(arch.param_count))
-        x = derive_stream(0, [("x", 0)]).standard_normal(5)
-        assert energy_of(params, x) == 0.0
+        batch = derive_stream(0, [("x", 0)]).standard_normal((5, 1, 16, 16))
+        energies, dx = energy_value_and_grad_input(params, batch)
+        assert np.all(energies == 0.0)
+        assert dx.shape == batch.shape and np.all(dx == 0.0)
 
     def test_quadratic_value(self):
         arch = EnergyArch(kind="quadratic", input_shape=(1,))
         params = EnergyParams(arch, np.array([1.0]))
         assert energy_of(params, np.array([3.0])) == pytest.approx(2.0)
-
-    def test_mlp_matches_straight_line_reimplementation(self):
-        arch = EnergyArch(kind="mlp", input_shape=(4,), hidden_width=6)
-        params = random_params(arch, 2)
-        x = derive_stream(3, [("x", 0)]).standard_normal(4)
-        assert energy_of(params, x) == pytest.approx(
-            straight_line_mlp(params.theta, x, 6), rel=1e-12)
 
     def test_conv_matches_straight_line_reimplementation(self):
         arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=2)
@@ -101,10 +81,10 @@ class TestForward:
             straight_line_conv(params.theta, x, arch), rel=1e-10)
 
     def test_shape_mismatch(self):
-        arch = EnergyArch(kind="mlp", input_shape=(4,))
+        arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1)
         params = init_energy_params(arch, 0)
         with pytest.raises(DimensionError):
-            energy_value_and_grad_input(params, np.zeros(5)[None])
+            energy_value_and_grad_input(params, np.zeros((1, 1, 8, 9)))
 
 
 class TestGradients:
@@ -122,13 +102,13 @@ class TestGradients:
         assert swish_grad(np.array([0.0]))[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("kind,shape,blocks", [
-        ("mlp", (6,), 1),
+        ("conv", (1, 8, 8), 2),
         ("quadratic", (4,), 1),
         ("conv", (1, 8, 8), 1),
         ("conv", (1, 8, 8), 4),
     ])
     def test_input_grad_matches_finite_differences(self, kind, shape, blocks):
-        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks, hidden_width=12)
+        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks)
         for trial in range(5):
             params = random_params(arch, 10 + trial)
             x = derive_stream(20 + trial, [("x", 0)]).standard_normal(shape)
@@ -137,12 +117,12 @@ class TestGradients:
             assert relative_error(analytic, fd) < 1e-4
 
     @pytest.mark.parametrize("kind,shape,blocks", [
-        ("mlp", (6,), 1),
+        ("conv", (3, 8, 8), 1),
         ("quadratic", (4,), 1),
         ("conv", (1, 8, 8), 2),
     ])
     def test_param_grad_matches_finite_differences(self, kind, shape, blocks):
-        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks, hidden_width=12)
+        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks)
         for trial in range(5):
             params = random_params(arch, 30 + trial)
             x = derive_stream(40 + trial, [("x", 0)]).standard_normal(shape)
@@ -154,9 +134,9 @@ class TestGradients:
             assert relative_error(analytic[coords], fd) < 1e-4
 
     def test_batch_mean_grad_is_mean_of_per_sample_grads(self):
-        arch = EnergyArch(kind="mlp", input_shape=(5,), hidden_width=8)
+        arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=2)
         params = random_params(arch, 1)
-        batch = derive_stream(2, [("b", 0)]).standard_normal((7, 5))
+        batch = derive_stream(2, [("b", 0)]).standard_normal((7, 1, 8, 8))
         mean_grad = energy_value_and_grad_params(params, batch)[1]
         per_sample = np.mean([energy_value_and_grad_params(params, b[None])[1] for b in batch],
                              axis=0)
@@ -164,21 +144,21 @@ class TestGradients:
 
 
 class TestArch:
-    @pytest.mark.parametrize("kind,shape,blocks,hidden", [
-        ("mlp", (7,), 1, 16),
-        ("quadratic", (3, 4, 4), 1, 1),
-        ("conv", (1, 16, 16), 1, 1),
-        ("conv", (3, 16, 16), 4, 1),
-        ("conv", (1, 16, 16), 7, 1),
+    @pytest.mark.parametrize("kind,shape,blocks", [
+        ("quadratic", (3, 4, 4), 1),
+        ("conv", (1, 16, 16), 1),
+        ("conv", (3, 16, 16), 4),
+        ("conv", (1, 16, 16), 7),
     ])
-    def test_param_count_matches_vector(self, kind, shape, blocks, hidden):
-        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks, hidden_width=hidden)
+    def test_param_count_matches_vector(self, kind, shape, blocks):
+        arch = EnergyArch(kind=kind, input_shape=shape, conv_blocks=blocks)
         params = init_energy_params(arch, 0)
         assert params.theta.shape == (arch.param_count,)
 
     def test_bad_kind(self):
-        with pytest.raises(ConfigError):
-            EnergyArch(kind="transformer", input_shape=(4,))
+        for kind in ("transformer", "mlp"):
+            with pytest.raises(ConfigError):
+                EnergyArch(kind=kind, input_shape=(4,))
 
     def test_conv_blocks_range(self):
         with pytest.raises(ConfigError):
