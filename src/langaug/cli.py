@@ -18,7 +18,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -225,10 +225,10 @@ def _validate(config) -> None:
         raise ConfigError("data.specs length must equal data.n_domains")
 
 
-def _langevin_from_config(config, channels: int) -> LangevinConfig:
+def _langevin_from_config(config, dataset) -> LangevinConfig:
     lv = dict(config["langevin"])
     if lv["channel_replace"] == "auto":
-        lv["channel_replace"] = 0 if channels > 1 else None
+        lv["channel_replace"] = 0 if dataset.images[0].shape[1] > 1 else None
     return LangevinConfig(**lv)
 
 
@@ -253,7 +253,7 @@ def _seg_config(config) -> SegTrainConfig:
 
 
 class Stage:
-    """Output-directory bookkeeping shared by all subcommands."""
+    """One subcommand's output-directory bookkeeping; ``run`` builds it and calls ``finish``."""
 
     def __init__(self, out_dir, name, config):
         self.dir = Path(out_dir) / name
@@ -305,8 +305,7 @@ def pca_project(vectors: np.ndarray, out_dim: int = 2) -> np.ndarray:
 # subcommands
 
 
-def _cmd_gen_data(config, out_dir, jobs):
-    stage = Stage(out_dir, "dataset", config)
+def _cmd_gen_data(stage, config, out_dir, jobs):
     data = config["data"]
     stage.log("generating benchmark")
     dataset = generate_benchmark(
@@ -320,8 +319,6 @@ def _cmd_gen_data(config, out_dir, jobs):
     )
     save_dataset(dataset, stage.dir / "benchmark")
     stage.log(f"clamp fraction {dataset.clamp_fraction:.4f}")
-    stage.finish()
-    return 0
 
 
 def _load_benchmark(out_dir, stage):
@@ -329,63 +326,62 @@ def _load_benchmark(out_dir, stage):
     return load_dataset(meta.parent / "benchmark")
 
 
-def _cmd_train_ebms(config, out_dir, jobs):
-    stage = Stage(out_dir, "ebms", config)
+def _cmd_train_ebms(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     stage.log(f"training {len(ordered_pairs(dataset.n_domains))} pairwise models")
     train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
                     _arch_from_config(config, dataset), _cd_from_config(config),
                     out_dir=stage.dir, jobs=jobs)
-    stage.finish()
-    return 0
 
 
-def _load_ebms(out_dir, stage, n_domains):
+def _load_ebms(config, dataset, out_dir, stage):
+    """The pair models `train-ebms` saved; one whose arch is not the config's raises."""
+    arch = _arch_from_config(config, dataset)
     ebms = {}
-    for i, j in ordered_pairs(n_domains):
+    for i, j in ordered_pairs(dataset.n_domains):
         base = Path(out_dir) / "ebms" / f"ebm_{i}_{j}"
         stage.record_input(f"{base}.ldtn", "train-ebms")
         ebms[(i, j)] = load_energy_params(base)[0]
+        for key, saved in asdict(ebms[(i, j)].arch).items():
+            if saved != getattr(arch, key):
+                raise MissingArtifactError(f"{base}.meta.json: arch {key}={saved} does not match "
+                                           f"the config's {getattr(arch, key)}; rerun train-ebms")
     return ebms
 
 
-def _cmd_augment(config, out_dir, jobs):
-    stage = Stage(out_dir, "aug", config)
+def _cmd_augment(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
-    ebms = _load_ebms(out_dir, stage, dataset.n_domains)
-    lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
+    ebms = _load_ebms(config, dataset, out_dir, stage)
     stage.log("generating bridge samples")
-    aug = generate_augmented(dataset, ebms, lv_config, config["base_seed"])
+    aug = generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
+                             config["base_seed"])
     save_augmented(aug, stage.dir / "augmented")
     stage.log(f"{len(aug)} entries, {aug.skipped_chains} chains skipped")
-    stage.finish()
-    return 0
 
 
-def _saved_pool(out_dir, stage, dataset, ebms, lv_config, base_seed):
+def _saved_pool(config, dataset, ebms, out_dir, stage):
     """(pool, None) when the pool `augment` saved is the one these inputs make, else (None, why)."""
     path = Path(out_dir) / "aug" / "augmented.meta.json"
     if not path.exists():
         return None, "no pool on disk"
     key = provenance_mismatch(read_meta(path.parent / "augmented").get("provenance", {}),
-                              pool_provenance(dataset, ebms, lv_config, base_seed))
+                              pool_provenance(dataset, ebms, _langevin_from_config(config, dataset),
+                                              config["base_seed"]))
     if key is not None:
         return None, f"provenance key {key} differs"
     return load_augmented(stage.record_input(path, "augment").parent / "augmented"), None
 
 
-def _cmd_train_seg(config, out_dir, jobs):
-    stage = Stage(out_dir, "seg", config)
+def _cmd_train_seg(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
-    aug = None
+    arms = {"erm": None}
     if (Path(out_dir) / "aug" / "augmented.meta.json").exists():
-        aug, stale = _saved_pool(out_dir, stage, dataset,
-                                 _load_ebms(out_dir, stage, dataset.n_domains),
-                                 _langevin_from_config(config, dataset.images[0].shape[1]),
-                                 config["base_seed"])
+        pool, stale = _saved_pool(config, dataset, _load_ebms(config, dataset, out_dir, stage),
+                                  out_dir, stage)
         if stale is not None:
             raise MissingArtifactError(f"the augmented pool is stale ({stale}); "
                                        "run `augment` again")
+        arms["erm+langaug"] = pool
     domains = range(dataset.n_domains)
     src_images = np.concatenate([dataset.train_images(d) for d in domains])
     src_masks = np.concatenate([dataset.train_masks(d) for d in domains])
@@ -393,46 +389,38 @@ def _cmd_train_seg(config, out_dir, jobs):
                  for d in domains if len(dataset.test_images(d)) > 0]
     if not eval_sets:
         raise ConfigError("no domain has test images to score: data.train_frac left none")
-    methods = ("erm",) if aug is None else ("erm", "erm+langaug")
-    results = fit_and_score(src_images, src_masks, aug, _seg_config(config),
-                            config["segmenter"]["seeds"], methods, eval_sets)
+    results = fit_and_score(src_images, src_masks, arms, _seg_config(config),
+                            config["segmenter"]["seeds"], eval_sets)
     write_results_csv(results, stage.dir / "results.csv")
-    stage.finish()
-    return 0
 
 
-def _loo(config, dataset, ebms, seeds, folds, methods, out_dir, stage):
-    """Leave-one-out scores of ``methods`` over one pool of the pair models ``ebms``.
+def _loo_pool(config, dataset, ebms, folds, out_dir, stage):
+    """The bridge pool of the pair models ``ebms`` for leave-one-out over ``folds``.
 
     The pool `augment` saved serves when its provenance equals this run's;
     otherwise the pool is sampled, after the folds have been checked.
     """
     loo_folds(dataset.n_domains, folds)
-    lv_config = _langevin_from_config(config, dataset.images[0].shape[1])
-    pool, stale = _saved_pool(out_dir, stage, dataset, ebms, lv_config, config["base_seed"])
+    pool, stale = _saved_pool(config, dataset, ebms, out_dir, stage)
     if pool is not None:
         stage.log("using the pool `augment` saved")
-    else:
-        stage.log(f"sampling the pool: {stale}")
-        pool = generate_augmented(dataset, ebms, lv_config, config["base_seed"])
-    return leave_one_out_eval(dataset, pool, _seg_config(config), seeds=seeds, methods=methods,
-                              folds=folds)
+        return pool
+    stage.log(f"sampling the pool: {stale}")
+    return generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
+                              config["base_seed"])
 
 
-def _cmd_eval_loo(config, out_dir, jobs):
-    stage = Stage(out_dir, "loo", config)
+def _cmd_eval_loo(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
-    ebms = _load_ebms(out_dir, stage, dataset.n_domains)
+    ebms = _load_ebms(config, dataset, out_dir, stage)
     stage.log("running leave-one-out evaluation")
-    results = _loo(config, dataset, ebms, tuple(config["segmenter"]["seeds"]), None,
-                   ("erm", "erm+langaug"), out_dir, stage)
+    pool = _loo_pool(config, dataset, ebms, None, out_dir, stage)
+    results = leave_one_out_eval(dataset, {"erm": None, "erm+langaug": pool}, _seg_config(config),
+                                 seeds=tuple(config["segmenter"]["seeds"]))
     write_results_csv(results, stage.dir / "results.csv")
-    stage.finish()
-    return 0
 
 
-def _cmd_verify_theory(config, out_dir, jobs):
-    stage = Stage(out_dir, "theory", config)
+def _cmd_verify_theory(stage, config, out_dir, jobs):
     th_cfg = config["theory"]
     dim = th_cfg["dim"]
     theta = (np.asarray(th_cfg["theta"], dtype=np.float64) if th_cfg["theta"] is not None
@@ -446,12 +434,9 @@ def _cmd_verify_theory(config, out_dir, jobs):
     report.write_csv(stage.dir / "report.csv")
     report.write_summary_json(stage.dir / "summary.json")
     stage.log(f"slope {report.slope}, status {report.status}")
-    stage.finish()
-    return 0
 
 
-def _cmd_sweep(config, out_dir, jobs):
-    stage = Stage(out_dir, "sweep", config)
+def _cmd_sweep(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
@@ -465,14 +450,15 @@ def _cmd_sweep(config, out_dir, jobs):
                 _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
         return pair_models[key]
 
-    def means(results):
+    def means(arms):
+        results = leave_one_out_eval(dataset, arms, _seg_config(config), seeds=sweep["seeds"],
+                                     folds=sweep["folds"])
         return [repr(float(np.mean([r.mean_dice for r in results]))),
                 repr(float(np.mean([r.mean_iou for r in results])))]
 
     # no sweep axis touches the segmenter or augment sections, so the plain arm
     # is trained once; this call also checks the folds before any pair model
-    erm = means(leave_one_out_eval(dataset, None, _seg_config(config), seeds=sweep["seeds"],
-                                   methods=("erm",), folds=sweep["folds"]))
+    erm = means({"erm": None})
     rows = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -486,18 +472,14 @@ def _cmd_sweep(config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // value)
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        results = _loo(cfg, dataset, models(cfg), sweep["seeds"], sweep["folds"],
-                       ("erm+langaug",), out_dir, stage)
+        pool = _loo_pool(cfg, dataset, models(cfg), sweep["folds"], out_dir, stage)
+        rows.append([axis, value, *erm, *means({"erm+langaug": pool})])
         stage.log(f"{axis}={value} done")
-        rows.append([axis, value, *erm, *means(results)])
     write_csv(stage.dir / "results.csv", ["axis", "value", "mean_dice_erm", "mean_iou_erm",
                                           "mean_dice_aug", "mean_iou_aug"], rows)
-    stage.finish()
-    return 0
 
 
-def _cmd_project(config, out_dir, jobs):
-    stage = Stage(out_dir, "project", config)
+def _cmd_project(stage, config, out_dir, jobs):
     dataset = _load_benchmark(out_dir, stage)
     rows = []
     vectors = []
@@ -518,8 +500,6 @@ def _cmd_project(config, out_dir, jobs):
                 repr(float(xy[1])) if coords.shape[1] > 1 else repr(0.0)]
                for (kind, dom, tgt, step), xy in zip(rows, coords)))
     _write_centroid_report(rows, coords, stage.dir / "centroids.json")
-    stage.finish()
-    return 0
 
 
 def _write_centroid_report(rows, coords, path):
@@ -542,14 +522,14 @@ def _write_centroid_report(rows, coords, path):
 
 
 _HANDLERS = {
-    "gen-data": _cmd_gen_data,
-    "train-ebms": _cmd_train_ebms,
-    "augment": _cmd_augment,
-    "train-seg": _cmd_train_seg,
-    "eval-loo": _cmd_eval_loo,
-    "verify-theory": _cmd_verify_theory,
-    "sweep": _cmd_sweep,
-    "project": _cmd_project,
+    "gen-data": ("dataset", _cmd_gen_data),
+    "train-ebms": ("ebms", _cmd_train_ebms),
+    "augment": ("aug", _cmd_augment),
+    "train-seg": ("seg", _cmd_train_seg),
+    "eval-loo": ("loo", _cmd_eval_loo),
+    "verify-theory": ("theory", _cmd_verify_theory),
+    "sweep": ("sweep", _cmd_sweep),
+    "project": ("project", _cmd_project),
 }
 
 
@@ -559,7 +539,11 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
         if subcommand not in _HANDLERS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         config = load_config(config_path, seed_override=seed)
-        return _HANDLERS[subcommand](config, out_dir, max(1, int(jobs)))
+        name, handler = _HANDLERS[subcommand]
+        stage = Stage(out_dir, name, config)
+        handler(stage, config, out_dir, max(1, int(jobs)))
+        stage.finish()
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

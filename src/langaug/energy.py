@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, TensorFormatError
+from .errors import (ConfigError, DimensionError, MissingArtifactError, NumericError,
+                     TensorFormatError)
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
 from .nets import (conv_out_size, count_params, init_params, join_params, split_params,
                    swish_conv_backward, swish_conv_forward)
@@ -175,12 +176,15 @@ def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
 
 
 def load_energy_params(basename) -> tuple[EnergyParams, dict]:
-    """The model saved at ``basename``; a sidecar whose ``arch`` does not spell out exactly
-    EnergyArch's fields, with values it accepts, raises TensorFormatError."""
+    """The model saved at ``basename``; a missing sidecar, one whose ``arch`` does not spell out
+    exactly EnergyArch's fields with values it accepts, or a theta of another length raises."""
     base = Path(basename)
-    meta = read_meta(base)
     sidecar = f"{base}.meta.json"
-    spec = meta.get("arch") if isinstance(meta, dict) else None
+    try:
+        meta = read_meta(base)
+    except MissingArtifactError as err:
+        raise MissingArtifactError(f"{err}; rerun train-ebms") from err
+    spec = meta.get("arch")
     if not isinstance(spec, dict):
         raise TensorFormatError(f"{sidecar}: no \"arch\" object; rerun train-ebms")
     wrong = sorted(set(spec) ^ {f.name for f in fields(EnergyArch)})
@@ -191,5 +195,7 @@ def load_energy_params(basename) -> tuple[EnergyParams, dict]:
         arch = EnergyArch(**spec)
     except (TypeError, ValueError) as err:  # ConfigError is a ValueError
         raise TensorFormatError(f"{sidecar}: unusable arch ({err}); rerun train-ebms") from err
-    theta = read_tensor(f"{base}.ldtn")
-    return EnergyParams(arch=arch, theta=theta), meta
+    try:
+        return EnergyParams(arch=arch, theta=read_tensor(f"{base}.ldtn")), meta
+    except DimensionError as err:
+        raise TensorFormatError(f"{base}.ldtn: {err}; rerun train-ebms") from err

@@ -39,8 +39,9 @@ class MissingArtifactError(FileNotFoundError):
 
 
 class TensorFormatError(ValueError):
-    """Tensor file header is malformed (magic, version, or dtype byte), or a sidecar is not
-    JSON or unusable (an ebm sidecar whose arch has an unknown, missing or invalid field)."""
+    """Tensor file header is malformed (magic, version, or dtype byte), a sidecar is not a
+    JSON object, lacks a key its loader reads or is unusable (an ebm sidecar whose arch has
+    an unknown, missing or invalid field), or a tensor does not fit its sidecar."""
 
 
 class TensorPayloadError(IOError):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TensorFormatError, TensorPayloadError
+from .errors import MissingArtifactError, TensorFormatError, TensorPayloadError
 
 MAGIC = b"LDTN"
 VERSION = 1
@@ -46,8 +46,11 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError as err:
+        raise MissingArtifactError(f"{path}: no such file") from err
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise TensorFormatError(
             f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}"
@@ -90,9 +93,19 @@ def write_meta(basename, meta: dict) -> None:
     write_json(str(basename) + ".meta.json", meta)
 
 
-def read_meta(basename) -> dict:
+def read_meta(basename, keys=()) -> dict:
+    """The sidecar ``<basename>.meta.json``. A missing file raises MissingArtifactError; one
+    that is not a JSON object, or lacks one of ``keys``, raises TensorFormatError."""
     path = Path(str(basename) + ".meta.json")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as err:
+        raise MissingArtifactError(f"{path}: no such file") from err
     except json.JSONDecodeError as err:
         raise TensorFormatError(f"{path}: metadata is not valid JSON ({err})") from err
+    if not isinstance(meta, dict):
+        raise TensorFormatError(f"{path}: metadata is not a JSON object")
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise TensorFormatError(f"{path}: metadata has no {missing[0]!r} key")
+    return meta

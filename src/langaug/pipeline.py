@@ -239,7 +239,7 @@ def save_augmented(aug: AugmentedDataset, basename) -> None:
 
 def load_augmented(basename) -> AugmentedDataset:
     base = Path(basename)
-    meta = read_meta(base)
+    meta = read_meta(base, ("provenance", "skipped_chains"))
     tags = read_tensor(f"{base}.tags.ldtn").astype(np.int64)
     return AugmentedDataset(
         images=read_tensor(f"{base}.images.ldtn"),

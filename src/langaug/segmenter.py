@@ -2,8 +2,9 @@
 
 The model is two 3x3 stride-1 conv layers (8 channels, swish) with a 1x1
 per-pixel logit head, trained on pixel cross-entropy plus soft-Dice with a
-hand-derived gradient. Evaluation holds one domain out, trains on the rest
-with or without bridge-sample augmentation, and reports IoU and Dice.
+hand-derived gradient. Evaluation holds one domain out, trains each named
+arm on the rest (an arm with a pool also on its bridge samples), and reports
+IoU and Dice.
 
 Training runs in float32 over float64 master weights (Micikevicius et al.
 2018): each step casts its batch and theta to float32, and Adam casts the
@@ -118,8 +119,8 @@ class SegTrainConfig:
 
 
 def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
-                    aug_images=None, aug_masks=None) -> SegModel:
-    """Adam training over per-epoch streams; deterministic in seed.
+                    pool: AugmentedDataset | None = None) -> SegModel:
+    """Adam training over per-epoch streams, mixing in ``pool`` if given; deterministic in seed.
 
     Each step runs on a float32 batch; the returned theta is float64.
     """
@@ -127,9 +128,8 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
     src_masks = np.asarray(src_masks, dtype=np.float32)
     if src_images.shape[0] == 0:
         raise ConfigError("empty training set")
-    have_aug = aug_images is not None
-    mix = config.mix_ratio if have_aug else 0.0
-    n_aug = len(aug_images) if have_aug else 0
+    mix = config.mix_ratio if pool is not None else 0.0
+    n_aug = len(pool) if pool is not None else 0
     arch = SegArch(in_channels=src_images.shape[1])
     model = init_seg_model(arch, seed)
     state = init_adam_state(arch.param_count, config.adam)
@@ -139,9 +139,9 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
         for start in range(0, len(stream), config.batch_size):
             batch = stream[start:start + config.batch_size]
             # cast per batch: a float32 copy of the pool would raise peak memory
-            xs = np.stack([src_images[i] if kind == "src" else aug_images[i] for kind, i in batch],
+            xs = np.stack([src_images[i] if kind == "src" else pool.images[i] for kind, i in batch],
                           dtype=np.float32)
-            ms = np.stack([src_masks[i] if kind == "src" else aug_masks[i] for kind, i in batch],
+            ms = np.stack([src_masks[i] if kind == "src" else pool.masks[i] for kind, i in batch],
                           dtype=np.float32)
             try:
                 _, grad = seg_loss_and_grad(model, xs, ms)
@@ -207,21 +207,19 @@ def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
                       mean_iou=float(np.mean([iou(p, m) for p, m in zip(preds, masks)])))
 
 
-def fit_and_score(src_images, src_masks, aug: AugmentedDataset | None, config: SegTrainConfig,
-                  seeds, methods, eval_sets, seed_offset: int = 0) -> list[EvalResult]:
-    """Train one segmenter per (method, seed) and score it on every eval set.
+def fit_and_score(src_images, src_masks, arms: dict[str, AugmentedDataset | None],
+                  config: SegTrainConfig, seeds, eval_sets, seed_offset: int = 0) -> list[EvalResult]:
+    """Train one segmenter per (arm, seed) and score it on every eval set.
 
-    Methods run in order, each over all seeds. "erm+langaug" also trains on
-    ``aug`` when one is given. The model reported under seed s is trained
-    with seed s + ``seed_offset``. ``eval_sets`` lists (fold, images, masks).
+    ``arms`` maps each method name to the pool it also trains on, or to None for the
+    sources alone; arms run in order, each over all seeds. The model reported under seed s
+    is trained with seed s + ``seed_offset``. ``eval_sets`` lists (fold, images, masks).
     """
     results = []
-    for method in methods:
-        use_aug = method == "erm+langaug" and aug is not None
+    for method, pool in arms.items():
         for seed in seeds:
             model = train_segmenter(src_images, src_masks, config, seed=seed + seed_offset,
-                                    aug_images=aug.images if use_aug else None,
-                                    aug_masks=aug.masks if use_aug else None)
+                                    pool=pool)
             results += [evaluate_model(model, images, masks, fold, method, seed)
                         for fold, images, masks in eval_sets]
     return results
@@ -237,29 +235,26 @@ def loo_folds(n_domains: int, folds=None) -> list[int]:
     return folds
 
 
-def leave_one_out_eval(dataset: MultiDomainDataset, pool: AugmentedDataset | None,
-                       config: SegTrainConfig, seeds=(0, 1, 2, 3, 4),
-                       methods=("erm", "erm+langaug"), folds=None) -> list[EvalResult]:
-    """Cross table of held-out-domain scores.
+def leave_one_out_eval(dataset: MultiDomainDataset, arms: dict[str, AugmentedDataset | None],
+                       config: SegTrainConfig, seeds=(0, 1, 2, 3, 4), folds=None) -> list[EvalResult]:
+    """Cross table of held-out-domain scores for ``arms``, as in ``fit_and_score``.
 
     ``folds`` lists the held-out domains in run order (default: all). Each
-    fold trains "erm+langaug" on ``pool.within(source_domains)``, or on the
-    sources alone when ``pool`` is None; any entry of that slice tagged with
-    the held-out domain raises LeakageError.
+    fold trains an arm with a pool on ``pool.within(source_domains)``; any
+    entry of that slice tagged with the held-out domain raises LeakageError.
     """
     results = []
     for held_out in loo_folds(dataset.n_domains, folds):
         sources = [d for d in range(dataset.n_domains) if d != held_out]
         src_images = np.concatenate([dataset.train_images(d) for d in sources])
         src_masks = np.concatenate([dataset.train_masks(d) for d in sources])
-        aug = None
-        if "erm+langaug" in methods and pool is not None:
-            aug = pool.within(sources)
-            if held_out in aug.domains_touched():
-                raise LeakageError(
-                    f"augmented data for fold {held_out} touches the held-out domain"
-                )
-        results += fit_and_score(src_images, src_masks, aug, config, seeds, methods,
+        fold_arms = {method: None if pool is None else pool.within(sources)
+                     for method, pool in arms.items()}
+        for method, pool in fold_arms.items():
+            if pool is not None and held_out in pool.domains_touched():
+                raise LeakageError(f"the {method} pool for fold {held_out} touches the "
+                                   "held-out domain")
+        results += fit_and_score(src_images, src_masks, fold_arms, config, seeds,
                                  [(held_out, dataset.images[held_out], dataset.masks[held_out])],
                                  seed_offset=1000 * held_out)
     return results

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TensorFormatError
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
 from .numerics import derive_stream
 
@@ -249,9 +249,9 @@ def save_dataset(dataset: MultiDomainDataset, basename) -> None:
 
 def load_dataset(basename) -> MultiDomainDataset:
     base = Path(basename)
-    meta = read_meta(base)
+    meta = read_meta(base, ("kind", "domains", "seed", "split", "clamp_fraction"))
     if meta["kind"] != "multi_domain":
-        raise ConfigError(f"unknown dataset kind {meta['kind']!r}")
+        raise TensorFormatError(f"{base}.meta.json: unknown dataset kind {meta['kind']!r}")
     specs = [DomainSpec(**s) for s in meta["domains"]]
     images = [read_tensor(f"{base}.d{d}.images.ldtn") for d in range(len(specs))]
     masks = [read_tensor(f"{base}.d{d}.masks.ldtn") for d in range(len(specs))]

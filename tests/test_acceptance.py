@@ -353,7 +353,7 @@ def run_loo_experiment(bench_seed=11, seeds=(0, 1, 2, 3, 4)):
     # one pool over all domains; each fold trains on its slice `pool.within(sources)`
     pool = generate_augmented(ds, ebms, lv, bench_seed)
     seg = SegTrainConfig(epochs=40, batch_size=8, mix_ratio=0.5, adam=AdamHyper(lr=0.003))
-    return leave_one_out_eval(ds, pool, seg, seeds=seeds)
+    return leave_one_out_eval(ds, {"erm": None, "erm+langaug": pool}, seg, seeds=seeds)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 from langaug.cli import DEFAULT_CONFIG, load_config, main, pca_project, run
 from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
+from langaug.ldtn import read_tensor, write_tensor
 from langaug import cli, pipeline, segmenter
 from langaug.numerics import derive_stream
 
@@ -167,7 +168,7 @@ class TestExitCodes:
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
 
-    @pytest.mark.parametrize("damage", ["truncate", "magic"])
+    @pytest.mark.parametrize("damage", ["truncate", "magic", "short"])
     def test_damaged_pair_model_exit_3(self, tmp_path, capsys, damage):
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -175,9 +176,13 @@ class TestExitCodes:
         assert run("train-ebms", config, out) == 0
         model = out / "ebms" / "ebm_0_1.ldtn"
         blob = model.read_bytes()
-        model.write_bytes(blob[:-8] if damage == "truncate" else b"XXXX" + blob[4:])
+        if damage == "short":  # a well-formed tensor one entry shorter than the arch needs
+            write_tensor(model, read_tensor(model)[:-1])
+        else:
+            model.write_bytes(blob[:-8] if damage == "truncate" else b"XXXX" + blob[4:])
         assert run("augment", config, out) == 3
-        assert "unusable artifact" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unusable artifact" in err and str(model) in err
 
     def test_models_of_other_image_size_exit_3(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -189,6 +194,20 @@ class TestExitCodes:
         assert run("gen-data", config, out) == 0
         assert run("augment", config, out) == 3
         assert "does not match" in capsys.readouterr().err
+
+    def test_models_of_other_conv_blocks_exit_3(self, out_dir, tmp_path, capsys):
+        # models trained at conv_blocks 1 once sampled silently under a config asking for 2
+        out = tmp_path / "o"
+        for name in ("dataset", "ebms"):
+            shutil.copytree(out_dir / name, out / name)
+        config = write_config(tmp_path / "c.json", ebm={"conv_blocks": 2})
+        for subcommand in ("augment", "eval-loo"):
+            assert run(subcommand, config, out) == 3
+            err = capsys.readouterr().err
+            assert (f"{out / 'ebms' / 'ebm_0_1.meta.json'}: arch conv_blocks=1 does not match "
+                    "the config's 2; rerun train-ebms") in err
+        assert not (out / "aug" / "augmented.meta.json").exists()
+        assert not (out / "loo" / "results.csv").exists()
 
     def test_non_finite_energy_exit_4(self, tmp_path, capsys):
         # blown-up pair models overflow the energy itself, a NumericError that
@@ -596,16 +615,47 @@ def test_eval_loo_on_two_domains_exit_2_before_sampling(tmp_path, monkeypatch, c
     assert not (out / "loo" / "results.csv").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["eval-loo", "train-seg", "project"])
-def test_damaged_pool_metadata_exit_3(tmp_path, capsys, subcommand):
-    config = write_config(tmp_path / "c.json")
+def edit_json(edit):
+    def apply(path):
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return apply
+
+
+# a damaged companion file of the pool or the dataset: (its path in the run directory, the
+# edit, what stderr says after the path)
+COMPANION_DAMAGE = {
+    "truncated pool sidecar": ("aug/augmented.meta.json",
+                               lambda path: path.write_text(path.read_text()[:-20]),
+                               "metadata is not valid JSON"),
+    "no pool tags": ("aug/augmented.tags.ldtn", Path.unlink, "no such file"),
+    "no skipped_chains": ("aug/augmented.meta.json",
+                          edit_json(lambda meta: meta.pop("skipped_chains")),
+                          "metadata has no 'skipped_chains' key"),
+    "no dataset kind": ("dataset/benchmark.meta.json", edit_json(lambda meta: meta.pop("kind")),
+                        "metadata has no 'kind' key"),
+    "no dataset split": ("dataset/benchmark.meta.json",
+                         edit_json(lambda meta: meta.pop("split")), "metadata has no 'split' key"),
+    "dataset kind other": ("dataset/benchmark.meta.json",
+                           edit_json(lambda meta: meta.update(kind="other")),
+                           "unknown dataset kind 'other'"),
+}
+POOL_READERS = ("eval-loo", "train-seg", "project")
+
+
+@pytest.mark.parametrize("subcommand,damage", [
+    *[pytest.param(sub, "truncated pool sidecar", id=sub) for sub in POOL_READERS],
+    *[pytest.param(sub, damage, id=f"{sub}-{damage}") for damage in sorted(COMPANION_DAMAGE)
+      if damage != "truncated pool sidecar" for sub in POOL_READERS]])
+def test_damaged_pool_metadata_exit_3(out_dir, tmp_path, capsys, subcommand, damage):
     out = tmp_path / "o"
-    for stage in ("gen-data", "train-ebms", "augment"):
-        assert run(stage, config, out) == 0
-    meta = out / "aug" / "augmented.meta.json"
-    meta.write_text(meta.read_text()[:-20])
-    assert run(subcommand, config, out) == 3
-    assert "augmented.meta.json: metadata is not valid JSON" in capsys.readouterr().err
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    name, edit, text = COMPANION_DAMAGE[damage]
+    edit(out / name)
+    assert run(subcommand, out_dir / "c.json", out) == 3
+    assert f"{out / name}: {text}" in capsys.readouterr().err
 
 
 # a model trained while the mlp arch existed has hidden_width in its sidecar; the
@@ -615,6 +665,7 @@ SIDECAR_DAMAGE = {
     "kind mlp": (lambda meta: meta["arch"].update(kind="mlp"), "mlp"),
     "no conv_blocks": (lambda meta: meta["arch"].pop("conv_blocks"), "conv_blocks"),
     "no arch": (lambda meta: meta.pop("arch"), "arch"),
+    "no sidecar": (None, "no such file"),
 }
 
 
@@ -626,8 +677,11 @@ def test_unusable_ebm_sidecar_exit_3_naming_it(out_dir, tmp_path, capsys, damage
     sidecar = out / "ebms" / "ebm_0_1.meta.json"
     meta = json.loads(sidecar.read_text())
     edit, key = SIDECAR_DAMAGE[damage]
-    edit(meta)
-    sidecar.write_text(json.dumps(meta))
+    if edit is None:
+        sidecar.unlink()
+    else:
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
     assert run("augment", out_dir / "c.json", out) == 3
     err = capsys.readouterr().err
     assert str(sidecar) in err and key in err and "rerun train-ebms" in err

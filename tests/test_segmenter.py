@@ -157,7 +157,7 @@ class TestTraining:
         x = derive_stream(13, [("x", 0)]).uniform(size=(6, 1, 8, 8))
         m = (derive_stream(14, [("m", 0)]).uniform(size=(6, 8, 8)) > 0.5).astype(float)
         model = train_segmenter(x, m, SegTrainConfig(epochs=2, batch_size=4), seed=0,
-                                aug_images=x[:3], aug_masks=m[:3])
+                                pool=pool_of(x[:3], m[:3]))
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert len(seen) >= 4 and set(seen) == {(f32, f32, f64, f32)}
         assert model.theta.dtype == f64
@@ -178,11 +178,18 @@ class TestTraining:
         m = np.zeros((4, 8, 8))
         with pytest.raises(ConfigError, match="non-empty augmented pool"):
             train_segmenter(x, m, SegTrainConfig(epochs=1, batch_size=2), seed=0,
-                            aug_images=x[:0], aug_masks=m[:0])
+                            pool=pool_of(x[:0], m[:0]))
         without_mixing = SegTrainConfig(epochs=1, batch_size=2, mix_ratio=0.0)
         assert np.array_equal(
-            train_segmenter(x, m, without_mixing, seed=0, aug_images=x[:0], aug_masks=m[:0]).theta,
+            train_segmenter(x, m, without_mixing, seed=0, pool=pool_of(x[:0], m[:0])).theta,
             train_segmenter(x, m, without_mixing, seed=0).theta)
+
+
+def pool_of(images, masks):
+    """A pool of ``images`` and ``masks`` with every tag 0."""
+    zeros = np.zeros(len(images), dtype=np.int64)
+    return AugmentedDataset(images=images, masks=masks, source_domain=zeros,
+                            target_domain=zeros, step_index=zeros, origin_index=zeros)
 
 
 def one_entry_pool(ds, source, target):
@@ -201,12 +208,11 @@ class TestLeaveOneOut:
                             lambda self, sources: calls.append(tuple(sources)))
 
         config = SegTrainConfig(epochs=1, batch_size=4)
-        results = leave_one_out_eval(ds, one_entry_pool(ds, 0, 1), config, seeds=(0,),
-                                     methods=("erm",))
+        results = leave_one_out_eval(ds, {"erm": None}, config, seeds=(0,))
         assert len(calls) == 0  # erm-only runs never call within
         assert {r.fold for r in results} == {0, 1, 2, 3}
-        results = leave_one_out_eval(ds, None, config, seeds=(0,),
-                                     methods=("erm", "erm+langaug"))
+        results = leave_one_out_eval(ds, {"erm": None, "erm+langaug": None}, config,
+                                     seeds=(0,))
         assert len(results) == 8
 
     def test_leakage_raises(self, monkeypatch):
@@ -215,23 +221,29 @@ class TestLeaveOneOut:
         # the first fold's held-out domain
         monkeypatch.setattr(AugmentedDataset, "within", lambda self, sources: self)
         with pytest.raises(LeakageError):
-            leave_one_out_eval(ds, one_entry_pool(ds, 0, 1),
+            leave_one_out_eval(ds, {"erm": None, "erm+langaug": one_entry_pool(ds, 0, 1)},
                                SegTrainConfig(epochs=1, batch_size=4), seeds=(0,))
+
+    def test_leakage_names_the_arm_whose_slice_leaks(self, monkeypatch):
+        ds = generate_benchmark(3, 6, 16, seed=34, train_frac=0.8)
+        monkeypatch.setattr(AugmentedDataset, "within", lambda self, sources: self)
+        arms = {"erm+clean": one_entry_pool(ds, 1, 2), "erm+leaky": one_entry_pool(ds, 0, 1)}
+        with pytest.raises(LeakageError, match=r"the erm\+leaky pool for fold 0 "):
+            leave_one_out_eval(ds, arms, SegTrainConfig(epochs=1, batch_size=4), seeds=(0,))
 
     def test_folds_run_in_given_order_and_are_checked(self):
         ds = generate_benchmark(3, 6, 8, seed=36, train_frac=0.5)
         config = SegTrainConfig(epochs=1, batch_size=4)
-        results = leave_one_out_eval(ds, None, config, seeds=(0, 1), methods=("erm",),
-                                     folds=[2, 0])
+        results = leave_one_out_eval(ds, {"erm": None}, config, seeds=(0, 1), folds=[2, 0])
         assert [(r.fold, r.seed) for r in results] == [(2, 0), (2, 1), (0, 0), (0, 1)]
         for folds in ([3], [-1]):
             with pytest.raises(ConfigError, match="must be domain ids"):
-                leave_one_out_eval(ds, None, config, seeds=(0,), folds=folds)
+                leave_one_out_eval(ds, {"erm": None}, config, seeds=(0,), folds=folds)
 
     def test_needs_three_domains(self):
         ds = generate_benchmark(2, 4, 16, seed=35)
         with pytest.raises(ConfigError):
-            leave_one_out_eval(ds, None, SegTrainConfig(epochs=1), seeds=(0,))
+            leave_one_out_eval(ds, {"erm": None}, SegTrainConfig(epochs=1), seeds=(0,))
 
     def test_results_csv_layout(self, tmp_path):
         from langaug.segmenter import EvalResult

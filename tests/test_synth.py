@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from langaug.errors import ConfigError
+from langaug.errors import ConfigError, TensorFormatError
 from langaug.numerics import derive_stream
 from finite_diff import finite_diff_grad, relative_error
 from langaug.synth import (DomainSpec, generate_benchmark, generate_vector_glm,
@@ -130,5 +130,5 @@ class TestPersistence:
         save_dataset(generate_benchmark(3, 2, 8, seed=13), tmp_path / "bench")
         meta = tmp_path / "bench.meta.json"
         meta.write_text(meta.read_text().replace('"multi_domain"', '"glm_vector"'))
-        with pytest.raises(ConfigError, match="unknown dataset kind 'glm_vector'"):
+        with pytest.raises(TensorFormatError, match="unknown dataset kind 'glm_vector'"):
             load_dataset(tmp_path / "bench")
