@@ -5,6 +5,12 @@ from domain j, negatives are Langevin chains started at domain i samples
 under the current parameters, and the update is the difference of
 batch-mean parameter gradients, fed to Adam. Negatives are re-initialized
 from domain i every iteration; there is no replay buffer.
+
+Training computes in its samples' dtype over float64 master weights, as the
+segmenter does: with float32 samples the chains and CD passes run on a
+float32 copy of theta, made once per iteration, and the gradient is cast up
+for Adam, whose moments and theta stay float64. ``train_all_pairs`` trains
+in ``EBM_DTYPE``.
 """
 from __future__ import annotations
 
@@ -14,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import (EnergyArch, EnergyParams, energy_value_and_grad_params,
+from .energy import (EBM_DTYPE, EnergyArch, EnergyParams, energy_value_and_grad_params,
                      init_energy_params, save_energy_params)
 from .errors import ConfigError, DivergenceError
 from .langevin import LangevinConfig, run_chain_batch
 from .ldtn import write_csv
-from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
+from .numerics import AdamHyper, adam_step, derive_stream, float_array, init_adam_state
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarr
     The gradient is the batch-mean parameter gradient on positives minus on
     negatives; the surrogate is mean E(pos) - mean E(neg).
     """
-    pos_batch = np.asarray(pos_batch, dtype=np.float64)
-    neg_batch = np.asarray(neg_batch, dtype=np.float64)
+    pos_batch = float_array(pos_batch)
+    neg_batch = float_array(neg_batch)
     if pos_batch.size == 0 or neg_batch.size == 0:
         raise ConfigError("cd_gradient needs non-empty batches")
     e_pos, g_pos = energy_value_and_grad_params(params, pos_batch)
@@ -67,9 +73,13 @@ def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarr
 
 def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
               config: CdConfig) -> tuple[EnergyParams, TrainTrace]:
-    """Train the (i -> j) bridge model. dataset_* are sample stacks (n, ...)."""
-    dataset_i = np.asarray(dataset_i, dtype=np.float64)
-    dataset_j = np.asarray(dataset_j, dtype=np.float64)
+    """Train the (i -> j) bridge model. dataset_* are sample stacks (n, ...).
+
+    Computes in dataset_i's dtype (float32 stays float32, else float64); the
+    returned theta is float64.
+    """
+    dataset_i = float_array(dataset_i)
+    dataset_j = np.asarray(dataset_j, dtype=dataset_i.dtype)
     if dataset_i.shape[0] == 0 or dataset_j.shape[0] == 0:
         raise ConfigError("both domains need samples")
     if config.batch_size > min(dataset_i.shape[0], dataset_j.shape[0]):
@@ -85,7 +95,7 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
         x0 = dataset_i[pick.choice(dataset_i.shape[0], config.batch_size, replace=False)]
         noise = derive_stream(config.base_seed, [("cd_iter", it), ("ld_noise", 0)]).standard_normal(
             (config.ld.n_steps, config.batch_size) + sample_shape
-        )
+        ).astype(dataset_i.dtype, copy=False)
         try:
             neg, _ = run_chain_batch(x0, params, config.ld, noise)
         except DivergenceError as err:
@@ -93,6 +103,7 @@ def train_ebm(dataset_i: np.ndarray, dataset_j: np.ndarray, arch: EnergyArch,
                 f"training chain diverged at iteration {it}: {err}", step=it
             ) from err
         grad, surrogate = cd_gradient(params, pos, neg)
+        grad = grad.astype(np.float64, copy=False)
         theta, state = adam_step(params.theta, grad, state)
         params = EnergyParams(arch=arch, theta=theta)
         trace.cd_surrogate.append(surrogate)
@@ -109,9 +120,10 @@ def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: 
     """One trained model per ordered domain pair; n domains give n(n-1).
 
     Each pair trains from its own base seed, so ``jobs`` worker threads give
-    the same models as one. ``out_dir`` receives ``ebm_{i}_{j}`` and
-    ``trace_{i}_{j}.csv``.
+    the same models as one. The samples are cast to ``EBM_DTYPE`` once.
+    ``out_dir`` receives ``ebm_{i}_{j}`` and ``trace_{i}_{j}.csv``.
     """
+    domain_samples = [np.asarray(s, dtype=EBM_DTYPE) for s in domain_samples]
     n = len(domain_samples)
     if n < 2:
         raise ConfigError("need at least 2 domains")

@@ -11,11 +11,18 @@ Two architectures:
 
 The normalizing constant of the induced density exp(-E)/Z is intractable
 and never evaluated; only E and its gradients are exposed.
+
+The passes compute in their batch's dtype, as ``nets`` does: a float32
+batch runs against a float32 copy of the float64 theta. Each ``EnergyParams``
+casts and splits theta once per dtype, on its first pass, so a chain or a CD
+iteration pays for it once. The pipeline trains and samples in
+``EBM_DTYPE``; the gradient checks and the sampler and trainer diagnostics
+run in float64.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +32,11 @@ from .errors import (ConfigError, DimensionError, MissingArtifactError, NumericE
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
 from .nets import (conv_out_size, count_params, init_params, join_params, split_params,
                    swish_conv_backward, swish_conv_forward)
-from .numerics import derive_stream
+from .numerics import derive_stream, float_array
 
 _BASE_CHANNELS = 8
 MAX_CONV_BLOCKS = 7
+EBM_DTYPE = np.dtype(np.float32)  # CD training and bridge sampling in the pipeline
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,10 @@ class EnergyArch:
 
 @dataclass
 class EnergyParams:
+    """A model's arch and float64 theta; theta is replaced, never changed in place."""
     arch: EnergyArch
     theta: np.ndarray
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -93,6 +103,15 @@ class EnergyParams:
                 f"theta has {self.theta.shape} entries, arch {self.arch.kind} "
                 f"needs ({self.arch.param_count},)"
             )
+
+    def view(self, dtype) -> tuple[np.ndarray, list]:
+        """(theta, its (w, b) layers) in ``dtype``, made on the first call and kept; float64
+        gives theta itself, another dtype a copy."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._views:
+            theta = self.theta.astype(dtype, copy=False)
+            self._views[dtype] = theta, split_params(theta, self.arch.shapes())
+        return self._views[dtype]
 
 
 def init_energy_params(arch: EnergyArch, base_seed: int) -> EnergyParams:
@@ -104,7 +123,7 @@ def init_energy_params(arch: EnergyArch, base_seed: int) -> EnergyParams:
 
 
 def _check_batch(arch, X):
-    X = np.asarray(X, dtype=np.float64)
+    X = float_array(X)
     if X.shape[1:] != arch.input_shape:
         raise DimensionError(f"batch shape {X.shape} does not match arch {arch.input_shape}")
     return X
@@ -112,12 +131,11 @@ def _check_batch(arch, X):
 
 def _forward_batch(params: EnergyParams, X: np.ndarray):
     """Energies for a batch. Returns (energies (N,), cache for backward)."""
-    arch, theta = params.arch, params.theta
+    theta, layers = params.view(X.dtype)
     n = X.shape[0]
-    if arch.kind == "quadratic":
+    if params.arch.kind == "quadratic":
         diff = X.reshape(n, -1) - theta
         return 0.5 * np.sum(diff * diff, axis=1), {"diff": diff}
-    layers = split_params(theta, arch.shapes())
     *body, (w_head, b_head) = layers
     a, body_cache = swish_conv_forward(X, body, stride=2)
     flat = a.reshape(n, -1)
@@ -153,8 +171,8 @@ def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):
     """Batched (energies, batch-mean parameter gradient) in one pass."""
     X = _check_batch(params.arch, X)
     e, cache = _forward_batch(params, X)
-    _, dtheta = _backward_batch(params, X, cache, np.full(X.shape[0], 1.0 / X.shape[0]),
-                                False, True)
+    _, dtheta = _backward_batch(params, X, cache,
+                                np.full(X.shape[0], 1.0 / X.shape[0], dtype=X.dtype), False, True)
     return e, dtheta
 
 
@@ -162,7 +180,7 @@ def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):
     """Batched (energies, per-sample input gradients) in one pass."""
     X = _check_batch(params.arch, X)
     e, cache = _forward_batch(params, X)
-    dx, _ = _backward_batch(params, X, cache, np.ones(X.shape[0]), True, False)
+    dx, _ = _backward_batch(params, X, cache, np.ones(X.shape[0], dtype=X.dtype), True, False)
     return e, dx
 
 

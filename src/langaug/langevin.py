@@ -14,6 +14,7 @@ import numpy as np
 
 from .energy import EnergyParams, energy_value_and_grad_input
 from .errors import ConfigError, DimensionError, DivergenceError
+from .numerics import float_array
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,20 @@ class LangevinConfig:
 
 
 def langevin_step(x: np.ndarray, grad: np.ndarray, step_size: float, noise: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
+    x = float_array(x)
+    grad = np.asarray(grad, dtype=x.dtype)
+    noise = np.asarray(noise, dtype=x.dtype)
     if x.shape != grad.shape or x.shape != noise.shape:
         raise DimensionError(
             f"langevin_step shape mismatch: x {x.shape}, grad {grad.shape}, noise {noise.shape}"
         )
     if step_size < 0:
         raise ConfigError("step_size must be non-negative")
+    # both coefficients are formed in float64 and rounded once to x's dtype.
     # numpy's scalar power has the bits of a float ``step_size**2`` but gives
     # inf where the float power raises OverflowError; the chain then diverges
-    return x - 0.5 * np.float64(step_size)**2 * grad + step_size * noise
+    drift = x.dtype.type(0.5 * np.float64(step_size)**2)
+    return x - drift * grad + x.dtype.type(step_size) * noise
 
 
 def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_index: int) -> np.ndarray:
@@ -58,8 +61,8 @@ def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_inde
     Single-channel data is rejected: there the hook would turn every iterate
     back into the original, and the chain would store copies of its source.
     """
-    iterate = np.asarray(iterate, dtype=np.float64)
-    original = np.asarray(original, dtype=np.float64)
+    iterate = float_array(iterate)
+    original = np.asarray(original)
     if iterate.shape != original.shape:
         raise DimensionError("iterate and original must share a shape")
     n_channels = iterate.shape[-3] if iterate.ndim >= 3 else 1
@@ -86,9 +89,11 @@ def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig
     """Advance a batch of chains with pre-drawn noise of shape (K, N, ...).
 
     Chains do not interact, so a chain's iterates depend only on its own x0
-    and noise slice. Returns (final (N, ...), stored dict step -> (N, ...)).
+    and noise slice. The chain computes in x0's dtype (``float_array``), and
+    each step casts its noise slice to it.
+    Returns (final (N, ...), stored dict step -> (N, ...)).
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = float_array(x0)
     x = x0.copy()
     keep = set(config.stored_steps())
     stored = {}

@@ -1,9 +1,11 @@
-"""Deterministic numerical substrate: random streams and Adam.
+"""Deterministic numerical substrate: random streams, Adam and the compute dtype.
 
-Everything here is double precision. Random streams are derived by hashing
-a base seed together with a tuple of (name, index) labels, so any consumer
-(a chain, a sample, a training iteration) owns an independent stream whose
-draws do not depend on scheduling order.
+Random streams are derived by hashing a base seed together with a tuple of
+(name, index) labels, so any consumer (a chain, a sample, a training
+iteration) owns an independent stream whose draws do not depend on
+scheduling order; draws and Adam are double precision. ``float_array``
+states the rule every network, energy, sampler and trainer kernel follows:
+it computes in float32 when given float32 arrays and in float64 otherwise.
 """
 from __future__ import annotations
 
@@ -15,6 +17,13 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 Labels = tuple[tuple[str, int], ...]
+
+
+def float_array(x) -> np.ndarray:
+    """``x`` in the dtype a kernel computes in: float32 stays float32, anything else becomes
+    float64 (without a copy if it already is)."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _philox_key(base_seed: int, labels: Labels) -> np.ndarray:

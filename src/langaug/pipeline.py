@@ -4,7 +4,9 @@ For every ordered domain pair (i, j) and every training image of domain i,
 a Langevin chain runs under the (i -> j) model; each stored iterate joins
 the augmented pool carrying the origin sample's mask and (i, j, step) tags.
 Augmented data is generated once and persisted; downstream training then
-interleaves it with the originals at a configurable per-batch ratio.
+interleaves it with the originals at a configurable per-batch ratio. The
+chains run in ``EBM_DTYPE`` from float64 noise draws cast once, so the
+pool's images are float32; its masks keep the dataset's bits.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .cdtrain import ordered_pairs
-from .energy import EnergyParams
-from .errors import ConfigError, DivergenceError
+from .energy import EBM_DTYPE, EnergyParams
+from .errors import ConfigError, DivergenceError, TensorFormatError
 from .langevin import LangevinConfig, run_chain_batch
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
 from .numerics import derive_stream
@@ -101,6 +103,7 @@ def pool_provenance(dataset: MultiDomainDataset, ebms: dict, config: LangevinCon
         "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)]) for i, j in pairs},
         "langevin": asdict(config),
         "base_seed": base_seed,
+        "dtype": EBM_DTYPE.name,
         "data": {str(d): _checksum(dataset.train_images(d), dataset.train_masks(d))
                  for d in domains},
     }
@@ -132,20 +135,20 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
             raise ConfigError(f"missing energy model for pair {pair}")
 
     # empty leading pieces fix the shapes and dtypes of a pool with no entries
-    images, masks = [dataset.images[0][:0]], [dataset.masks[0][:0]]
+    images, masks = [dataset.images[0][:0].astype(EBM_DTYPE)], [dataset.masks[0][:0]]
     src_tag, tgt_tag, step_tag, origin_tag = ([np.empty(0, dtype=np.int64)] for _ in range(4))
     skipped = 0
     stored_steps = config.stored_steps()
     for i, j in pairs:
         params = ebms[(i, j)]
         train_idx = np.asarray(dataset.split[i]["train"], dtype=np.int64)
-        x0 = dataset.images[i][train_idx]
+        x0 = dataset.images[i][train_idx].astype(EBM_DTYPE)
         m0 = dataset.masks[i][train_idx]
         if x0.shape[0] == 0:
             continue
         noise = np.stack([
             derive_stream(base_seed, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", int(s))])
-            .standard_normal((config.n_steps,) + x0.shape[1:])
+            .standard_normal((config.n_steps,) + x0.shape[1:]).astype(EBM_DTYPE)
             for s in train_idx
         ], axis=1)  # (K, n_i, C, H, W)
         n_chains = x0.shape[0]
@@ -238,12 +241,22 @@ def save_augmented(aug: AugmentedDataset, basename) -> None:
 
 
 def load_augmented(basename) -> AugmentedDataset:
+    """The pool saved at ``basename``; masks whose rows are not the images' m rows, or tags
+    that are not (4, m), raise TensorFormatError."""
     base = Path(basename)
     meta = read_meta(base, ("provenance", "skipped_chains"))
+    images = read_tensor(f"{base}.images.ldtn")
+    masks = read_tensor(f"{base}.masks.ldtn")
     tags = read_tensor(f"{base}.tags.ldtn").astype(np.int64)
+    if masks.shape[:1] != images.shape[:1]:
+        raise TensorFormatError(f"{base}.masks.ldtn: masks of shape {masks.shape} for images "
+                                f"of shape {images.shape}; rerun augment")
+    if tags.shape != (4, *images.shape[:1]):
+        raise TensorFormatError(f"{base}.tags.ldtn: tags of shape {tags.shape} for images of "
+                                f"shape {images.shape}, expected (4, m); rerun augment")
     return AugmentedDataset(
-        images=read_tensor(f"{base}.images.ldtn"),
-        masks=read_tensor(f"{base}.masks.ldtn"),
+        images=images,
+        masks=masks,
         source_domain=tags[0],
         target_domain=tags[1],
         step_index=tags[2],

@@ -23,7 +23,7 @@ from .errors import ConfigError, DimensionError, LeakageError, NumericError
 from .ldtn import write_csv
 from .nets import (count_params, init_params, join_params, sigmoid, split_params,
                    swish_conv_backward, swish_conv_forward)
-from .numerics import AdamHyper, adam_step, derive_stream, init_adam_state
+from .numerics import AdamHyper, adam_step, derive_stream, float_array, init_adam_state
 from .pipeline import AugmentedDataset, assemble_training_stream
 from .synth import MultiDomainDataset
 
@@ -66,8 +66,7 @@ def seg_logits(model: SegModel, X: np.ndarray):
 
     Computes in float32 if ``X`` is float32 and in float64 otherwise.
     """
-    X = np.asarray(X)
-    X = X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
+    X = float_array(X)
     if X.ndim != 4 or X.shape[1] != model.arch.in_channels:
         raise DimensionError(f"expected (N, {model.arch.in_channels}, H, W), got {X.shape}")
     layers = split_params(model.theta.astype(X.dtype, copy=False), model.arch.shapes())

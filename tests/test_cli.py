@@ -623,9 +623,40 @@ def edit_json(edit):
     return apply
 
 
+def edit_tensor(edit):
+    def apply(path):
+        write_tensor(path, edit(read_tensor(path)))
+    return apply
+
+
 # a damaged companion file of the pool or the dataset: (its path in the run directory, the
 # edit, what stderr says after the path)
 COMPANION_DAMAGE = {
+    "pool masks short a row": ("aug/augmented.masks.ldtn", edit_tensor(lambda t: t[:-1]),
+                               "masks of shape (53, 16, 16) for images of shape (54, 1, 16, 16)"),
+    "pool tags of 3 rows": ("aug/augmented.tags.ldtn", edit_tensor(lambda t: t[:3]),
+                            "tags of shape (3, 54)"),
+    "pool tags short a column": ("aug/augmented.tags.ldtn", edit_tensor(lambda t: t[:, :-1]),
+                                 "tags of shape (4, 53) for images of shape (54, 1, 16, 16)"),
+    "dataset masks short a row": ("dataset/benchmark.d1.masks.ldtn",
+                                  edit_tensor(lambda t: t[:-1]),
+                                  "masks of shape (5, 16, 16) for images of shape (6, 1, 16, 16)"),
+    "dataset domain extra field": ("dataset/benchmark.meta.json",
+                                   edit_json(lambda meta: meta["domains"][2].update(hue=1.0)),
+                                   "domains[2] has unknown field 'hue'"),
+    "dataset domain missing field": ("dataset/benchmark.meta.json",
+                                     edit_json(lambda meta: meta["domains"][0].pop("gamma")),
+                                     "domains[0] has missing field 'gamma'"),
+    "dataset split a string": ("dataset/benchmark.meta.json",
+                               edit_json(lambda meta: meta.update(split="train")),
+                               '"split" is not a list of 3 domains'),
+    "dataset split entry a list": ("dataset/benchmark.meta.json",
+                                   edit_json(lambda meta: meta["split"].__setitem__(1, [0, 1])),
+                                   "split[1] is not a train and test pair"),
+    "dataset split index out of range": ("dataset/benchmark.meta.json",
+                                         edit_json(lambda meta: meta["split"][0]["test"]
+                                                   .append(6)),
+                                         "split[0].test is not a list of row indices below 6"),
     "truncated pool sidecar": ("aug/augmented.meta.json",
                                lambda path: path.write_text(path.read_text()[:-20]),
                                "metadata is not valid JSON"),
@@ -656,6 +687,32 @@ def test_damaged_pool_metadata_exit_3(out_dir, tmp_path, capsys, subcommand, dam
     edit(out / name)
     assert run(subcommand, out_dir / "c.json", out) == 3
     assert f"{out / name}: {text}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [lambda provenance: provenance.pop("dtype"),
+                                  lambda provenance: provenance.update(dtype="float64")],
+                         ids=["no dtype", "float64"])
+def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monkeypatch, capsys,
+                                                        edit):
+    # a pool saved by the float64 sampler has no dtype key; it must not stand in for the
+    # float32 pool, which has other bits
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    edit_json(lambda meta: edit(meta["provenance"]))(out / "aug" / "augmented.meta.json")
+    config = write_config(tmp_path / "c.json", sweep={"axis": "n_steps", "values": [6],
+                                                      "folds": [0], "seeds": [0]})
+    calls = count_chain_runs(monkeypatch)
+    for stage in ("eval-loo", "sweep"):
+        calls.clear()
+        assert run(stage, config, out) == 0
+        assert len(calls) == 3 * 2
+        assert "provenance key dtype differs" in (out / stage.replace("eval-", "") / "run.log"
+                                                  ).read_text()
+    capsys.readouterr()
+    assert run("train-seg", config, out) == 3
+    err = capsys.readouterr().err
+    assert "provenance key dtype differs" in err and "run `augment` again" in err
 
 
 # a model trained while the mlp arch existed has hidden_width in its sidecar; the

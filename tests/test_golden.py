@@ -1,8 +1,11 @@
-"""Recorded sha256 of every table and tensor from a tiny run of all subcommands.
+"""Recorded sha256 of every table and tensor from a tiny run of all subcommands,
+and of the float64 energy, sampler and trainer outputs on fixed inputs.
 
 Criterion 10 compares two runs of the same code; this test compares a run
 against digests recorded from an earlier commit, so an unintended bit change
-anywhere in the pipeline fails here. Other BLAS kernels may round
+anywhere in the pipeline fails here. The pipeline trains and samples its
+energy models in float32; the float64 table pins the bits that the gradient
+checks and criteria 1-3 compute with. Other BLAS kernels may round
 differently, so the digests are keyed by numpy version and the runtime
 OpenBLAS core; on an unknown key the test skips and says why.
 
@@ -19,7 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from langaug.cdtrain import CdConfig, train_ebm
 from langaug.cli import run
+from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                            energy_value_and_grad_params, init_energy_params)
+from langaug.langevin import LangevinConfig, langevin_step, run_chain_batch
+from langaug.numerics import derive_stream
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -83,8 +91,39 @@ def run_all(root, jobs=1):
     return {k: v for k, v in digests(root).items() if "/" in k}
 
 
-def recorded():
-    runs = json.loads(DIGESTS.read_text())["runs"]
+def float64_kernels():
+    """{name: sha256} of float64 energy passes, Langevin steps, a chain and two CD trainings."""
+    def sha(*values):
+        return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in values)).hexdigest()
+
+    stream = lambda name: derive_stream(13, [(name, 0)])  # noqa: E731
+    arch = EnergyArch("conv", (2, 8, 8), conv_blocks=2)
+    conv = EnergyParams(arch, init_energy_params(arch, 13).theta
+                        + 0.3 * stream("jitter").standard_normal(arch.param_count))
+    quad = EnergyParams(EnergyArch("quadratic", (2, 8, 8)), stream("centre").uniform(size=128))
+    x = stream("x").uniform(size=(5, 2, 8, 8))
+    noise = stream("noise").standard_normal((6, 5, 2, 8, 8))
+    ld = LangevinConfig(step_size=0.1, n_steps=6, store_stride=2, store_offset=2,
+                        channel_replace=0, clamp_unit=True)
+    table = {}
+    for name, params in (("conv", conv), ("quadratic", quad)):
+        e, dx = energy_value_and_grad_input(params, x)
+        table[f"{name}.grad_input"] = sha(e, dx)
+        table[f"{name}.grad_params"] = sha(*energy_value_and_grad_params(params, x))
+        table[f"{name}.langevin_step"] = sha(langevin_step(x, dx, 0.1, noise[0]))
+        final, stored = run_chain_batch(x, params, ld, noise)
+        table[f"{name}.run_chain_batch"] = sha(final, *(stored[t] for t in sorted(stored)))
+    cd = CdConfig(n_iters=3, batch_size=2, ld=LangevinConfig(step_size=0.1, n_steps=3),
+                  base_seed=13)
+    src, tgt = stream("src").uniform(size=(4, 2, 8, 8)), stream("tgt").uniform(size=(4, 2, 8, 8))
+    for arch_ in (arch, quad.arch):
+        params, trace = train_ebm(src, tgt, arch_, cd)
+        table[f"{arch_.kind}.train_ebm"] = sha(params.theta, trace.cd_surrogate, trace.grad_norm)
+    return table
+
+
+def recorded(section="runs"):
+    runs = json.loads(DIGESTS.read_text())[section]
     key = platform_key()
     if key not in runs:
         pytest.skip(f"no digests recorded for {key!r} (recorded: {sorted(runs)}); "
@@ -101,14 +140,24 @@ def test_outputs_match_recorded_digests(tmp_path, jobs):
     assert changed == [], f"outputs changed bits: {changed}"
 
 
+def test_float64_kernels_match_recorded_digests():
+    expected = recorded("float64_kernels")
+    got = float64_kernels()
+    assert sorted(got) == sorted(expected)
+    changed = sorted(k for k in expected if got[k] != expected[k])
+    assert changed == [], f"float64 outputs changed bits: {changed}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         table = run_all(tmp)
     data = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"runs": {}}
-    data["about"] = ("sha256 of the outputs of tests/test_golden.py's tiny run, keyed by "
-                     "numpy version and runtime OpenBLAS core")
+    data["about"] = ("sha256 of the outputs of tests/test_golden.py's tiny run (runs) and of "
+                     "its float64 kernel calls (float64_kernels), keyed by numpy version and "
+                     "runtime OpenBLAS core")
     data["runs"][platform_key()] = table
+    data.setdefault("float64_kernels", {})[platform_key()] = float64_kernels()
     DIGESTS.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(table)} digests for {platform_key()!r}", file=sys.stderr)

@@ -103,11 +103,12 @@ class TestGenerateAugmented:
 
     def test_diverging_chain_skipped_and_healthy_chains_kept(self):
         # theta = 0 and step 2.1 scale every iterate by -1.205 per step, so a
-        # training image of 1e307 overflows mid-chain while images in [0, 1]
-        # stay finite over all 40 steps
+        # training image of 1e37 overflows the float32 chain at step 16 (the
+        # drift term 2.205 * 1.205**15 * 1e37 passes 3.4e38) while images in
+        # [0, 1] stay finite over all 40 steps
         ds = generate_benchmark(2, 6, 8, seed=23, train_frac=0.5)
         bad = int(ds.split[0]["train"][1])
-        ds.images[0][bad] = 1e307
+        ds.images[0][bad] = 1e37
         arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
         ebms = {pair: EnergyParams(arch, np.zeros(arch.input_dim)) for pair in ordered_pairs(2)}
         config = LangevinConfig(step_size=2.1, n_steps=40, store_stride=10, store_offset=10)
@@ -122,20 +123,21 @@ class TestGenerateAugmented:
                 .standard_normal((config.n_steps, 1, 8, 8))
                 for s in rows
             ], axis=1)
-            _, stored = run_chain_batch(ds.images[i][rows], ebms[(i, j)], config, noise)
+            _, stored = run_chain_batch(ds.images[i][rows].astype(np.float32), ebms[(i, j)],
+                                        config, noise.astype(np.float32))
             for t in config.stored_steps():
                 pick = (aug.source_domain == i) & (aug.target_domain == j) & (aug.step_index == t)
                 assert aug.origin_index[pick].tolist() == rows
                 assert aug.images[pick].tobytes() == stored[t].tobytes()
 
     def test_chains_diverging_at_later_steps_dropped_batch_by_batch(self, monkeypatch):
-        # as above, 1e307 overflows near step 16 and 1e306 near step 28: the
+        # as above, 1e37 overflows at step 16 and 1e36 at step 29: the
         # pair (0, 1) runs three batches of 3, 2 and 1 chains; once every
         # chain is gone the pair raises, naming itself and its chain count
         ds = generate_benchmark(2, 6, 8, seed=23, train_frac=0.5)
         train = [int(s) for s in ds.split[0]["train"]]
-        ds.images[0][train[0]] = 1e307
-        ds.images[0][train[2]] = 1e306
+        ds.images[0][train[0]] = 1e37
+        ds.images[0][train[2]] = 1e36
         arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
         ebms = {pair: EnergyParams(arch, np.zeros(arch.input_dim)) for pair in ordered_pairs(2)}
         config = LangevinConfig(step_size=2.1, n_steps=40, store_stride=10, store_offset=10)
@@ -151,7 +153,7 @@ class TestGenerateAugmented:
         assert aug.skipped_chains == 2
         pick = aug.source_domain == 0
         assert sorted(set(aug.origin_index[pick].tolist())) == [train[1]]
-        ds.images[0][train[1]] = 1e307
+        ds.images[0][train[1]] = 1e37
         with pytest.raises(DivergenceError, match=r"pair \(0, 1\): all 3 chains diverged"):
             generate_augmented(ds, ebms, config, base_seed=5)
 
