@@ -5,22 +5,23 @@ to (N, C, H, W) batches. Gradients are exact; no autodiff anywhere. Every
 kernel computes in its input's dtype (``np.result_type(x, w)`` for a conv),
 so float32 arrays stay float32 and float64 arrays keep their float64 bits.
 
-Each convolution is lowered to one 2-D matrix product (Chellapilla et al.
-2006): the padded input is unfolded into an im2col matrix of shape
-(C_in * 9, N * H_out * W_out) by nine strided copies, one per kernel
-offset, and multiplied by the (C_out, C_in * 9) weight matrix. The
-forward returns that matrix and the backward reuses it for the weight
-gradient, so each input is unfolded once. The input gradient multiplies
-by the transposed weights and folds the products back with one flat
-shifted add per kernel offset: under same padding the input splits into
-stride x stride phase planes, and an offset sends every output pixel to
-one phase plane, one constant flat index further on once all image
-planes are laid end to end. Products that the shift would wrap into a
-neighbouring row or image plane are zeroed first. Every input pixel then
-sums the same products in the same offset order, plus exact zeros, as
-nine adds into strided windows of the padded input would, so it gets the
-same bits; a plain 1-D add runs several times faster than an add into
-such a window, which numpy walks one short row at a time.
+Each convolution is lowered to one 2-D matrix product (Chellapilla et
+al. 2006): the padded input is unfolded into an im2col matrix of shape
+(C_in * 9, N * H_out * W_out) by one copy of its (C_in, 3, 3, N, H_out,
+W_out) window view, and multiplied by the (C_out, C_in * 9) weight
+matrix. The forward returns that matrix and the backward reuses it for
+the weight gradient, so each input is unfolded once. The input gradient
+multiplies by the transposed weights and folds the products back with
+one flat shifted add per kernel offset: under same padding the input
+splits into stride x stride phase planes, and an offset sends every
+output pixel to one phase plane, one constant flat index further on once
+all image planes are laid end to end. Products that the shift would wrap
+into a neighbouring row or image plane are zeroed first. Every input
+pixel then sums the same products in the same offset order, plus exact
+zeros, as nine adds into strided windows of the padded input would, so
+it gets the same bits; a plain 1-D add runs several times faster than an
+add into such a window, which numpy walks one short row at a time. One
+transposed copy then interleaves the phase planes into dx.
 ``want_dw=False`` skips the weight and bias gradients (Langevin sampling),
 ``want_dx=False`` the input gradient (training).
 
@@ -59,15 +60,14 @@ def conv_out_size(size: int, stride: int, pad: int = 1, kernel: int = 3) -> int:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Unfold xp into the (C * kh * kw, N * ho * wo) im2col matrix."""
+    """Unfold C-contiguous xp into a fresh (C * kh * kw, N * ho * wo) im2col matrix."""
     n, c = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            # the (N, C, ho, wo) strided view of xp under kernel offset (u, v)
-            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            cols[:, u, v] = xs.transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * ho * wo)
+    sn, sc, sh, sw = xp.strides
+    # entry (c, u, v, n, i, j) is xp[n, c, stride * i + u, stride * j + v]; the
+    # ndarray constructor builds this window view faster than as_strided
+    windows = np.ndarray((c, kh, kw, n, ho, wo), xp.dtype, xp, 0,
+                         (sc, sh, sw, sn, stride * sh, stride * sw))
+    return windows.copy().reshape(c * kh * kw, n * ho * wo)  # a fresh C-order copy
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int = 1):
@@ -143,15 +143,12 @@ def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, 
         # segmenter's 8->8 layer nine such copies beat one offset-major copy
         # of all of dcols by about 3x
         planes[p, q, lo + d:hi + d] += dcols[:, k].ravel()[lo:hi]
-    h = xp.shape[2] - 2 * pad
-    wd = xp.shape[3] - 2 * pad
-    dx = np.empty((n, c, h, wd), dtype=dcols.dtype)
-    for p in range(stride):
-        for q in range(stride):
-            plane = planes[p, q].reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
-            dx[:, :, p::stride, q::stride] = plane[:, :, :len(range(p, h, stride)),
-                                                   :len(range(q, wd, stride))]
-    return dx, dw, db
+    h, wd = xp.shape[2] - 2 * pad, xp.shape[3] - 2 * pad
+    # plane (p, q) holds the rows p::stride and the columns q::stride of dx: one
+    # transposed copy interleaves them, and a crop to odd sizes is copied again
+    dx = planes.reshape(stride, stride, c, n, ho, wo).transpose(3, 2, 4, 0, 5, 1)
+    dx = dx.reshape(n, c, ho * stride, wo * stride)[:, :, :h, :wd]
+    return np.ascontiguousarray(dx), dw, db
 
 
 def swish_conv_forward(x: np.ndarray, layers, stride: int):

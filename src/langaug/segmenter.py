@@ -135,15 +135,18 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
     for epoch in range(config.epochs):
         stream = assemble_training_stream(src_images.shape[0], n_aug, mix, seed,
                                           batch_size=config.batch_size, epoch=epoch)
+        # the epoch's batches, one gather per source (a float32 copy of the pool costs memory)
+        kinds, rows = map(np.array, zip(*stream))
+        is_aug = kinds == "aug"
+        images = np.empty((len(rows), *src_images.shape[1:]), dtype=np.float32)
+        masks = np.empty((len(rows), *src_masks.shape[1:]), dtype=np.float32)
+        images[~is_aug], masks[~is_aug] = src_images[rows[~is_aug]], src_masks[rows[~is_aug]]
+        if pool is not None:
+            images[is_aug], masks[is_aug] = pool.images[rows[is_aug]], pool.masks[rows[is_aug]]
         for start in range(0, len(stream), config.batch_size):
-            batch = stream[start:start + config.batch_size]
-            # cast per batch: a float32 copy of the pool would raise peak memory
-            xs = np.stack([src_images[i] if kind == "src" else pool.images[i] for kind, i in batch],
-                          dtype=np.float32)
-            ms = np.stack([src_masks[i] if kind == "src" else pool.masks[i] for kind, i in batch],
-                          dtype=np.float32)
+            batch = slice(start, start + config.batch_size)
             try:
-                _, grad = seg_loss_and_grad(model, xs, ms)
+                _, grad = seg_loss_and_grad(model, images[batch], masks[batch])
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, batch at {start}: {err}") from err
             theta, state = adam_step(model.theta, grad, state)

@@ -8,8 +8,8 @@ import pytest
 
 from langaug import energy, nets, segmenter
 from langaug.energy import EnergyArch, init_energy_params
-from langaug.nets import (conv2d_backward, conv2d_forward, count_params, init_params,
-                         join_params, sigmoid, split_params)
+from langaug.nets import (conv2d_backward, conv2d_forward, conv_out_size, count_params,
+                         init_params, join_params, sigmoid, split_params)
 from langaug.numerics import derive_stream
 from langaug.segmenter import SegArch, init_seg_model
 
@@ -88,8 +88,41 @@ def test_dw_from_the_forward_matrix_matches_a_fresh_unfold(stride, n, c_in, c_ou
     _, dw, _ = conv2d_backward(dy, xp, w, stride=stride, cols=cols)
     ho = dy.shape[2]
     dy_mat = dy.transpose(1, 0, 2, 3).reshape(c_out, -1)
-    ref = (dy_mat @ nets._im2col(xp, 3, 3, stride, ho, ho).T).reshape(w.shape)
+    ref = (dy_mat @ nine_copy_im2col(xp, 3, 3, stride, ho, ho).T).reshape(w.shape)
     assert np.array_equal(dw, ref)
+
+
+def nine_copy_im2col(xp, kh, kw, stride, ho, wo):
+    # the input unfolded by nine strided copies, one per kernel offset; the
+    # one-copy window view must reproduce its bytes
+    n, c = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            cols[:, u, v] = xs.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+# (H, W) of the fold and unfold bit tests: a lone pixel, odd and even sizes
+FOLD_SIZES = [(1, 1), (2, 2), (5, 9), (7, 7), (8, 8), (16, 16), (16, 15)]
+FOLD_BATCHES = (1, 2, 8, 15)
+# (stride, N, C_in, H, W): every SHAPES entry, then each fold size at each batch size
+UNFOLD_CASES = [(stride, n, c_in, h, h) for stride, n, c_in, _, h in SHAPES] + [
+    (stride, n, 3, h, wd) for stride in (1, 2) for h, wd in FOLD_SIZES for n in FOLD_BATCHES]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,n,c_in,h,wd", UNFOLD_CASES)
+def test_one_copy_unfold_matches_nine_copies_bits(stride, n, c_in, h, wd, dtype):
+    stream = derive_stream(n * 1000 + h * 100 + wd, [("unfold", stride), ("c_in", c_in)])
+    x = stream.standard_normal((n, c_in, h, wd)).astype(dtype)
+    w = stream.standard_normal((4, c_in, 3, 3)).astype(dtype)
+    _, xp, cols = conv2d_forward(x, w, np.zeros(4, dtype), stride=stride)
+    ref = nine_copy_im2col(xp, 3, 3, stride, conv_out_size(h, stride), conv_out_size(wd, stride))
+    assert cols.shape == ref.shape and cols.dtype == ref.dtype
+    assert cols.tobytes() == ref.tobytes()
+    assert cols.flags.c_contiguous and not np.shares_memory(cols, xp)
 
 
 def window_fold_dx(dy, xp, w, stride, pad=1):
@@ -109,11 +142,11 @@ def window_fold_dx(dy, xp, w, stride, pad=1):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("h,wd", [(1, 1), (2, 2), (5, 9), (7, 7), (8, 8), (16, 16), (16, 15)])
+@pytest.mark.parametrize("h,wd", FOLD_SIZES)
 @pytest.mark.parametrize("stride", [1, 2])
 def test_flat_shifted_adds_match_the_window_fold_bits(stride, h, wd, dtype):
     stream = derive_stream(h * 100 + wd, [("fold", stride)])
-    for n in (1, 8, 15):
+    for n in FOLD_BATCHES:
         x = stream.standard_normal((n, 3, h, wd)).astype(dtype)
         w = stream.standard_normal((4, 3, 3, 3)).astype(dtype)
         y, xp, cols = conv2d_forward(x, w, np.zeros(4, dtype), stride=stride)
@@ -126,6 +159,10 @@ def test_flat_shifted_adds_match_the_window_fold_bits(stride, h, wd, dtype):
         ref = window_fold_dx(dy, xp, w, stride)
         assert dx.shape == ref.shape and dx.dtype == ref.dtype
         assert dx.tobytes() == ref.tobytes()
+        # the unfold copies out of xp and the fold's crop is copied when odd sizes
+        # leave it strided
+        assert cols.flags.c_contiguous and not np.shares_memory(cols, xp)
+        assert dx.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n,c_in", [(5, 1), (5, 8), (8, 1), (8, 8)])

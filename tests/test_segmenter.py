@@ -7,7 +7,7 @@ from langaug import segmenter
 from langaug.errors import ConfigError, LeakageError
 from langaug.numerics import AdamHyper, derive_stream
 from finite_diff import finite_diff_grad_subset, relative_error
-from langaug.pipeline import AugmentedDataset
+from langaug.pipeline import AugmentedDataset, assemble_training_stream
 from langaug.segmenter import (SegArch, SegModel, SegTrainConfig, dice, evaluate_model,
                                init_seg_model, iou, leave_one_out_eval, predict_mask,
                                seg_logits, seg_loss_and_grad, train_segmenter,
@@ -166,6 +166,37 @@ class TestTraining:
         seen.clear()
         segmenter.seg_loss_and_grad(init_seg_model(SegArch(), 0), x[:2], m[:2])
         assert seen == [(f64, f64, f64, f64)]
+
+    @pytest.mark.parametrize("with_pool", [False, True])
+    def test_batches_hold_the_stream_entries_in_stream_order(self, monkeypatch, with_pool):
+        # each step sees its stream entries stacked in order and cast to float32,
+        # sources and pool alike; 7 sources leave a short last batch
+        seen = []
+        loss_and_grad = segmenter.seg_loss_and_grad
+
+        def recording(model, X, M):
+            seen.append((X.tobytes(), M.tobytes()))
+            return loss_and_grad(model, X, M)
+
+        monkeypatch.setattr(segmenter, "seg_loss_and_grad", recording)
+        stream = derive_stream(15, [("x", 0)])
+        x, m = stream.uniform(size=(7, 1, 8, 8)), stream.uniform(size=(7, 8, 8))
+        pool = pool_of(stream.uniform(size=(5, 1, 8, 8)).astype(np.float32),
+                       stream.uniform(size=(5, 8, 8))) if with_pool else None
+        config = SegTrainConfig(epochs=2, batch_size=4)
+        train_segmenter(x, m, config, seed=3, pool=pool)
+        expected = []
+        for epoch in range(config.epochs):
+            entries = assemble_training_stream(7, len(pool) if with_pool else 0,
+                                               config.mix_ratio if with_pool else 0.0, 3,
+                                               batch_size=4, epoch=epoch)
+            for start in range(0, len(entries), 4):
+                batch = entries[start:start + 4]
+                expected.append(tuple(
+                    np.stack([src[i] if kind == "src" else pooled[i] for kind, i in batch],
+                             dtype=np.float32).tobytes()
+                    for src, pooled in ((x, pool and pool.images), (m, pool and pool.masks))))
+        assert seen == expected
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError):
