@@ -252,11 +252,17 @@ def _seg_config(config) -> SegTrainConfig:
                           mix_ratio=config["augment"]["mix_ratio"], adam=AdamHyper(lr=seg["lr"]))
 
 
+# a missing or unusable upstream file; run exits 3 on these
+_UNUSABLE = (MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError)
+
+
 class Stage:
-    """One subcommand's output-directory bookkeeping; ``run`` builds it and calls ``finish``."""
+    """One subcommand's output-directory bookkeeping; ``run`` builds it and calls ``finish``.
+    An upstream artifact ``name``, such as ``"ebms/ebm_0_1"``, is the run's ``<name>.*`` files."""
 
     def __init__(self, out_dir, name, config):
-        self.dir = Path(out_dir) / name
+        self.root = Path(out_dir)
+        self.dir = self.root / name
         self.inputs = {}
         write_json(self.dir / "config.resolved.json", config)
         self._log = []
@@ -264,13 +270,27 @@ class Stage:
     def log(self, message):
         self._log.append(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {message}")
 
-    def record_input(self, path, producer) -> Path:
-        """Checksum an upstream artifact that stage ``producer`` writes."""
-        path = Path(path)
-        if not path.exists():
-            raise MissingArtifactError(f"missing upstream artifact: {path} (run `{producer}` first)")
-        self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
-        return path
+    def has(self, name) -> bool:
+        return any(self.root.glob(f"{name}.*"))
+
+    def peek(self, name, load):
+        """``load(base)`` for the artifact ``name``, recording nothing; a missing or unusable
+        file raises with the subcommand to rerun."""
+        try:
+            return load(self.root / name)
+        except _UNUSABLE as err:
+            writer = next(sub for sub, (out, _) in _HANDLERS.items() if name.startswith(f"{out}/"))
+            raise type(err)(f"{err}; rerun {writer}") from err
+
+    def read(self, name, load):
+        """``peek(name, load)`` after checksumming every file of ``name`` into the manifest."""
+        for path in sorted(self.root.glob(f"{name}.*")):
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:  # in chunks: a whole pool tensor would lift peak RSS
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+            self.inputs[str(path)] = digest.hexdigest()
+        return self.peek(name, load)
 
     def finish(self):
         write_json(self.dir / "manifest.json", {"inputs": self.inputs})
@@ -305,7 +325,7 @@ def pca_project(vectors: np.ndarray, out_dim: int = 2) -> np.ndarray:
 # subcommands
 
 
-def _cmd_gen_data(stage, config, out_dir, jobs):
+def _cmd_gen_data(stage, config, jobs):
     data = config["data"]
     stage.log("generating benchmark")
     dataset = generate_benchmark(
@@ -321,37 +341,34 @@ def _cmd_gen_data(stage, config, out_dir, jobs):
     stage.log(f"clamp fraction {dataset.clamp_fraction:.4f}")
 
 
-def _load_benchmark(out_dir, stage):
-    meta = stage.record_input(Path(out_dir) / "dataset" / "benchmark.meta.json", "gen-data")
-    return load_dataset(meta.parent / "benchmark")
-
-
-def _cmd_train_ebms(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
+def _cmd_train_ebms(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
     stage.log(f"training {len(ordered_pairs(dataset.n_domains))} pairwise models")
     train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
                     _arch_from_config(config, dataset), _cd_from_config(config),
                     out_dir=stage.dir, jobs=jobs)
 
 
-def _load_ebms(config, dataset, out_dir, stage):
+def _load_ebms(stage, config, dataset):
     """The pair models `train-ebms` saved; one whose arch is not the config's raises."""
-    arch = _arch_from_config(config, dataset)
-    ebms = {}
-    for i, j in ordered_pairs(dataset.n_domains):
-        base = Path(out_dir) / "ebms" / f"ebm_{i}_{j}"
-        stage.record_input(f"{base}.ldtn", "train-ebms")
-        ebms[(i, j)] = load_energy_params(base)[0]
-        for key, saved in asdict(ebms[(i, j)].arch).items():
-            if saved != getattr(arch, key):
-                raise MissingArtifactError(f"{base}.meta.json: arch {key}={saved} does not match "
-                                           f"the config's {getattr(arch, key)}; rerun train-ebms")
-    return ebms
+    want = asdict(_arch_from_config(config, dataset))
+
+    def load(base):
+        params = load_energy_params(base)[0]
+        saved = asdict(params.arch)
+        key = provenance_mismatch(saved, want)
+        if key is not None:
+            raise MissingArtifactError(f"{base}.meta.json: arch {key}={saved[key]} does not match "
+                                       f"the config's {want[key]}")
+        return params
+
+    return {(i, j): stage.read(f"ebms/ebm_{i}_{j}", load)
+            for i, j in ordered_pairs(dataset.n_domains)}
 
 
-def _cmd_augment(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
-    ebms = _load_ebms(config, dataset, out_dir, stage)
+def _cmd_augment(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
+    ebms = _load_ebms(stage, config, dataset)
     stage.log("generating bridge samples")
     aug = generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
                              config["base_seed"])
@@ -359,25 +376,23 @@ def _cmd_augment(stage, config, out_dir, jobs):
     stage.log(f"{len(aug)} entries, {aug.skipped_chains} chains skipped")
 
 
-def _saved_pool(config, dataset, ebms, out_dir, stage):
+def _saved_pool(stage, config, dataset, ebms):
     """(pool, None) when the pool `augment` saved is the one these inputs make, else (None, why)."""
-    path = Path(out_dir) / "aug" / "augmented.meta.json"
-    if not path.exists():
+    if not stage.has("aug/augmented"):
         return None, "no pool on disk"
-    key = provenance_mismatch(read_meta(path.parent / "augmented").get("provenance", {}),
+    key = provenance_mismatch(stage.peek("aug/augmented", read_meta).get("provenance", {}),
                               pool_provenance(dataset, ebms, _langevin_from_config(config, dataset),
                                               config["base_seed"]))
     if key is not None:
         return None, f"provenance key {key} differs"
-    return load_augmented(stage.record_input(path, "augment").parent / "augmented"), None
+    return stage.read("aug/augmented", load_augmented), None
 
 
-def _cmd_train_seg(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
+def _cmd_train_seg(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
     arms = {"erm": None}
-    if (Path(out_dir) / "aug" / "augmented.meta.json").exists():
-        pool, stale = _saved_pool(config, dataset, _load_ebms(config, dataset, out_dir, stage),
-                                  out_dir, stage)
+    if stage.has("aug/augmented"):
+        pool, stale = _saved_pool(stage, config, dataset, _load_ebms(stage, config, dataset))
         if stale is not None:
             raise MissingArtifactError(f"the augmented pool is stale ({stale}); "
                                        "run `augment` again")
@@ -394,14 +409,14 @@ def _cmd_train_seg(stage, config, out_dir, jobs):
     write_results_csv(results, stage.dir / "results.csv")
 
 
-def _loo_pool(config, dataset, ebms, folds, out_dir, stage):
+def _loo_pool(stage, config, dataset, ebms, folds):
     """The bridge pool of the pair models ``ebms`` for leave-one-out over ``folds``.
 
     The pool `augment` saved serves when its provenance equals this run's;
     otherwise the pool is sampled, after the folds have been checked.
     """
     loo_folds(dataset.n_domains, folds)
-    pool, stale = _saved_pool(config, dataset, ebms, out_dir, stage)
+    pool, stale = _saved_pool(stage, config, dataset, ebms)
     if pool is not None:
         stage.log("using the pool `augment` saved")
         return pool
@@ -410,17 +425,17 @@ def _loo_pool(config, dataset, ebms, folds, out_dir, stage):
                               config["base_seed"])
 
 
-def _cmd_eval_loo(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
-    ebms = _load_ebms(config, dataset, out_dir, stage)
+def _cmd_eval_loo(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
+    ebms = _load_ebms(stage, config, dataset)
     stage.log("running leave-one-out evaluation")
-    pool = _loo_pool(config, dataset, ebms, None, out_dir, stage)
+    pool = _loo_pool(stage, config, dataset, ebms, None)
     results = leave_one_out_eval(dataset, {"erm": None, "erm+langaug": pool}, _seg_config(config),
                                  seeds=tuple(config["segmenter"]["seeds"]))
     write_results_csv(results, stage.dir / "results.csv")
 
 
-def _cmd_verify_theory(stage, config, out_dir, jobs):
+def _cmd_verify_theory(stage, config, jobs):
     th_cfg = config["theory"]
     dim = th_cfg["dim"]
     theta = (np.asarray(th_cfg["theta"], dtype=np.float64) if th_cfg["theta"] is not None
@@ -436,8 +451,8 @@ def _cmd_verify_theory(stage, config, out_dir, jobs):
     stage.log(f"slope {report.slope}, status {report.status}")
 
 
-def _cmd_sweep(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
+def _cmd_sweep(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
     pair_models = {}  # only the conv_blocks axis changes the ebm section
@@ -472,24 +487,23 @@ def _cmd_sweep(stage, config, out_dir, jobs):
             stride = max(1, cfg["langevin"]["n_steps"] // value)
             cfg["langevin"]["store_stride"] = stride
             cfg["langevin"]["store_offset"] = stride
-        pool = _loo_pool(cfg, dataset, models(cfg), sweep["folds"], out_dir, stage)
+        pool = _loo_pool(stage, cfg, dataset, models(cfg), sweep["folds"])
         rows.append([axis, value, *erm, *means({"erm+langaug": pool})])
         stage.log(f"{axis}={value} done")
     write_csv(stage.dir / "results.csv", ["axis", "value", "mean_dice_erm", "mean_iou_erm",
                                           "mean_dice_aug", "mean_iou_aug"], rows)
 
 
-def _cmd_project(stage, config, out_dir, jobs):
-    dataset = _load_benchmark(out_dir, stage)
+def _cmd_project(stage, config, jobs):
+    dataset = stage.read("dataset/benchmark", load_dataset)
     rows = []
     vectors = []
     for d in range(dataset.n_domains):
         for img in dataset.images[d]:
             vectors.append(img.ravel())
             rows.append(("src", d, -1, 0))
-    path = Path(out_dir) / "aug" / "augmented.meta.json"
-    if path.exists():
-        aug = load_augmented(stage.record_input(path, "augment").parent / "augmented")
+    if stage.has("aug/augmented"):
+        aug = stage.read("aug/augmented", load_augmented)
         for idx in range(len(aug)):
             vectors.append(aug.images[idx].ravel())
             rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),
@@ -538,10 +552,12 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     try:
         if subcommand not in _HANDLERS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
         config = load_config(config_path, seed_override=seed)
         name, handler = _HANDLERS[subcommand]
         stage = Stage(out_dir, name, config)
-        handler(stage, config, out_dir, max(1, int(jobs)))
+        handler(stage, config, jobs)
         stage.finish()
         return 0
     except ConfigError as err:
@@ -551,7 +567,7 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
         print(f"config error: the configured sizes need more memory than is available ({err})",
               file=sys.stderr)
         return 2
-    except (MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError) as err:
+    except _UNUSABLE as err:
         print(f"missing or unusable artifact: {err}", file=sys.stderr)
         return 3
     except NumericError as err:

@@ -22,14 +22,13 @@ run in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, MissingArtifactError, NumericError,
-                     TensorFormatError)
-from .ldtn import read_meta, read_tensor, write_meta, write_tensor
+from .errors import ConfigError, DimensionError, NumericError, TensorFormatError
+from .ldtn import read_fields, read_meta, read_tensor, write_meta, write_tensor
 from .nets import (conv_out_size, count_params, init_params, join_params, split_params,
                    swish_conv_backward, swish_conv_forward)
 from .numerics import derive_stream, float_array
@@ -197,23 +196,9 @@ def load_energy_params(basename) -> tuple[EnergyParams, dict]:
     """The model saved at ``basename``; a missing sidecar, one whose ``arch`` does not spell out
     exactly EnergyArch's fields with values it accepts, or a theta of another length raises."""
     base = Path(basename)
-    sidecar = f"{base}.meta.json"
-    try:
-        meta = read_meta(base)
-    except MissingArtifactError as err:
-        raise MissingArtifactError(f"{err}; rerun train-ebms") from err
-    spec = meta.get("arch")
-    if not isinstance(spec, dict):
-        raise TensorFormatError(f"{sidecar}: no \"arch\" object; rerun train-ebms")
-    wrong = sorted(set(spec) ^ {f.name for f in fields(EnergyArch)})
-    if wrong:
-        state = "unknown" if wrong[0] in spec else "missing"
-        raise TensorFormatError(f"{sidecar}: {state} arch key {wrong[0]!r}; rerun train-ebms")
-    try:
-        arch = EnergyArch(**spec)
-    except (TypeError, ValueError) as err:  # ConfigError is a ValueError
-        raise TensorFormatError(f"{sidecar}: unusable arch ({err}); rerun train-ebms") from err
+    meta = read_meta(base)
+    arch = read_fields(EnergyArch, meta.get("arch"), f"{base}.meta.json: arch")
     try:
         return EnergyParams(arch=arch, theta=read_tensor(f"{base}.ldtn")), meta
     except DimensionError as err:
-        raise TensorFormatError(f"{base}.ldtn: {err}; rerun train-ebms") from err
+        raise TensorFormatError(f"{base}.ldtn: {err}") from err

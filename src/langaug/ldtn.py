@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +110,18 @@ def read_meta(basename, keys=()) -> dict:
     if missing:
         raise TensorFormatError(f"{path}: metadata has no {missing[0]!r} key")
     return meta
+
+
+def read_fields(cls, entry, where):
+    """``cls(**entry)`` for a sidecar object ``entry`` that spells out exactly the dataclass
+    ``cls``'s fields with values it accepts; else TensorFormatError naming ``where``."""
+    if type(entry) is not dict:
+        raise TensorFormatError(f"{where} is not an object")
+    wrong = sorted(set(entry) ^ {f.name for f in fields(cls)})
+    if wrong:
+        state = "unknown" if wrong[0] in entry else "missing"
+        raise TensorFormatError(f"{where} has {state} field {wrong[0]!r}")
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError) as err:  # ConfigError is a ValueError
+        raise TensorFormatError(f"{where} is unusable ({err})") from err

@@ -1,4 +1,5 @@
-"""Deterministic numerical substrate: random streams, Adam and the compute dtype.
+"""Deterministic numerical substrate: random streams, Adam, the compute dtype and
+the block rule of batched passes.
 
 Random streams are derived by hashing a base seed together with a tuple of
 (name, index) labels, so any consumer (a chain, a sample, a training
@@ -24,6 +25,21 @@ def float_array(x) -> np.ndarray:
     float64 (without a copy if it already is)."""
     x = np.asarray(x)
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
+def block_ranges(n: int, width: int):
+    """[lo, hi) ranges covering n items in blocks of ``width``.
+
+    A lone last item joins the block before it: numpy reduces a one-draw
+    column block by pairwise summation instead of row by row, and a batch of
+    one gives a head's logits other last bits than the same image in a
+    larger batch.
+    """
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= width + 1 else lo + width
+        yield lo, hi
+        lo = hi
 
 
 def _philox_key(base_seed: int, labels: Labels) -> np.ndarray:

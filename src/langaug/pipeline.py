@@ -250,17 +250,10 @@ def load_augmented(basename) -> AugmentedDataset:
     tags = read_tensor(f"{base}.tags.ldtn").astype(np.int64)
     if masks.shape[:1] != images.shape[:1]:
         raise TensorFormatError(f"{base}.masks.ldtn: masks of shape {masks.shape} for images "
-                                f"of shape {images.shape}; rerun augment")
+                                f"of shape {images.shape}")
     if tags.shape != (4, *images.shape[:1]):
         raise TensorFormatError(f"{base}.tags.ldtn: tags of shape {tags.shape} for images of "
-                                f"shape {images.shape}, expected (4, m); rerun augment")
-    return AugmentedDataset(
-        images=images,
-        masks=masks,
-        source_domain=tags[0],
-        target_domain=tags[1],
-        step_index=tags[2],
-        origin_index=tags[3],
-        provenance=meta["provenance"],
-        skipped_chains=meta["skipped_chains"],
-    )
+                                f"shape {images.shape}, expected (4, m)")
+    # the tag rows are the source, target, step and origin fields, in field order
+    return AugmentedDataset(images, masks, *tags, provenance=meta["provenance"],
+                            skipped_chains=meta["skipped_chains"])

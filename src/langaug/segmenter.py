@@ -23,7 +23,8 @@ from .errors import ConfigError, DimensionError, LeakageError, NumericError
 from .ldtn import write_csv
 from .nets import (count_params, init_params, join_params, sigmoid, split_params,
                    swish_conv_backward, swish_conv_forward)
-from .numerics import AdamHyper, adam_step, derive_stream, float_array, init_adam_state
+from .numerics import (AdamHyper, adam_step, block_ranges, derive_stream, float_array,
+                       init_adam_state)
 from .pipeline import AugmentedDataset, assemble_training_stream
 from .synth import MultiDomainDataset
 
@@ -196,14 +197,9 @@ class EvalResult:
 
 def evaluate_model(model: SegModel, images: np.ndarray, masks: np.ndarray,
                    fold: int, method: str, seed: int) -> EvalResult:
-    # chunks of 8 images: a whole domain at once makes a large im2col matrix.
-    # A lone last image joins the chunk before it: the head's logits at N = 1
-    # can differ in the last bits from the same image inside a batch.
-    preds, lo = [], 0
-    while lo < len(images):
-        hi = len(images) if len(images) - lo <= 9 else lo + 8
-        preds += list(predict_mask(model, images[lo:hi]))
-        lo = hi
+    # chunks of 8 images: a whole domain at once makes a large im2col matrix
+    preds = [p for lo, hi in block_ranges(len(images), 8)
+             for p in predict_mask(model, images[lo:hi])]
     return EvalResult(fold=fold, method=method, seed=seed,
                       mean_dice=float(np.mean([dice(p, m) for p, m in zip(preds, masks)])),
                       mean_iou=float(np.mean([iou(p, m) for p, m in zip(preds, masks)])))

@@ -7,13 +7,13 @@ theory harness.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, TensorFormatError
-from .ldtn import read_meta, read_tensor, write_meta, write_tensor
+from .ldtn import read_fields, read_meta, read_tensor, write_meta, write_tensor
 from .numerics import derive_stream
 
 FORMAT_VERSION = 1
@@ -250,16 +250,14 @@ def save_dataset(dataset: MultiDomainDataset, basename) -> None:
 def _check_split(split, rows, sidecar) -> None:
     """Raise unless ``split`` holds, per domain, train and test lists of that domain's rows."""
     if type(split) is not list or len(split) != len(rows):
-        raise TensorFormatError(f"{sidecar}: \"split\" is not a list of {len(rows)} domains; "
-                                "rerun gen-data")
+        raise TensorFormatError(f"{sidecar}: \"split\" is not a list of {len(rows)} domains")
     for d, (part, n) in enumerate(zip(split, rows)):
         if type(part) is not dict or set(part) != {"train", "test"}:
-            raise TensorFormatError(f"{sidecar}: split[{d}] is not a train and test pair; "
-                                    "rerun gen-data")
+            raise TensorFormatError(f"{sidecar}: split[{d}] is not a train and test pair")
         for name, index in part.items():
             if type(index) is not list or not all(type(i) is int and 0 <= i < n for i in index):
                 raise TensorFormatError(f"{sidecar}: split[{d}].{name} is not a list of row "
-                                        f"indices below {n}; rerun gen-data")
+                                        f"indices below {n}")
 
 
 def load_dataset(basename) -> MultiDomainDataset:
@@ -274,23 +272,15 @@ def load_dataset(basename) -> MultiDomainDataset:
         raise TensorFormatError(f"{sidecar}: unknown dataset kind {meta['kind']!r}")
     domains = meta["domains"]
     if type(domains) is not list:
-        raise TensorFormatError(f"{sidecar}: \"domains\" is not a list; rerun gen-data")
-    names = {f.name for f in fields(DomainSpec)}
-    for d, entry in enumerate(domains):
-        if type(entry) is not dict:
-            raise TensorFormatError(f"{sidecar}: domains[{d}] is not an object; rerun gen-data")
-        wrong = sorted(set(entry) ^ names)
-        if wrong:
-            state = "unknown" if wrong[0] in entry else "missing"
-            raise TensorFormatError(f"{sidecar}: domains[{d}] has {state} field {wrong[0]!r}; "
-                                    "rerun gen-data")
-    specs = [DomainSpec(**entry) for entry in domains]
+        raise TensorFormatError(f"{sidecar}: \"domains\" is not a list")
+    specs = [read_fields(DomainSpec, entry, f"{sidecar}: domains[{d}]")
+             for d, entry in enumerate(domains)]
     images = [read_tensor(f"{base}.d{d}.images.ldtn") for d in range(len(specs))]
     masks = [read_tensor(f"{base}.d{d}.masks.ldtn") for d in range(len(specs))]
     for d, (image, mask) in enumerate(zip(images, masks)):
         if image.shape[:1] != mask.shape[:1]:
             raise TensorFormatError(f"{base}.d{d}.masks.ldtn: masks of shape {mask.shape} for "
-                                    f"images of shape {image.shape}; rerun gen-data")
+                                    f"images of shape {image.shape}")
     _check_split(meta["split"], [image.shape[0] for image in images], sidecar)
     return MultiDomainDataset(
         images=images, masks=masks, specs=specs, seed=meta["seed"],

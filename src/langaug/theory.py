@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .ldtn import write_csv, write_json
-from .numerics import derive_stream
+from .numerics import block_ranges, derive_stream
 from .synth import GlmVectorDataset
 
 _POISSON_GUARD = 30.0
@@ -195,20 +195,6 @@ class TheoryReport:
         })
 
 
-def _column_blocks(m: int, width: int = _SCAN_BLOCK):
-    """[lo, hi) ranges covering m columns in blocks of ``width``.
-
-    A lone last column joins the block before it: numpy reduces a (k, 1)
-    block along axis 0 by pairwise summation instead of row by row, which
-    would change the bits of that draw's mean.
-    """
-    lo = 0
-    while lo < m:
-        hi = m if m - lo <= width + 1 else lo + width
-        yield lo, hi
-        lo = hi
-
-
 def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4096,
                           base_seed: int | None = None, max_mc: int = 1 << 19,
                           stderr_frac: float = 0.1) -> TheoryReport:
@@ -285,7 +271,7 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
             a *= norm_theta
             chunk_id += 1
             q = np.empty((len(betas), m))   # per-draw replicate means, one row per beta
-            for lo, hi in _column_blocks(m):
+            for lo, hi in block_ranges(m, _SCAN_BLOCK):
                 ab = a[:, lo:hi]
                 quad = a2u_c * ab * ab + quad_shift
                 cubic = a3u_c * ab ** 3 + cubic_slope * ab

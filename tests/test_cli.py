@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -167,6 +168,18 @@ class TestExitCodes:
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        # a worker count below 1 is refused, not read as 1
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert run("gen-data", config, out, jobs=jobs) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert main(["gen-data", "--config", str(config), "--out", str(out),
+                     "--jobs", str(jobs)]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "magic", "short"])
     def test_damaged_pair_model_exit_3(self, tmp_path, capsys, damage):
@@ -686,7 +699,10 @@ def test_damaged_pool_metadata_exit_3(out_dir, tmp_path, capsys, subcommand, dam
     name, edit, text = COMPANION_DAMAGE[damage]
     edit(out / name)
     assert run(subcommand, out_dir / "c.json", out) == 3
-    assert f"{out / name}: {text}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{out / name}: {text}" in err
+    writer = "gen-data" if name.startswith("dataset") else "augment"
+    assert err.rstrip().endswith(f"; rerun {writer}")
 
 
 @pytest.mark.parametrize("edit", [lambda provenance: provenance.pop("dtype"),
@@ -713,6 +729,40 @@ def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monke
     assert run("train-seg", config, out) == 3
     err = capsys.readouterr().err
     assert "provenance key dtype differs" in err and "run `augment` again" in err
+
+
+# an upstream artifact of the 3-domain run: (its stage directory, its files, a subcommand that
+# reads it, the file truncated, the subcommand that writes it)
+UPSTREAM = {
+    "dataset": ("dataset", ["benchmark.meta.json", *(f"benchmark.d{d}.{part}.ldtn" for d in range(3)
+                                                     for part in ("images", "masks"))],
+                "project", "benchmark.d0.images.ldtn", "gen-data"),
+    "pair models": ("ebms", [f"ebm_{i}_{j}.{ext}" for i in range(3) for j in range(3) if i != j
+                             for ext in ("ldtn", "meta.json")],
+                    "augment", "ebm_0_1.ldtn", "train-ebms"),
+    "pool": ("aug", [f"augmented.{part}" for part in ("meta.json", "images.ldtn", "masks.ldtn",
+                                                       "tags.ldtn")],
+             "project", "augmented.images.ldtn", "augment"),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(UPSTREAM))
+def test_reader_checksums_every_file_and_names_its_writer(out_dir, tmp_path, capsys, artifact):
+    stage_dir, files, reader, truncated, writer = UPSTREAM[artifact]
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    assert run(reader, out_dir / "c.json", out) == 0
+    inputs = json.loads((out / cli._HANDLERS[reader][0] / "manifest.json").read_text())["inputs"]
+    want = {str(out / stage_dir / name): hashlib.sha256((out / stage_dir / name).read_bytes())
+            .hexdigest() for name in files}
+    assert {path: digest for path, digest in inputs.items()
+            if Path(path).parent == out / stage_dir} == want
+    path = out / stage_dir / truncated
+    path.write_bytes(path.read_bytes()[:-8])
+    assert run(reader, out_dir / "c.json", out) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and err.rstrip().endswith(f"; rerun {writer}")
 
 
 # a model trained while the mlp arch existed has hidden_width in its sidecar; the

@@ -14,7 +14,7 @@ import pytest
 
 from langaug import nets, theory
 from langaug.errors import ConfigError, NumericError
-from langaug.numerics import derive_stream
+from langaug.numerics import block_ranges, derive_stream
 from langaug.synth import GlmVectorDataset, generate_vector_glm
 from langaug.theory import (TheoryReport, TheoryRow, constraint_max, constraint_value,
                             estimate_rho, get_family, reg_glm, taylor_remainder_scan)
@@ -196,7 +196,7 @@ class TestBlockedScan:
 
     def test_column_blocks_cover_without_lone_column(self):
         for m in (1, 2, 127, 128, 129, 130, 256, 257, 1000, 4096):
-            blocks = list(theory._column_blocks(m))
+            blocks = list(block_ranges(m, theory._SCAN_BLOCK))
             assert blocks[0][0] == 0 and blocks[-1][1] == m
             assert all(hi == lo2 for (_, hi), (lo2, _) in zip(blocks, blocks[1:]))
             assert all(hi - lo >= 2 for lo, hi in blocks) or m == 1
