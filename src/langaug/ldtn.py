@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -33,11 +34,13 @@ def _with_parent(path) -> Path:
 
 
 def write_tensor(path, array: np.ndarray) -> None:
+    """The header, then ``array``'s own buffer; copied only if it is not already
+    C-contiguous in the file's dtype (other dtypes are written as float64)."""
     array = np.asarray(array)
     if array.dtype not in _DTYPE_CODES:
         array = array.astype(np.float64)
     code = _DTYPE_CODES[array.dtype]
-    payload = np.ascontiguousarray(array).astype(_DTYPES[code]).tobytes()
+    payload = np.ascontiguousarray(array, dtype=_DTYPES[code])
     with open(_with_parent(path), "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION, code, array.ndim, 0]))
@@ -47,33 +50,38 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """The tensor in ``path``, its payload read straight into the returned array."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError as err:
         raise MissingArtifactError(f"{path}: no such file") from err
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise TensorFormatError(
-            f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}"
-        )
-    version, code, ndim, _reserved = blob[4:8]
-    if version != VERSION:
-        raise TensorFormatError(f"{path}: unsupported version {version}")
-    if code not in _DTYPES:
-        raise TensorFormatError(f"{path}: unknown dtype byte {code}")
-    header_end = 8 + 8 * ndim
-    if len(blob) < header_end:
-        raise TensorPayloadError(f"{path}: truncated dimension header")
-    dims = struct.unpack(f"<{ndim}Q", blob[8:header_end]) if ndim else ()
-    dtype = _DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-    if len(blob) - header_end != expected:
-        raise TensorPayloadError(
-            f"{path}: payload length {len(blob) - header_end} does not match "
-            f"dims {dims} ({expected} bytes expected)"
-        )
-    arr = np.frombuffer(blob[header_end:], dtype=dtype)
-    return arr.reshape(dims).copy()
+    with fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise TensorFormatError(
+                f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}"
+            )
+        version, code, ndim, _reserved = head[4:8]
+        if version != VERSION:
+            raise TensorFormatError(f"{path}: unsupported version {version}")
+        if code not in _DTYPES:
+            raise TensorFormatError(f"{path}: unknown dtype byte {code}")
+        dim_bytes = fh.read(8 * ndim)
+        if len(dim_bytes) < 8 * ndim:
+            raise TensorPayloadError(f"{path}: truncated dimension header")
+        dims = struct.unpack(f"<{ndim}Q", dim_bytes)
+        dtype = _DTYPES[code]
+        expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        length = os.fstat(fh.fileno()).st_size - fh.tell()
+        if length != expected:
+            raise TensorPayloadError(
+                f"{path}: payload length {length} does not match "
+                f"dims {dims} ({expected} bytes expected)"
+            )
+        arr = np.empty(dims, dtype=dtype)
+        if fh.readinto(arr) != expected:
+            raise TensorPayloadError(f"{path}: payload shrank while it was read")
+    return arr
 
 
 def write_json(path, obj) -> None:

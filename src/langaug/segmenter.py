@@ -246,16 +246,23 @@ def leave_one_out_eval(dataset: MultiDomainDataset, arms: dict[str, AugmentedDat
         sources = [d for d in range(dataset.n_domains) if d != held_out]
         src_images = np.concatenate([dataset.train_images(d) for d in sources])
         src_masks = np.concatenate([dataset.train_masks(d) for d in sources])
-        fold_arms = {method: None if pool is None else pool.within(sources)
-                     for method, pool in arms.items()}
-        for method, pool in fold_arms.items():
-            if pool is not None and held_out in pool.domains_touched():
-                raise LeakageError(f"the {method} pool for fold {held_out} touches the "
-                                   "held-out domain")
-        results += fit_and_score(src_images, src_masks, fold_arms, config, seeds,
+        # the fold's slices are only ever an argument, so they die before the next fold's
+        results += fit_and_score(src_images, src_masks, _fold_arms(arms, sources, held_out),
+                                 config, seeds,
                                  [(held_out, dataset.images[held_out], dataset.masks[held_out])],
                                  seed_offset=1000 * held_out)
     return results
+
+
+def _fold_arms(arms, sources, held_out):
+    """``arms`` with each pool cut to ``sources``; LeakageError if a slice touches ``held_out``."""
+    fold_arms = {method: None if pool is None else pool.within(sources)
+                 for method, pool in arms.items()}
+    for method, pool in fold_arms.items():
+        if pool is not None and held_out in pool.domains_touched():
+            raise LeakageError(f"the {method} pool for fold {held_out} touches the "
+                               "held-out domain")
+    return fold_arms
 
 
 def write_results_csv(results: list[EvalResult], path) -> None:

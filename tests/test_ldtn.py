@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from langaug.errors import TensorFormatError, TensorPayloadError
 from langaug.ldtn import read_meta, read_tensor, write_csv, write_json, write_meta, write_tensor
 
 
-@given(st.lists(st.integers(1, 5), min_size=0, max_size=4), st.sampled_from([np.float32, np.float64]))
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=4), st.sampled_from([np.float32, np.float64]))
 @settings(max_examples=40, deadline=None)
 def test_round_trip(tmp_path_factory, shape, dtype):
     path = tmp_path_factory.mktemp("ldtn") / "t.ldtn"
@@ -57,12 +59,15 @@ def test_bad_dtype_byte(tmp_path):
         read_tensor(path)
 
 
-def test_truncated_payload(tmp_path):
+@pytest.mark.parametrize("edit, length", [(lambda blob: blob[:-8], 40),
+                                          (lambda blob: blob + bytes(8), 56)],
+                         ids=["cut", "appended"])
+def test_truncated_payload(tmp_path, edit, length):
+    # the 48-byte payload of a (2, 3) float64 tensor, 8 bytes short or 8 bytes long
     path = tmp_path / "t.ldtn"
     write_tensor(path, np.zeros((2, 3)))
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(TensorPayloadError):
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(TensorPayloadError, match=f"payload length {length} does not match"):
         read_tensor(path)
 
 
@@ -75,6 +80,27 @@ def test_dims_payload_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(TensorPayloadError, match="payload"):
         read_tensor(path)
+
+
+def test_tensor_io_stages_no_copy(tmp_path):
+    # an 8 MiB payload is written from the array's own buffer and read straight
+    # into the returned array: the traced peak grows by that array alone
+    arr = np.arange(1 << 20, dtype=np.float64)
+    path = tmp_path / "t.ldtn"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_tensor(path, arr)
+        write_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_tensor(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, arr)
+    assert write_peak < 1 << 20
+    assert read_peak < 9 << 20
 
 
 def test_writers_create_the_parent_directory(tmp_path):

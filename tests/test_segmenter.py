@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,30 @@ class TestLeaveOneOut:
         arms = {"erm+clean": one_entry_pool(ds, 1, 2), "erm+leaky": one_entry_pool(ds, 0, 1)}
         with pytest.raises(LeakageError, match=r"the erm\+leaky pool for fold 0 "):
             leave_one_out_eval(ds, arms, SegTrainConfig(epochs=1, batch_size=4), seeds=(0,))
+
+    def test_one_fold_slice_alive_at_a_time(self, monkeypatch):
+        # every earlier fold's pool slice is dead when the next fold cuts its own
+        ds = generate_benchmark(4, 6, 8, seed=37, train_frac=0.5)
+        pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
+        pool = AugmentedDataset(
+            images=np.concatenate([ds.images[s][:1] for s, _ in pairs]),
+            masks=np.concatenate([ds.masks[s][:1] for s, _ in pairs]),
+            source_domain=np.array([s for s, _ in pairs]),
+            target_domain=np.array([t for _, t in pairs]),
+            step_index=np.ones(len(pairs), dtype=int), origin_index=np.zeros(len(pairs), dtype=int),
+        )
+        within, slices, alive = AugmentedDataset.within, [], []
+
+        def tracked(self, sources):
+            alive.append(sum(ref() is not None for ref in slices))
+            part = within(self, sources)
+            slices.append(weakref.ref(part))
+            return part
+
+        monkeypatch.setattr(AugmentedDataset, "within", tracked)
+        leave_one_out_eval(ds, {"erm": None, "erm+langaug": pool},
+                           SegTrainConfig(epochs=1, batch_size=4), seeds=(0,))
+        assert alive == [0, 0, 0, 0]
 
     def test_folds_run_in_given_order_and_are_checked(self):
         ds = generate_benchmark(3, 6, 8, seed=36, train_frac=0.5)
