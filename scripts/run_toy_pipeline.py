@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end toy experiment: data, pairwise energy models, bridge samples,
-leave-one-out segmentation comparison, and a 2-D projection of the result."""
+leave-one-out segmentation comparison, an all-domain segmentation comparison,
+and a 2-D projection of the result. The last three stages each read the saved
+bridge pool."""
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ CONFIG = Path(__file__).parent / "configs" / "toy.json"
 
 
 def main(out_dir="runs/toy"):
-    for stage in ("gen-data", "train-ebms", "augment", "eval-loo", "project"):
+    for stage in ("gen-data", "train-ebms", "augment", "eval-loo", "train-seg", "project"):
         print(f"== {stage}")
         code = run(stage, CONFIG, out_dir)
         if code != 0:

@@ -385,7 +385,7 @@ def _saved_pool(stage, config, dataset, ebms):
                                               config["base_seed"]))
     if key is not None:
         return None, f"provenance key {key} differs"
-    return stage.read("aug/augmented", load_augmented), None
+    return stage.read("aug/augmented", lambda base: load_augmented(base, dataset)), None
 
 
 def _cmd_train_seg(stage, config, jobs):
@@ -503,7 +503,7 @@ def _cmd_project(stage, config, jobs):
             vectors.append(img.ravel())
             rows.append(("src", d, -1, 0))
     if stage.has("aug/augmented"):
-        aug = stage.read("aug/augmented", load_augmented)
+        aug = stage.read("aug/augmented", lambda base: load_augmented(base, dataset))
         for idx in range(len(aug)):
             vectors.append(aug.images[idx].ravel())
             rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),

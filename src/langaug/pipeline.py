@@ -2,11 +2,13 @@
 
 For every ordered domain pair (i, j) and every training image of domain i,
 a Langevin chain runs under the (i -> j) model; each stored iterate joins
-the augmented pool carrying the origin sample's mask and (i, j, step) tags.
-Augmented data is generated once and persisted; downstream training then
-interleaves it with the originals at a configurable per-batch ratio. The
-chains run in ``EBM_DTYPE`` from float64 noise draws cast once, so the
-pool's images are float32; its masks keep the dataset's bits.
+the augmented pool tagged (i, j, step, origin). An entry's label is its origin
+sample's mask, which the pool looks up in the dataset through those tags
+rather than storing a copy. Augmented data is generated once and persisted
+(images, tags and a sidecar); downstream training then interleaves it with
+the originals at a configurable per-batch ratio. The chains run in
+``EBM_DTYPE`` from float64 noise draws cast once, so the pool's images are
+float32; its masks keep the dataset's bits.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .synth import MultiDomainDataset
 @dataclass
 class AugmentedDataset:
     images: np.ndarray          # (m, C, H, W)
-    masks: np.ndarray           # (m, H, W)
+    origin_masks: dict          # source domain id -> the dataset's (n_i, H, W) masks, not a copy
     source_domain: np.ndarray   # (m,) int
     target_domain: np.ndarray   # (m,) int
     step_index: np.ndarray      # (m,) int
@@ -39,12 +41,21 @@ class AugmentedDataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
+    def masks_at(self, rows) -> np.ndarray:
+        """The masks of entries ``rows``: each its origin sample's, in the dataset's dtype."""
+        rows = np.asarray(rows, dtype=np.int64)
+        source, origin = self.source_domain[rows], self.origin_index[rows]
+        first = next(iter(self.origin_masks.values()))
+        masks = np.empty((rows.size, *first.shape[1:]), dtype=first.dtype)
+        for d in np.unique(source):
+            hit = source == d
+            masks[hit] = self.origin_masks[int(d)][origin[hit]]
+        return masks
+
     def counts_by_tag(self) -> dict:
-        counts = {}
-        for i, j, k in zip(self.source_domain, self.target_domain, self.step_index):
-            key = (int(i), int(j), int(k))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        tags, counts = np.unique(np.stack([self.source_domain, self.target_domain,
+                                           self.step_index]), axis=1, return_counts=True)
+        return {tuple(int(v) for v in tag): int(n) for tag, n in zip(tags.T, counts)}
 
     def domains_touched(self) -> set[int]:
         return set(self.source_domain.tolist()) | set(self.target_domain.tolist())
@@ -64,7 +75,7 @@ class AugmentedDataset:
                 if int(key) in keep}
         return AugmentedDataset(
             images=self.images[rows],
-            masks=self.masks[rows],
+            origin_masks={d: m for d, m in self.origin_masks.items() if d in keep},
             source_domain=self.source_domain[rows],
             target_domain=self.target_domain[rows],
             step_index=self.step_index[rows],
@@ -134,8 +145,8 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
         if pair not in ebms:
             raise ConfigError(f"missing energy model for pair {pair}")
 
-    # empty leading pieces fix the shapes and dtypes of a pool with no entries
-    images, masks = [dataset.images[0][:0].astype(EBM_DTYPE)], [dataset.masks[0][:0]]
+    # an empty leading piece fixes the shape and dtype of a pool with no entries
+    images = [dataset.images[0][:0].astype(EBM_DTYPE)]
     src_tag, tgt_tag, step_tag, origin_tag = ([np.empty(0, dtype=np.int64)] for _ in range(4))
     skipped = 0
     stored_steps = config.stored_steps()
@@ -143,7 +154,6 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
         params = ebms[(i, j)]
         train_idx = np.asarray(dataset.split[i]["train"], dtype=np.int64)
         x0 = dataset.images[i][train_idx].astype(EBM_DTYPE)
-        m0 = dataset.masks[i][train_idx]
         if x0.shape[0] == 0:
             continue
         noise = np.stack([
@@ -164,10 +174,9 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
                     raise DivergenceError(f"pair ({i}, {j}): all {n_chains} chains diverged, "
                                           f"the last at step {err.step}", step=err.step) from err
                 skipped += x0.shape[0] - keep.size
-                x0, m0, train_idx, noise = x0[keep], m0[keep], train_idx[keep], noise[:, keep]
+                x0, train_idx, noise = x0[keep], train_idx[keep], noise[:, keep]
         for t in stored_steps:
             images.append(stored[t])
-            masks.append(m0)
             src_tag.append(np.full(x0.shape[0], i, dtype=np.int64))
             tgt_tag.append(np.full(x0.shape[0], j, dtype=np.int64))
             step_tag.append(np.full(x0.shape[0], t, dtype=np.int64))
@@ -175,7 +184,7 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
 
     return AugmentedDataset(
         images=np.concatenate(images),
-        masks=np.concatenate(masks),
+        origin_masks={d: dataset.masks[d] for d in domains},
         source_domain=np.concatenate(src_tag),
         target_domain=np.concatenate(tgt_tag),
         step_index=np.concatenate(step_tag),
@@ -227,7 +236,6 @@ def assemble_training_stream(n_src: int, n_aug: int, mix_ratio: float, seed: int
 def save_augmented(aug: AugmentedDataset, basename) -> None:
     base = Path(basename)
     write_tensor(f"{base}.images.ldtn", aug.images)
-    write_tensor(f"{base}.masks.ldtn", aug.masks)
     write_tensor(f"{base}.tags.ldtn", np.stack([
         aug.source_domain, aug.target_domain, aug.step_index, aug.origin_index,
     ]).astype(np.float64))
@@ -240,20 +248,38 @@ def save_augmented(aug: AugmentedDataset, basename) -> None:
     })
 
 
-def load_augmented(basename) -> AugmentedDataset:
-    """The pool saved at ``basename``; masks whose rows are not the images' m rows, or tags
-    that are not (4, m), raise TensorFormatError."""
+def load_augmented(basename, dataset: MultiDomainDataset) -> AugmentedDataset:
+    """The pool saved at ``basename``, whose masks are looked up in ``dataset``.
+
+    Tags that are not (4, m), hold a value that is not an integer, name a source or target
+    that is not a domain of ``dataset``, or an origin outside its source domain's training
+    split raise TensorFormatError.
+    """
     base = Path(basename)
     meta = read_meta(base, ("provenance", "skipped_chains"))
     images = read_tensor(f"{base}.images.ldtn")
-    masks = read_tensor(f"{base}.masks.ldtn")
-    tags = read_tensor(f"{base}.tags.ldtn").astype(np.int64)
-    if masks.shape[:1] != images.shape[:1]:
-        raise TensorFormatError(f"{base}.masks.ldtn: masks of shape {masks.shape} for images "
-                                f"of shape {images.shape}")
+    where = f"{base}.tags.ldtn"
+    tags = read_tensor(where)
     if tags.shape != (4, *images.shape[:1]):
-        raise TensorFormatError(f"{base}.tags.ldtn: tags of shape {tags.shape} for images of "
-                                f"shape {images.shape}, expected (4, m)")
+        raise TensorFormatError(f"{where}: tags of shape {tags.shape} for images of shape "
+                                f"{images.shape}, expected (4, m)")
+    with np.errstate(invalid="ignore"):  # NaN, inf and values past int64 cast to a sentinel
+        ints = tags.astype(np.int64)
+    bad = np.flatnonzero(ints != tags)
+    if bad.size:
+        raise TensorFormatError(f"{where}: tag value {float(tags.flat[bad[0]])!r} is not an "
+                                "integer")
     # the tag rows are the source, target, step and origin fields, in field order
-    return AugmentedDataset(images, masks, *tags, provenance=meta["provenance"],
-                            skipped_chains=meta["skipped_chains"])
+    source, target, _, origin = ints
+    for name, row in (("source", source), ("target", target)):
+        bad = np.flatnonzero((row < 0) | (row >= dataset.n_domains))
+        if bad.size:
+            raise TensorFormatError(f"{where}: entry {bad[0]} has {name} {row[bad[0]]}, not one "
+                                    f"of the dataset's {dataset.n_domains} domains")
+    for d in range(dataset.n_domains):
+        bad = np.flatnonzero((source == d) & ~np.isin(origin, dataset.split[d]["train"]))
+        if bad.size:
+            raise TensorFormatError(f"{where}: entry {bad[0]} has origin {origin[bad[0]]}, not in "
+                                    f"source domain {d}'s training split")
+    return AugmentedDataset(images, dict(enumerate(dataset.masks)), *ints,
+                            provenance=meta["provenance"], skipped_chains=meta["skipped_chains"])

@@ -143,7 +143,8 @@ def train_segmenter(src_images, src_masks, config: SegTrainConfig, seed: int,
         masks = np.empty((len(rows), *src_masks.shape[1:]), dtype=np.float32)
         images[~is_aug], masks[~is_aug] = src_images[rows[~is_aug]], src_masks[rows[~is_aug]]
         if pool is not None:
-            images[is_aug], masks[is_aug] = pool.images[rows[is_aug]], pool.masks[rows[is_aug]]
+            images[is_aug] = pool.images[rows[is_aug]]
+            masks[is_aug] = pool.masks_at(rows[is_aug])
         for start in range(0, len(stream), config.batch_size):
             batch = slice(start, start + config.batch_size)
             try:

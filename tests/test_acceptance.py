@@ -323,9 +323,14 @@ class TestCriterion8PipelineBookkeeping:
         ds, ebms, lv, aug = build_bookkeeping_pipeline()
         stored = lv.stored_steps()
         count_ok = len(stored) == 13 and len(aug) == 12 * 50 * 13
+        masks = aug.masks_at(np.arange(len(aug)))
         masks_ok = all(
-            aug.masks[m].tobytes() == ds.masks[aug.source_domain[m]][aug.origin_index[m]].tobytes()
+            masks[m].tobytes() == ds.masks[aug.source_domain[m]][aug.origin_index[m]].tobytes()
             for m in range(len(aug)))
+        # an entry's label is its origin's mask, so every origin must be a training sample
+        origins_ok = all(
+            np.isin(aug.origin_index[aug.source_domain == d], ds.split[d]["train"]).all()
+            for d in range(4))
         leakage_free = True
         for held_out in range(4):
             sources = [d for d in range(4) if d != held_out]
@@ -335,9 +340,10 @@ class TestCriterion8PipelineBookkeeping:
                 leakage_free = False
             if len(fold_aug) != 6 * 50 * 13:
                 leakage_free = False
-        report(8, count_ok and masks_ok and leakage_free,
+        report(8, count_ok and masks_ok and origins_ok and leakage_free,
                f"bookkeeping: 13 iterates/chain, |D_aug| = {len(aug)} = 12*50*13, "
-               f"masks bit-identical: {masks_ok}, leakage-free folds: {leakage_free}, "
+               f"masks bit-identical: {masks_ok}, origins in training splits: {origins_ok}, "
+               f"leakage-free folds: {leakage_free}, "
                f"{time.time()-t0:.0f}s")
 
 

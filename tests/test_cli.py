@@ -282,6 +282,11 @@ class TestPipelineStages:
         assert (out_dir / "ebms" / "trace_2_1.csv").exists()
         assert (out_dir / "aug" / "augmented.meta.json").exists()
 
+    def test_pool_stores_images_and_tags_only(self, out_dir):
+        # an entry's mask is its origin sample's, which the pool looks up in the dataset
+        assert sorted(p.name for p in (out_dir / "aug").glob("augmented.*")) == [
+            "augmented.images.ldtn", "augmented.meta.json", "augmented.tags.ldtn"]
+
     def test_stage_provenance(self, out_dir):
         manifest = json.loads((out_dir / "aug" / "manifest.json").read_text())
         assert any("benchmark.meta.json" in k for k in manifest["inputs"])
@@ -642,11 +647,27 @@ def edit_tensor(edit):
     return apply
 
 
+def tag_entry_0(row, value):
+    """Set tag row ``row`` (source, target, step, origin) of the pool's entry 0 to ``value``."""
+    def edit(tags):
+        tags[row, 0] = value
+        return tags
+    return edit_tensor(edit)
+
+
 # a damaged companion file of the pool or the dataset: (its path in the run directory, the
-# edit, what stderr says after the path)
+# edit, what stderr says after the path); the pool's entry 0 runs from sample 2 of domain 0,
+# whose test split is [0, 1, 4], toward domain 1
 COMPANION_DAMAGE = {
-    "pool masks short a row": ("aug/augmented.masks.ldtn", edit_tensor(lambda t: t[:-1]),
-                               "masks of shape (53, 16, 16) for images of shape (54, 1, 16, 16)"),
+    "pool tag not an integer": ("aug/augmented.tags.ldtn", tag_entry_0(2, 2.5),
+                                "tag value 2.5 is not an integer"),
+    "pool source not a domain": ("aug/augmented.tags.ldtn", tag_entry_0(0, -1),
+                                 "entry 0 has source -1, not one of the dataset's 3 domains"),
+    "pool target not a domain": ("aug/augmented.tags.ldtn", tag_entry_0(1, 3),
+                                 "entry 0 has target 3, not one of the dataset's 3 domains"),
+    "pool origin a test sample": ("aug/augmented.tags.ldtn", tag_entry_0(3, 4),
+                                  "entry 0 has origin 4, not in source domain 0's training "
+                                  "split"),
     "pool tags of 3 rows": ("aug/augmented.tags.ldtn", edit_tensor(lambda t: t[:3]),
                             "tags of shape (3, 54)"),
     "pool tags short a column": ("aug/augmented.tags.ldtn", edit_tensor(lambda t: t[:, :-1]),
@@ -740,8 +761,7 @@ UPSTREAM = {
     "pair models": ("ebms", [f"ebm_{i}_{j}.{ext}" for i in range(3) for j in range(3) if i != j
                              for ext in ("ldtn", "meta.json")],
                     "augment", "ebm_0_1.ldtn", "train-ebms"),
-    "pool": ("aug", [f"augmented.{part}" for part in ("meta.json", "images.ldtn", "masks.ldtn",
-                                                       "tags.ldtn")],
+    "pool": ("aug", [f"augmented.{part}" for part in ("meta.json", "images.ldtn", "tags.ldtn")],
              "project", "augmented.images.ldtn", "augment"),
 }
 

@@ -14,7 +14,6 @@ from langaug.cdtrain import CdConfig, cd_gradient, ordered_pairs, train_all_pair
 from langaug.energy import (EBM_DTYPE, EnergyArch, EnergyParams, energy_value_and_grad_input,
                             energy_value_and_grad_params, init_energy_params)
 from langaug.langevin import LangevinConfig, channel_replace_hook, langevin_step, run_chain_batch
-from langaug.ldtn import read_tensor
 from langaug.numerics import derive_stream
 from langaug.pipeline import generate_augmented, load_augmented, save_augmented
 from langaug.synth import generate_benchmark
@@ -115,13 +114,13 @@ def test_pool_is_float32_on_disk_and_back(tmp_path):
     config = LangevinConfig(step_size=0.05, n_steps=4, store_stride=2, store_offset=2)
     pool = generate_augmented(ds, ebms, config, base_seed=9)
     assert pool.images.dtype == EBM_DTYPE == np.float32
-    assert pool.masks.dtype == ds.masks[0].dtype
+    assert pool.masks_at(np.arange(len(pool))).dtype == ds.masks[0].dtype == np.float64
     assert pool.provenance["dtype"] == "float32"
     empty = generate_augmented(ds, {}, config, base_seed=9, domains=[0])
     assert len(empty) == 0 and empty.images.dtype == np.float32
     save_augmented(pool, tmp_path / "aug")
     assert (tmp_path / "aug.images.ldtn").read_bytes()[5] == 0  # LDTN dtype byte: float32
-    back = load_augmented(tmp_path / "aug")
+    back = load_augmented(tmp_path / "aug", ds)
     assert back.images.dtype == np.float32
     assert back.images.tobytes() == pool.images.tobytes()
-    assert read_tensor(tmp_path / "aug.masks.ldtn").dtype == np.float64
+    assert back.masks_at(np.arange(len(back))).dtype == np.float64

@@ -1,14 +1,18 @@
+import collections
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from langaug.cdtrain import ordered_pairs
 from langaug.energy import EnergyArch, EnergyParams
-from langaug.errors import ConfigError, DivergenceError
+from langaug.errors import ConfigError, DivergenceError, TensorFormatError
 from langaug.langevin import LangevinConfig, run_chain_batch
+from langaug.ldtn import read_tensor, write_tensor
 from langaug.numerics import derive_stream
-from langaug.pipeline import (assemble_training_stream, generate_augmented,
+from langaug.pipeline import (AugmentedDataset, assemble_training_stream, generate_augmented,
                               load_augmented, pool_provenance, provenance_mismatch,
                               save_augmented)
 from langaug import pipeline
@@ -46,13 +50,28 @@ class TestGenerateAugmented:
         assert all(v == 10 for v in counts.values())
         assert len(counts) == 6 * 13
 
+    def test_counts_by_tag_match_a_counting_loop(self):
+        stream = derive_stream(8, [("tags", 0)])
+        source, target, step = (stream.integers(0, 4, 200) for _ in range(3))
+        pool = AugmentedDataset(images=np.zeros((200, 1, 2, 2), dtype=np.float32),
+                                origin_masks={}, source_domain=source, target_domain=target,
+                                step_index=step, origin_index=np.zeros(200, dtype=np.int64))
+        want = collections.Counter(zip(source.tolist(), target.tolist(), step.tolist()))
+        got = pool.counts_by_tag()
+        assert got == dict(want)
+        assert all(type(v) is int for key, n in got.items() for v in (*key, n))
+
     def test_masks_bit_identical_to_origin(self, small_setup):
         ds, ebms = small_setup
         config = LangevinConfig(step_size=0.05, n_steps=10, store_stride=5, store_offset=5)
         aug = generate_augmented(ds, ebms, config, base_seed=3)
+        masks = aug.masks_at(np.arange(len(aug)))
+        assert masks.shape == (len(aug), 16, 16) and masks.dtype == ds.masks[0].dtype
         for m in range(len(aug)):
             origin = ds.masks[aug.source_domain[m]][aug.origin_index[m]]
-            assert aug.masks[m].tobytes() == origin.tobytes()
+            assert masks[m].tobytes() == origin.tobytes()
+        # the lookup reads the dataset's own arrays, which the pool never copies
+        assert all(aug.origin_masks[d] is ds.masks[d] for d in range(3))
 
     def test_missing_pair_model(self, small_setup):
         ds, ebms = small_setup
@@ -98,7 +117,8 @@ class TestGenerateAugmented:
         aug = generate_augmented(ds, {}, config, base_seed=1, domains=[0])
         assert len(aug) == 0
         assert aug.images.shape == (0, 1, 16, 16)
-        assert aug.masks.shape == (0, 16, 16)
+        assert aug.masks_at([]).shape == (0, 16, 16)
+        assert aug.counts_by_tag() == {}
         assert aug.source_domain.shape == (0,)
 
     def test_diverging_chain_skipped_and_healthy_chains_kept(self):
@@ -169,11 +189,15 @@ class TestGenerateAugmented:
             want = generate_augmented(ds, ebms, config, base_seed=7, domains=sources)
             got = pool.within(sources)
             assert len(got) == 6 * 3 * 3
-            for name in ("images", "masks", "source_domain", "target_domain",
-                         "step_index", "origin_index"):
+            for name in ("images", "source_domain", "target_domain", "step_index",
+                         "origin_index"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes(), name
+            assert got.masks_at(np.arange(len(got))).tobytes() == \
+                want.masks_at(np.arange(len(want))).tobytes()
+            assert got.origin_masks.keys() == want.origin_masks.keys() == set(sources)
+            assert all(got.origin_masks[d] is ds.masks[d] for d in sources)
             assert got.provenance == want.provenance
             assert len(got.provenance["ebm_checksums"]) == 6
 
@@ -182,10 +206,50 @@ class TestGenerateAugmented:
         config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3)
         aug = generate_augmented(ds, ebms, config, base_seed=4)
         save_augmented(aug, tmp_path / "aug")
-        back = load_augmented(tmp_path / "aug")
+        back = load_augmented(tmp_path / "aug", ds)
         assert back.images.tobytes() == aug.images.tobytes()
         assert np.array_equal(back.step_index, aug.step_index)
+        assert np.array_equal(back.origin_index, aug.origin_index)
+        rows = np.arange(len(aug))
+        assert back.masks_at(rows).tobytes() == aug.masks_at(rows).tobytes()
         assert back.provenance["ebm_checksums"] == aug.provenance["ebm_checksums"]
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, 1e300])
+    def test_tag_that_is_not_an_integer_rejected(self, small_setup, tmp_path, value):
+        # a cast to int64 would truncate or wrap each of these into an index
+        ds, ebms = small_setup
+        config = LangevinConfig(step_size=0.05, n_steps=2, store_stride=2, store_offset=2)
+        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug")
+        tags = read_tensor(tmp_path / "aug.tags.ldtn")
+        tags[3, 5] = value
+        write_tensor(tmp_path / "aug.tags.ldtn", tags)
+        with pytest.raises(TensorFormatError,
+                           match=re.escape(f"tag value {value!r} is not an integer")):
+            load_augmented(tmp_path / "aug", ds)
+
+    def test_load_holds_no_copy_of_the_masks(self, small_setup, tmp_path):
+        # loading peaks within the images and tags it reads plus 1 MiB; storing each
+        # entry's (16, 16) float64 mask would add 2 MiB for these 1024 entries
+        ds, _ = small_setup
+        stream = derive_stream(6, [("pool", 0)])
+        m = 1024
+        source = stream.integers(0, 3, m)
+        pool = AugmentedDataset(
+            images=stream.uniform(size=(m, 1, 16, 16)).astype(np.float32),
+            origin_masks=dict(enumerate(ds.masks)), source_domain=source,
+            target_domain=(source + 1) % 3, step_index=np.full(m, 3),
+            origin_index=stream.integers(0, 10, m))
+        save_augmented(pool, tmp_path / "aug")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aug.images.ldtn", "aug.meta.json", "aug.tags.ldtn"]
+        tracemalloc.start()
+        try:
+            back = load_augmented(tmp_path / "aug", ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool.images.nbytes + 4 * m * 8 + (1 << 20)
+        assert back.masks_at(np.arange(m)).tobytes() == pool.masks_at(np.arange(m)).tobytes()
 
 
 class TestProvenance:
@@ -195,7 +259,7 @@ class TestProvenance:
                                 channel_replace=None, clamp_unit=True)
         save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug")
         want = pool_provenance(ds, ebms, config, base_seed=4)
-        assert load_augmented(tmp_path / "aug").provenance == want
+        assert load_augmented(tmp_path / "aug", ds).provenance == want
         assert set(want["langevin"]) == {f.name for f in dataclasses.fields(LangevinConfig)}
         assert sorted(want["data"]) == ["0", "1", "2"]
         assert all(len(v) == 16 for v in want["data"].values())
