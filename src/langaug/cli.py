@@ -256,14 +256,28 @@ def _seg_config(config) -> SegTrainConfig:
 _UNUSABLE = (MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError)
 
 
+def _writer(name) -> str:
+    """The subcommand that writes the upstream artifact ``name``."""
+    return next(sub for sub, (out, _) in _HANDLERS.items() if name.startswith(f"{out}/"))
+
+
 class Stage:
     """One subcommand's output-directory bookkeeping; ``run`` builds it and calls ``finish``.
-    An upstream artifact ``name``, such as ``"ebms/ebm_0_1"``, is the run's ``<name>.*`` files."""
+    An upstream artifact ``name``, such as ``"ebms/ebm_0_1"``, is the run's ``<name>.*`` files,
+    so the files of an earlier run go first: none of them joins an artifact. A directory of
+    files without ``config.resolved.json`` was not written by a stage and is refused."""
 
     def __init__(self, out_dir, name, config):
         self.root = Path(out_dir)
         self.dir = self.root / name
         self.inputs = {}
+        if self.dir.is_dir():
+            files = [path for path in self.dir.iterdir() if not path.is_dir()]
+            if files and not (self.dir / "config.resolved.json").is_file():
+                raise ConfigError(f"{self.dir} holds files but no config.resolved.json, so no "
+                                  "stage wrote it; choose another --out")
+            for path in files:
+                path.unlink()
         write_json(self.dir / "config.resolved.json", config)
         self._log = []
 
@@ -279,8 +293,7 @@ class Stage:
         try:
             return load(self.root / name)
         except _UNUSABLE as err:
-            writer = next(sub for sub, (out, _) in _HANDLERS.items() if name.startswith(f"{out}/"))
-            raise type(err)(f"{err}; rerun {writer}") from err
+            raise type(err)(f"{err}; rerun {_writer(name)}") from err
 
     def read(self, name, load):
         """``peek(name, load)`` after checksumming every file of ``name`` into the manifest."""
@@ -370,9 +383,10 @@ def _cmd_augment(stage, config, jobs):
     dataset = stage.read("dataset/benchmark", load_dataset)
     ebms = _load_ebms(stage, config, dataset)
     stage.log("generating bridge samples")
-    aug = generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
-                             config["base_seed"])
-    save_augmented(aug, stage.dir / "augmented")
+    langevin = _langevin_from_config(config, dataset)
+    aug = generate_augmented(dataset, ebms, langevin, config["base_seed"])
+    save_augmented(aug, stage.dir / "augmented",
+                   pool_provenance(dataset, ebms, langevin, config["base_seed"]))
     stage.log(f"{len(aug)} entries, {aug.skipped_chains} chains skipped")
 
 
@@ -395,7 +409,7 @@ def _cmd_train_seg(stage, config, jobs):
         pool, stale = _saved_pool(stage, config, dataset, _load_ebms(stage, config, dataset))
         if stale is not None:
             raise MissingArtifactError(f"the augmented pool is stale ({stale}); "
-                                       "run `augment` again")
+                                       f"rerun {_writer('aug/augmented')}")
         arms["erm+langaug"] = pool
     domains = range(dataset.n_domains)
     src_images = np.concatenate([dataset.train_images(d) for d in domains])

@@ -55,43 +55,44 @@ def swish_grad(z: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     return s * (1.0 + z * (1.0 - s))
 
 
-def conv_out_size(size: int, stride: int, pad: int = 1, kernel: int = 3) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+def conv_out_size(size: int, stride: int) -> int:
+    """Output size of a 3x3 conv with padding 1: (size + 2 - 3) // stride + 1."""
+    return (size - 1) // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Unfold C-contiguous xp into a fresh (C * kh * kw, N * ho * wo) im2col matrix."""
+def _im2col(xp: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Unfold C-contiguous xp into a fresh (C * 9, N * ho * wo) im2col matrix."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
     # entry (c, u, v, n, i, j) is xp[n, c, stride * i + u, stride * j + v]; the
     # ndarray constructor builds this window view faster than as_strided
-    windows = np.ndarray((c, kh, kw, n, ho, wo), xp.dtype, xp, 0,
+    windows = np.ndarray((c, 3, 3, n, ho, wo), xp.dtype, xp, 0,
                          (sc, sh, sw, sn, stride * sh, stride * sw))
-    return windows.copy().reshape(c * kh * kw, n * ho * wo)  # a fresh C-order copy
+    return windows.copy().reshape(c * 9, n * ho * wo)  # a fresh C-order copy
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int = 1):
-    """Returns (y, xp, cols): the padded input and its im2col matrix, for the backward pass."""
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
+    """Returns (y, xp, cols): the padded input and its im2col matrix, for the backward pass.
+    ``w`` is (C_out, C_in, 3, 3); any other kernel fails the weight product."""
     n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.result_type(x, w))
-    xp[:, :, pad:pad + h, pad:pad + wd] = x
-    ho = conv_out_size(h, stride, pad, kh)
-    wo = conv_out_size(wd, stride, pad, kw)
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    o = w.shape[0]
+    xp = np.zeros((n, c, h + 2, wd + 2), dtype=np.result_type(x, w))
+    xp[:, :, 1:1 + h, 1:1 + wd] = x
+    ho, wo = conv_out_size(h, stride), conv_out_size(wd, stride)
+    cols = _im2col(xp, stride, ho, wo)
     y = w.reshape(o, -1) @ cols
     y += b[:, None]
     return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp, cols
 
 
 @functools.lru_cache(maxsize=None)
-def _taps(kh: int, kw: int, stride: int, ho: int, wo: int, pad: int = 1):
+def _taps(stride: int, ho: int, wo: int):
     """The input gradient's shifted adds: ((k, p, q, d), ...), row wraps, column wraps.
 
     Under same padding (3x3, pad 1) ho = ceil(h / stride), so the input
     splits into stride x stride phase planes of ho x wo pixels; plane
     (p, q) holds the rows r with r % stride == p and the columns likewise.
-    With (di, p) = divmod(u - pad, stride) and (dj, q) = divmod(v - pad,
+    With (di, p) = divmod(u - 1, stride) and (dj, q) = divmod(v - 1,
     stride), kernel offset k = (u, v) sends output pixel m = i * wo + j to
     pixel m + d, d = di * wo + dj, of phase plane (p, q). Where i + di or
     j + dj leaves the plane, m + d lands in a neighbouring row or image
@@ -99,41 +100,41 @@ def _taps(kh: int, kw: int, stride: int, ho: int, wo: int, pad: int = 1):
     output rows and columns whose products are zeroed first.
     """
     taps = []
-    for u in range(kh):
-        di, p = divmod(u - pad, stride)
-        for v in range(kw):
-            dj, q = divmod(v - pad, stride)
-            taps.append((u * kw + v, p, q, di * wo + dj))
+    for u in range(3):
+        di, p = divmod(u - 1, stride)
+        for v in range(3):
+            dj, q = divmod(v - 1, stride)
+            taps.append((u * 3 + v, p, q, di * wo + dj))
 
-    def wraps(kernel, size):
+    def wraps(size):
         wrapped = []
-        for t in range(kernel):
-            shift = (t - pad) // stride
+        for t in range(3):
+            shift = (t - 1) // stride
             if shift:
                 wrapped.append((t, slice(0, -shift) if shift < 0 else slice(size - shift, size)))
         return tuple(wrapped)
 
-    return tuple(taps), wraps(kh, ho), wraps(kw, wo)
+    return tuple(taps), wraps(ho), wraps(wo)
 
 
-def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, pad: int = 1,
-                    *, cols: np.ndarray, want_dw: bool = True, want_dx: bool = True):
+def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, *,
+                    cols: np.ndarray, want_dw: bool = True, want_dx: bool = True):
     """(dx, dw, db) from conv2d_forward's xp and cols; dx, and dw with db, None unless wanted."""
     n, o, ho, wo = dy.shape
-    _, c, kh, kw = w.shape
+    c = w.shape[1]
     dy_mat = dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
     # (cols @ dy_mat.T).T has the bits of dy_mat @ cols.T and is faster at C_out < C_in * 9
     dw = (cols @ dy_mat.T).T.reshape(w.shape) if want_dw else None
     db = dy.sum(axis=(0, 2, 3)) if want_dw else None
     if not want_dx:
         return None, dw, db
-    taps, row_wraps, col_wraps = _taps(kh, kw, stride, ho, wo, pad)
-    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, kh, kw, n, ho, wo)
+    taps, row_wraps, col_wraps = _taps(stride, ho, wo)
+    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, 3, 3, n, ho, wo)
     for u, rows in row_wraps:
         dcols[:, u, :, :, rows] = 0.0
     for v, columns in col_wraps:
         dcols[:, :, v, :, :, columns] = 0.0
-    dcols = dcols.reshape(c, kh * kw, n * ho * wo)
+    dcols = dcols.reshape(c, 9, n * ho * wo)
     size = c * n * ho * wo
     # the phase planes, image planes laid end to end in dcols' (C, N) order
     planes = np.zeros((stride, stride, size), dtype=dcols.dtype)
@@ -143,7 +144,7 @@ def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, 
         # segmenter's 8->8 layer nine such copies beat one offset-major copy
         # of all of dcols by about 3x
         planes[p, q, lo + d:hi + d] += dcols[:, k].ravel()[lo:hi]
-    h, wd = xp.shape[2] - 2 * pad, xp.shape[3] - 2 * pad
+    h, wd = xp.shape[2] - 2, xp.shape[3] - 2
     # plane (p, q) holds the rows p::stride and the columns q::stride of dx: one
     # transposed copy interleaves them, and a crop to odd sizes is copied again
     dx = planes.reshape(stride, stride, c, n, ho, wo).transpose(3, 2, 4, 0, 5, 1)

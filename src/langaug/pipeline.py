@@ -13,7 +13,7 @@ float32; its masks keep the dataset's bits.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,11 @@ from .synth import MultiDomainDataset
 @dataclass
 class AugmentedDataset:
     images: np.ndarray          # (m, C, H, W)
-    origin_masks: dict          # source domain id -> the dataset's (n_i, H, W) masks, not a copy
+    origin_masks: list          # the dataset's per-domain (n_i, H, W) masks, shared, not a copy
     source_domain: np.ndarray   # (m,) int
     target_domain: np.ndarray   # (m,) int
     step_index: np.ndarray      # (m,) int
     origin_index: np.ndarray    # (m,) int, index into the origin domain's samples
-    provenance: dict = field(default_factory=dict)
     skipped_chains: int = 0
 
     def __len__(self) -> int:
@@ -45,7 +44,7 @@ class AugmentedDataset:
         """The masks of entries ``rows``: each its origin sample's, in the dataset's dtype."""
         rows = np.asarray(rows, dtype=np.int64)
         source, origin = self.source_domain[rows], self.origin_index[rows]
-        first = next(iter(self.origin_masks.values()))
+        first = self.origin_masks[0]
         masks = np.empty((rows.size, *first.shape[1:]), dtype=first.dtype)
         for d in np.unique(source):
             hit = source == d
@@ -65,24 +64,14 @@ class AugmentedDataset:
 
         Chain noise is keyed by (base_seed, pair, chain), so on a pool built over
         more domains this equals ``generate_augmented(..., domains=domains)``;
-        ``skipped_chains`` stays the whole pool's count (skips are not per pair).
+        ``origin_masks`` is shared and ``skipped_chains`` stays the whole pool's count
+        (skips are not per pair).
         """
-        keep = {int(d) for d in domains}
-        rows = np.isin(self.source_domain, list(keep)) & np.isin(self.target_domain, list(keep))
-        checksums = {key: value for key, value in self.provenance.get("ebm_checksums", {}).items()
-                     if {int(d) for d in key.split("_")} <= keep}
-        data = {key: value for key, value in self.provenance.get("data", {}).items()
-                if int(key) in keep}
-        return AugmentedDataset(
-            images=self.images[rows],
-            origin_masks={d: m for d, m in self.origin_masks.items() if d in keep},
-            source_domain=self.source_domain[rows],
-            target_domain=self.target_domain[rows],
-            step_index=self.step_index[rows],
-            origin_index=self.origin_index[rows],
-            provenance={**self.provenance, "ebm_checksums": checksums, "data": data},
-            skipped_chains=self.skipped_chains,
-        )
+        keep = list(domains)
+        rows = np.isin(self.source_domain, keep) & np.isin(self.target_domain, keep)
+        return AugmentedDataset(self.images[rows], self.origin_masks, self.source_domain[rows],
+                                self.target_domain[rows], self.step_index[rows],
+                                self.origin_index[rows], self.skipped_chains)
 
 
 def _checksum(*arrays) -> str:
@@ -96,27 +85,21 @@ def params_checksum(params: EnergyParams) -> str:
     return _checksum(params.theta)
 
 
-def _domains_and_pairs(dataset: MultiDomainDataset, domains):
-    """Sorted domain ids (default: all) and the ordered pairs among them."""
-    domains = sorted(int(d) for d in (range(dataset.n_domains) if domains is None else domains))
-    return domains, [(domains[i], domains[j]) for i, j in ordered_pairs(len(domains))]
-
-
 def pool_provenance(dataset: MultiDomainDataset, ebms: dict, config: LangevinConfig,
-                    base_seed: int, domains=None) -> dict:
-    """Everything a pool over ``domains`` (default: all) depends on, as JSON-native values.
+                    base_seed: int) -> dict:
+    """Everything the pool over all domains depends on, as JSON-native values.
 
     Two pools with equal provenance hold the same bits, so a saved pool whose
     provenance equals this one can stand in for sampling it again.
     """
-    domains, pairs = _domains_and_pairs(dataset, domains)
     return {
-        "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)]) for i, j in pairs},
+        "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)])
+                          for i, j in ordered_pairs(dataset.n_domains)},
         "langevin": asdict(config),
         "base_seed": base_seed,
         "dtype": EBM_DTYPE.name,
         "data": {str(d): _checksum(dataset.train_images(d), dataset.train_masks(d))
-                 for d in domains},
+                 for d in range(dataset.n_domains)},
     }
 
 
@@ -137,10 +120,11 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
                        base_seed: int, domains=None) -> AugmentedDataset:
     """Run chains for every (pair, training sample) and collect iterates.
 
-    ``domains`` restricts the construction to a subset of domain ids (the
-    leave-one-out folds pass the source domains only).
+    ``domains`` restricts the construction to a subset of domain ids; a pool over
+    all domains gives the same entries through ``within(domains)``.
     """
-    domains, pairs = _domains_and_pairs(dataset, domains)
+    domains = sorted(int(d) for d in (range(dataset.n_domains) if domains is None else domains))
+    pairs = [(domains[i], domains[j]) for i, j in ordered_pairs(len(domains))]
     for pair in pairs:
         if pair not in ebms:
             raise ConfigError(f"missing energy model for pair {pair}")
@@ -184,12 +168,11 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
 
     return AugmentedDataset(
         images=np.concatenate(images),
-        origin_masks={d: dataset.masks[d] for d in domains},
+        origin_masks=dataset.masks,
         source_domain=np.concatenate(src_tag),
         target_domain=np.concatenate(tgt_tag),
         step_index=np.concatenate(step_tag),
         origin_index=np.concatenate(origin_tag),
-        provenance=pool_provenance(dataset, ebms, config, base_seed, domains),
         skipped_chains=skipped,
     )
 
@@ -233,7 +216,8 @@ def assemble_training_stream(n_src: int, n_aug: int, mix_ratio: float, seed: int
     return stream
 
 
-def save_augmented(aug: AugmentedDataset, basename) -> None:
+def save_augmented(aug: AugmentedDataset, basename, provenance: dict) -> None:
+    """Write the pool's images and tags, and a sidecar that records ``provenance``."""
     base = Path(basename)
     write_tensor(f"{base}.images.ldtn", aug.images)
     write_tensor(f"{base}.tags.ldtn", np.stack([
@@ -243,7 +227,7 @@ def save_augmented(aug: AugmentedDataset, basename) -> None:
     write_meta(base, {
         "entries": len(aug),
         "counts_by_pair_step": counts,
-        "provenance": aug.provenance,
+        "provenance": provenance,
         "skipped_chains": aug.skipped_chains,
     })
 
@@ -251,6 +235,8 @@ def save_augmented(aug: AugmentedDataset, basename) -> None:
 def load_augmented(basename, dataset: MultiDomainDataset) -> AugmentedDataset:
     """The pool saved at ``basename``, whose masks are looked up in ``dataset``.
 
+    The sidecar must hold ``provenance``, which only ``_saved_pool`` in the CLI
+    compares, and ``skipped_chains``, which the pool keeps.
     Tags that are not (4, m), hold a value that is not an integer, name a source or target
     that is not a domain of ``dataset``, or an origin outside its source domain's training
     split raise TensorFormatError.
@@ -281,5 +267,4 @@ def load_augmented(basename, dataset: MultiDomainDataset) -> AugmentedDataset:
         if bad.size:
             raise TensorFormatError(f"{where}: entry {bad[0]} has origin {origin[bad[0]]}, not in "
                                     f"source domain {d}'s training split")
-    return AugmentedDataset(images, dict(enumerate(dataset.masks)), *ints,
-                            provenance=meta["provenance"], skipped_chains=meta["skipped_chains"])
+    return AugmentedDataset(images, dataset.masks, *ints, meta["skipped_chains"])

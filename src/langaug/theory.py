@@ -253,12 +253,14 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
     chunk_id = 0
     status = "ok"
 
+    def mean_and_stderr(beta):
+        sq, sq2 = acc[beta]
+        mean = sq / drawn
+        return mean, math.sqrt(max(sq2 / drawn - mean * mean, 0.0) / drawn)
+
     def stderr_ok() -> bool:
         for beta in betas:
-            sq, sq2 = acc[beta]
-            mean = sq / drawn
-            var = max(sq2 / drawn - mean * mean, 0.0)
-            se = math.sqrt(var / drawn)
+            mean, se = mean_and_stderr(beta)
             if se > stderr_frac * abs(mean) and not (se == 0.0 and mean == 0.0):
                 return False
         return True
@@ -294,10 +296,7 @@ def taylor_remainder_scan(theta, dataset: GlmVectorDataset, betas, n_mc: int = 4
 
     rows = []
     for beta in betas:
-        sq, sq2 = acc[beta]
-        mean_q = sq / drawn
-        var_q = max(sq2 / drawn - mean_q * mean_q, 0.0)
-        se = math.sqrt(var_q / drawn)
+        mean_q, se = mean_and_stderr(beta)
         r1, r2, r3 = reg_terms_general(theta, dataset, beta)
         rows.append(TheoryRow(
             beta=beta,

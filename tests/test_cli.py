@@ -559,7 +559,7 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     capsys.readouterr()
     assert run("train-seg", config, out) == 3
     err = capsys.readouterr().err
-    assert key in err and "run `augment` again" in err
+    assert key in err and err.rstrip().endswith("; rerun augment")
     assert not (out / "seg" / "results.csv").exists()
 
 
@@ -749,7 +749,7 @@ def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monke
     capsys.readouterr()
     assert run("train-seg", config, out) == 3
     err = capsys.readouterr().err
-    assert "provenance key dtype differs" in err and "run `augment` again" in err
+    assert "provenance key dtype differs" in err and err.rstrip().endswith("; rerun augment")
 
 
 # an upstream artifact of the 3-domain run: (its stage directory, its files, a subcommand that
@@ -783,6 +783,61 @@ def test_reader_checksums_every_file_and_names_its_writer(out_dir, tmp_path, cap
     assert run(reader, out_dir / "c.json", out) == 3
     err = capsys.readouterr().err
     assert str(path) in err and err.rstrip().endswith(f"; rerun {writer}")
+
+
+def rerun_gen_data_over_4_domains(out):
+    config = write_config(out / "c4.json", data={"n_domains": 4, "n_per_domain": 6,
+                                                 "image_size": 16, "train_frac": 0.5})
+    assert run("gen-data", config, out) == 0
+
+
+def plant_pool_masks(out):
+    # the file an older `augment` wrote, which the pool no longer has
+    write_tensor(out / "aug" / "augmented.masks.ldtn", np.zeros((54, 16, 16)))
+
+
+# an earlier run of a stage left files that its rerun does not write: (the artifact, the
+# subcommand that writes it, the earlier run)
+LEFTOVERS = {
+    "dataset of 4 domains": ("dataset/benchmark", "gen-data", rerun_gen_data_over_4_domains),
+    "pool with masks": ("aug/augmented", "augment", plant_pool_masks),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFTOVERS))
+def test_rerun_replaces_its_stage_directory(out_dir, tmp_path, case):
+    artifact, writer, earlier = LEFTOVERS[case]
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    stage_dir = out / Path(artifact).parent
+    files = sorted(p.name for p in stage_dir.iterdir())
+    earlier(out)
+    assert run(writer, out_dir / "c.json", out) == 0
+    assert sorted(p.name for p in stage_dir.iterdir()) == files
+    # every reader checksums the artifact's files, so a leftover would join its manifest
+    assert run("project", out_dir / "c.json", out) == 0
+    inputs = json.loads((out / "project" / "manifest.json").read_text())["inputs"]
+    assert sorted(Path(path).name for path in inputs if Path(path).parent == stage_dir) == \
+        [name for name in files if name.startswith(f"{Path(artifact).name}.")]
+
+
+def test_rerun_keeps_subdirectories_and_refuses_a_directory_no_stage_wrote(tmp_path, capsys):
+    out, config = tmp_path / "o", write_config(tmp_path / "c.json")
+    assert run("gen-data", config, out) == 0
+    (out / "dataset" / "notes").mkdir()
+    (out / "dataset" / "notes" / "keep.txt").write_text("mine")
+    assert run("gen-data", config, out) == 0
+    assert (out / "dataset" / "notes" / "keep.txt").read_text() == "mine"
+    # a directory of someone else's files is left as it is
+    (out / "seg").mkdir()
+    (out / "seg" / "results.csv").write_text("mine")
+    capsys.readouterr()
+    assert run("train-seg", config, out) == 2
+    err = capsys.readouterr().err
+    assert "no config.resolved.json" in err and str(out / "seg") in err
+    assert [p.name for p in (out / "seg").iterdir()] == ["results.csv"]
+    assert (out / "seg" / "results.csv").read_text() == "mine"
 
 
 # a model trained while the mlp arch existed has hidden_width in its sidecar; the

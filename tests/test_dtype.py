@@ -15,7 +15,7 @@ from langaug.energy import (EBM_DTYPE, EnergyArch, EnergyParams, energy_value_an
                             energy_value_and_grad_params, init_energy_params)
 from langaug.langevin import LangevinConfig, channel_replace_hook, langevin_step, run_chain_batch
 from langaug.numerics import derive_stream
-from langaug.pipeline import generate_augmented, load_augmented, save_augmented
+from langaug.pipeline import generate_augmented, load_augmented, pool_provenance, save_augmented
 from langaug.synth import generate_benchmark
 
 # largest |float32 - float64| / max |float64| over 80 conv cases (1-3 blocks,
@@ -115,10 +115,11 @@ def test_pool_is_float32_on_disk_and_back(tmp_path):
     pool = generate_augmented(ds, ebms, config, base_seed=9)
     assert pool.images.dtype == EBM_DTYPE == np.float32
     assert pool.masks_at(np.arange(len(pool))).dtype == ds.masks[0].dtype == np.float64
-    assert pool.provenance["dtype"] == "float32"
+    provenance = pool_provenance(ds, ebms, config, base_seed=9)
+    assert provenance["dtype"] == "float32"
     empty = generate_augmented(ds, {}, config, base_seed=9, domains=[0])
     assert len(empty) == 0 and empty.images.dtype == np.float32
-    save_augmented(pool, tmp_path / "aug")
+    save_augmented(pool, tmp_path / "aug", provenance)
     assert (tmp_path / "aug.images.ldtn").read_bytes()[5] == 0  # LDTN dtype byte: float32
     back = load_augmented(tmp_path / "aug", ds)
     assert back.images.dtype == np.float32

@@ -10,7 +10,7 @@ from langaug.cdtrain import ordered_pairs
 from langaug.energy import EnergyArch, EnergyParams
 from langaug.errors import ConfigError, DivergenceError, TensorFormatError
 from langaug.langevin import LangevinConfig, run_chain_batch
-from langaug.ldtn import read_tensor, write_tensor
+from langaug.ldtn import read_meta, read_tensor, write_json, write_tensor
 from langaug.numerics import derive_stream
 from langaug.pipeline import (AugmentedDataset, assemble_training_stream, generate_augmented,
                               load_augmented, pool_provenance, provenance_mismatch,
@@ -54,7 +54,7 @@ class TestGenerateAugmented:
         stream = derive_stream(8, [("tags", 0)])
         source, target, step = (stream.integers(0, 4, 200) for _ in range(3))
         pool = AugmentedDataset(images=np.zeros((200, 1, 2, 2), dtype=np.float32),
-                                origin_masks={}, source_domain=source, target_domain=target,
+                                origin_masks=[], source_domain=source, target_domain=target,
                                 step_index=step, origin_index=np.zeros(200, dtype=np.int64))
         want = collections.Counter(zip(source.tolist(), target.tolist(), step.tolist()))
         got = pool.counts_by_tag()
@@ -71,7 +71,7 @@ class TestGenerateAugmented:
             origin = ds.masks[aug.source_domain[m]][aug.origin_index[m]]
             assert masks[m].tobytes() == origin.tobytes()
         # the lookup reads the dataset's own arrays, which the pool never copies
-        assert all(aug.origin_masks[d] is ds.masks[d] for d in range(3))
+        assert aug.origin_masks is ds.masks
 
     def test_missing_pair_model(self, small_setup):
         ds, ebms = small_setup
@@ -196,30 +196,29 @@ class TestGenerateAugmented:
                 assert a.tobytes() == b.tobytes(), name
             assert got.masks_at(np.arange(len(got))).tobytes() == \
                 want.masks_at(np.arange(len(want))).tobytes()
-            assert got.origin_masks.keys() == want.origin_masks.keys() == set(sources)
-            assert all(got.origin_masks[d] is ds.masks[d] for d in sources)
-            assert got.provenance == want.provenance
-            assert len(got.provenance["ebm_checksums"]) == 6
+            assert got.origin_masks is want.origin_masks is ds.masks
+            assert got.skipped_chains == want.skipped_chains == 0
 
     def test_round_trip(self, small_setup, tmp_path):
         ds, ebms = small_setup
         config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3)
         aug = generate_augmented(ds, ebms, config, base_seed=4)
-        save_augmented(aug, tmp_path / "aug")
+        save_augmented(aug, tmp_path / "aug", pool_provenance(ds, ebms, config, base_seed=4))
         back = load_augmented(tmp_path / "aug", ds)
         assert back.images.tobytes() == aug.images.tobytes()
         assert np.array_equal(back.step_index, aug.step_index)
         assert np.array_equal(back.origin_index, aug.origin_index)
         rows = np.arange(len(aug))
         assert back.masks_at(rows).tobytes() == aug.masks_at(rows).tobytes()
-        assert back.provenance["ebm_checksums"] == aug.provenance["ebm_checksums"]
+        assert back.origin_masks is ds.masks
+        assert back.skipped_chains == aug.skipped_chains
 
     @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, 1e300])
     def test_tag_that_is_not_an_integer_rejected(self, small_setup, tmp_path, value):
         # a cast to int64 would truncate or wrap each of these into an index
         ds, ebms = small_setup
         config = LangevinConfig(step_size=0.05, n_steps=2, store_stride=2, store_offset=2)
-        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug")
+        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug", {})
         tags = read_tensor(tmp_path / "aug.tags.ldtn")
         tags[3, 5] = value
         write_tensor(tmp_path / "aug.tags.ldtn", tags)
@@ -236,10 +235,10 @@ class TestGenerateAugmented:
         source = stream.integers(0, 3, m)
         pool = AugmentedDataset(
             images=stream.uniform(size=(m, 1, 16, 16)).astype(np.float32),
-            origin_masks=dict(enumerate(ds.masks)), source_domain=source,
+            origin_masks=ds.masks, source_domain=source,
             target_domain=(source + 1) % 3, step_index=np.full(m, 3),
             origin_index=stream.integers(0, 10, m))
-        save_augmented(pool, tmp_path / "aug")
+        save_augmented(pool, tmp_path / "aug", {})
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "aug.images.ldtn", "aug.meta.json", "aug.tags.ldtn"]
         tracemalloc.start()
@@ -251,15 +250,27 @@ class TestGenerateAugmented:
         assert peak < pool.images.nbytes + 4 * m * 8 + (1 << 20)
         assert back.masks_at(np.arange(m)).tobytes() == pool.masks_at(np.arange(m)).tobytes()
 
+    def test_sidecar_without_provenance_rejected(self, small_setup, tmp_path):
+        # the pool keeps no provenance, but a sidecar without one is not a pool `augment` wrote
+        ds, ebms = small_setup
+        config = LangevinConfig(step_size=0.05, n_steps=2, store_stride=2, store_offset=2)
+        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug", {})
+        meta = read_meta(tmp_path / "aug")
+        del meta["provenance"]
+        write_json(tmp_path / "aug.meta.json", meta)
+        with pytest.raises(TensorFormatError, match="metadata has no 'provenance' key"):
+            load_augmented(tmp_path / "aug", ds)
+
 
 class TestProvenance:
     def test_saved_provenance_equals_pool_provenance(self, small_setup, tmp_path):
         ds, ebms = small_setup
         config = LangevinConfig(step_size=0.05, n_steps=6, store_stride=3, store_offset=3,
                                 channel_replace=None, clamp_unit=True)
-        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug")
         want = pool_provenance(ds, ebms, config, base_seed=4)
-        assert load_augmented(tmp_path / "aug", ds).provenance == want
+        save_augmented(generate_augmented(ds, ebms, config, base_seed=4), tmp_path / "aug", want)
+        # every value is JSON-native, so the sidecar's copy compares equal
+        assert read_meta(tmp_path / "aug")["provenance"] == want
         assert set(want["langevin"]) == {f.name for f in dataclasses.fields(LangevinConfig)}
         assert sorted(want["data"]) == ["0", "1", "2"]
         assert all(len(v) == 16 for v in want["data"].values())

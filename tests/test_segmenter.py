@@ -184,7 +184,7 @@ class TestTraining:
         stream = derive_stream(15, [("x", 0)])
         x, m = stream.uniform(size=(7, 1, 8, 8)), stream.uniform(size=(7, 8, 8))
         # the pool's entries take their masks from two source domains, out of origin order
-        masks_by_domain = {0: stream.uniform(size=(3, 8, 8)), 1: stream.uniform(size=(4, 8, 8))}
+        masks_by_domain = [stream.uniform(size=(3, 8, 8)), stream.uniform(size=(4, 8, 8))]
         source, origin = np.array([0, 1, 0, 1, 1]), np.array([2, 0, 1, 3, 1])
         pool = AugmentedDataset(
             images=stream.uniform(size=(5, 1, 8, 8)).astype(np.float32),
@@ -227,14 +227,14 @@ class TestTraining:
 def pool_of(images, masks):
     """A pool of ``images`` whose entry k has origin k and mask ``masks[k]``, every other tag 0."""
     zeros = np.zeros(len(images), dtype=np.int64)
-    return AugmentedDataset(images=images, origin_masks={0: masks}, source_domain=zeros,
+    return AugmentedDataset(images=images, origin_masks=[masks], source_domain=zeros,
                             target_domain=zeros, step_index=zeros,
                             origin_index=np.arange(len(images)))
 
 
 def one_entry_pool(ds, source, target):
     return AugmentedDataset(
-        images=ds.images[0][:1], origin_masks=dict(enumerate(ds.masks)),
+        images=ds.images[0][:1], origin_masks=ds.masks,
         source_domain=np.array([source]), target_domain=np.array([target]),
         step_index=np.array([1]), origin_index=np.array([0]),
     )
@@ -277,7 +277,7 @@ class TestLeaveOneOut:
         pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
         pool = AugmentedDataset(
             images=np.concatenate([ds.images[s][:1] for s, _ in pairs]),
-            origin_masks=dict(enumerate(ds.masks)),
+            origin_masks=ds.masks,
             source_domain=np.array([s for s, _ in pairs]),
             target_domain=np.array([t for _, t in pairs]),
             step_index=np.ones(len(pairs), dtype=int), origin_index=np.zeros(len(pairs), dtype=int),
