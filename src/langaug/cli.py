@@ -27,7 +27,7 @@ import numpy as np
 from .cdtrain import CdConfig, ordered_pairs, train_all_pairs
 from .energy import MAX_CONV_BLOCKS, EnergyArch, load_energy_params
 from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactError,
-                     NumericError, TensorFormatError, TensorPayloadError)
+                     NumericError, StaleArtifactError, TensorFormatError, TensorPayloadError)
 from .langevin import LangevinConfig
 from .numerics import AdamHyper
 from .ldtn import read_meta, write_csv, write_json
@@ -261,6 +261,16 @@ def _writer(name) -> str:
     return next(sub for sub, (out, _) in _HANDLERS.items() if name.startswith(f"{out}/"))
 
 
+def _shown(tree, key) -> str:
+    """The value under the dotted ``key`` of ``tree`` as a message shows it."""
+    *path, last = key.split(".")
+    for part in path:
+        tree = tree[part]
+    if last not in tree:
+        return "missing"
+    return "an object" if isinstance(tree[last], dict) else json.dumps(tree[last])
+
+
 class Stage:
     """One subcommand's output-directory bookkeeping; ``run`` builds it and calls ``finish``.
     An upstream artifact ``name``, such as ``"ebms/ebm_0_1"``, is the run's ``<name>.*`` files,
@@ -287,23 +297,28 @@ class Stage:
     def has(self, name) -> bool:
         return any(self.root.glob(f"{name}.*"))
 
-    def peek(self, name, load):
-        """``load(base)`` for the artifact ``name``, recording nothing; a missing or unusable
-        file raises with the subcommand to rerun."""
+    def read(self, name, load, want=None):
+        """``load(base)`` for the artifact ``name``, after checksumming each of its files into
+        the manifest. With ``want``, the sidecar must first record want's value under each of
+        its keys, or StaleArtifactError names the first one that differs. A missing, unusable
+        or stale artifact raises with the subcommand to rerun."""
+        base = self.root / name
         try:
-            return load(self.root / name)
+            if want is not None:
+                found = {key: value for key, value in read_meta(base).items() if key in want}
+                key = provenance_mismatch(found, want)
+                if key is not None:
+                    raise StaleArtifactError(f"{base}.meta.json: {key} is {_shown(found, key)}, "
+                                             f"this run's is {_shown(want, key)}")
+            for path in sorted(self.root.glob(f"{name}.*")):
+                digest = hashlib.sha256()
+                with open(path, "rb") as fh:  # in chunks: a whole pool tensor would lift peak RSS
+                    for chunk in iter(lambda: fh.read(1 << 20), b""):
+                        digest.update(chunk)
+                self.inputs[str(path)] = digest.hexdigest()
+            return load(base)
         except _UNUSABLE as err:
             raise type(err)(f"{err}; rerun {_writer(name)}") from err
-
-    def read(self, name, load):
-        """``peek(name, load)`` after checksumming every file of ``name`` into the manifest."""
-        for path in sorted(self.root.glob(f"{name}.*")):
-            digest = hashlib.sha256()
-            with open(path, "rb") as fh:  # in chunks: a whole pool tensor would lift peak RSS
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    digest.update(chunk)
-            self.inputs[str(path)] = digest.hexdigest()
-        return self.peek(name, load)
 
     def finish(self):
         write_json(self.dir / "manifest.json", {"inputs": self.inputs})
@@ -364,18 +379,8 @@ def _cmd_train_ebms(stage, config, jobs):
 
 def _load_ebms(stage, config, dataset):
     """The pair models `train-ebms` saved; one whose arch is not the config's raises."""
-    want = asdict(_arch_from_config(config, dataset))
-
-    def load(base):
-        params = load_energy_params(base)[0]
-        saved = asdict(params.arch)
-        key = provenance_mismatch(saved, want)
-        if key is not None:
-            raise MissingArtifactError(f"{base}.meta.json: arch {key}={saved[key]} does not match "
-                                       f"the config's {want[key]}")
-        return params
-
-    return {(i, j): stage.read(f"ebms/ebm_{i}_{j}", load)
+    want = {"arch": json.loads(json.dumps(asdict(_arch_from_config(config, dataset))))}
+    return {(i, j): stage.read(f"ebms/ebm_{i}_{j}", load_energy_params, want)[0]
             for i, j in ordered_pairs(dataset.n_domains)}
 
 
@@ -390,27 +395,18 @@ def _cmd_augment(stage, config, jobs):
     stage.log(f"{len(aug)} entries, {aug.skipped_chains} chains skipped")
 
 
-def _saved_pool(stage, config, dataset, ebms):
-    """(pool, None) when the pool `augment` saved is the one these inputs make, else (None, why)."""
-    if not stage.has("aug/augmented"):
-        return None, "no pool on disk"
-    key = provenance_mismatch(stage.peek("aug/augmented", read_meta).get("provenance", {}),
-                              pool_provenance(dataset, ebms, _langevin_from_config(config, dataset),
-                                              config["base_seed"]))
-    if key is not None:
-        return None, f"provenance key {key} differs"
-    return stage.read("aug/augmented", lambda base: load_augmented(base, dataset)), None
+def _read_pool(stage, config, dataset, ebms):
+    """The pool `augment` saved; StaleArtifactError unless these inputs would have made it."""
+    want = {"provenance": pool_provenance(dataset, ebms, _langevin_from_config(config, dataset),
+                                          config["base_seed"])}
+    return stage.read("aug/augmented", lambda base: load_augmented(base, dataset), want)
 
 
 def _cmd_train_seg(stage, config, jobs):
     dataset = stage.read("dataset/benchmark", load_dataset)
     arms = {"erm": None}
     if stage.has("aug/augmented"):
-        pool, stale = _saved_pool(stage, config, dataset, _load_ebms(stage, config, dataset))
-        if stale is not None:
-            raise MissingArtifactError(f"the augmented pool is stale ({stale}); "
-                                       f"rerun {_writer('aug/augmented')}")
-        arms["erm+langaug"] = pool
+        arms["erm+langaug"] = _read_pool(stage, config, dataset, _load_ebms(stage, config, dataset))
     domains = range(dataset.n_domains)
     src_images = np.concatenate([dataset.train_images(d) for d in domains])
     src_masks = np.concatenate([dataset.train_masks(d) for d in domains])
@@ -430,11 +426,15 @@ def _loo_pool(stage, config, dataset, ebms, folds):
     otherwise the pool is sampled, after the folds have been checked.
     """
     loo_folds(dataset.n_domains, folds)
-    pool, stale = _saved_pool(stage, config, dataset, ebms)
-    if pool is not None:
-        stage.log("using the pool `augment` saved")
-        return pool
-    stage.log(f"sampling the pool: {stale}")
+    why = "no pool on disk"
+    if stage.has("aug/augmented"):
+        try:
+            pool = _read_pool(stage, config, dataset, ebms)
+            stage.log("using the pool `augment` saved")
+            return pool
+        except StaleArtifactError as err:
+            why = err
+    stage.log(f"sampling the pool: {why}")
     return generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
                               config["base_seed"])
 
@@ -510,38 +510,31 @@ def _cmd_sweep(stage, config, jobs):
 
 def _cmd_project(stage, config, jobs):
     dataset = stage.read("dataset/benchmark", load_dataset)
-    rows = []
-    vectors = []
-    for d in range(dataset.n_domains):
-        for img in dataset.images[d]:
-            vectors.append(img.ravel())
-            rows.append(("src", d, -1, 0))
+    # each image's (domain, target, step): a dataset image's target is -1 and its step 0
+    images = list(dataset.images)
+    tags = [np.broadcast_to([[d], [-1], [0]], (3, len(x))) for d, x in enumerate(images)]
     if stage.has("aug/augmented"):
-        aug = stage.read("aug/augmented", lambda base: load_augmented(base, dataset))
-        for idx in range(len(aug)):
-            vectors.append(aug.images[idx].ravel())
-            rows.append(("aug", int(aug.source_domain[idx]), int(aug.target_domain[idx]),
-                         int(aug.step_index[idx])))
-    coords = pca_project(np.stack(vectors), out_dim=2)
+        aug = _read_pool(stage, config, dataset, _load_ebms(stage, config, dataset))
+        images.append(aug.images)
+        tags.append(np.stack([aug.source_domain, aug.target_domain, aug.step_index]))
+    tags = np.concatenate(tags, axis=1)
+    coords = pca_project(np.concatenate([x.reshape(-1, images[0][0].size) for x in images]), 2)
+    xy = np.pad(coords, ((0, 0), (0, 2 - coords.shape[1])))  # a rank-1 projection's pc2 is 0
     write_csv(stage.dir / "coords.csv", ["kind", "domain", "target", "step", "pc1", "pc2"],
-              ([kind, dom, tgt, step, repr(float(xy[0])),
-                repr(float(xy[1])) if coords.shape[1] > 1 else repr(0.0)]
-               for (kind, dom, tgt, step), xy in zip(rows, coords)))
-    _write_centroid_report(rows, coords, stage.dir / "centroids.json")
+              (["src" if tgt < 0 else "aug", dom, tgt, step, repr(x), repr(y)]
+               for (dom, tgt, step), (x, y) in zip(tags.T.tolist(), xy.tolist())))
+    _write_centroid_report(tags[0], tags[1], coords, stage.dir / "centroids.json")
 
 
-def _write_centroid_report(rows, coords, path):
-    """Distances from augmented (i, j) centroids to source centroids (reported)."""
-    src_centroids = {}
-    for d in {r[1] for r in rows if r[0] == "src"}:
-        pts = np.stack([c for r, c in zip(rows, coords) if r[0] == "src" and r[1] == d])
-        src_centroids[d] = pts.mean(axis=0)
+def _write_centroid_report(domain, target, coords, path):
+    """Distances from augmented (i, j) centroids to source centroids (reported); a source
+    row has target -1."""
+    src = target < 0
+    src_centroids = {d: coords[src & (domain == d)].mean(axis=0)
+                     for d in np.unique(domain[src]).tolist()}
     out = {}
-    pairs = {(r[1], r[2]) for r in rows if r[0] == "aug"}
-    for i, j in sorted(pairs):
-        pts = np.stack([c for r, c in zip(rows, coords)
-                        if r[0] == "aug" and r[1] == i and r[2] == j])
-        centroid = pts.mean(axis=0)
+    for i, j in sorted(set(zip(domain[~src].tolist(), target[~src].tolist()))):
+        centroid = coords[(domain == i) & (target == j)].mean(axis=0)
         out[f"{i}->{j}"] = {
             "dist_to_source": float(np.linalg.norm(centroid - src_centroids[i])),
             "dist_to_target": float(np.linalg.norm(centroid - src_centroids[j])),

@@ -3,9 +3,10 @@
 The CLI maps these onto exit codes: ConfigError and MemoryError (configured
 sizes beyond the memory available) -> 2; a missing or unusable upstream
 artifact, such as an ebm sidecar no model can be built from
-(MissingArtifactError, DimensionError, TensorFormatError, TensorPayloadError)
--> 3; NumericError (including its subclass DivergenceError) -> 4;
-LeakageError (held-out domain leaked into a training fold) -> 5.
+(MissingArtifactError and its subclass StaleArtifactError, DimensionError,
+TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
+subclass DivergenceError) -> 4; LeakageError (held-out domain leaked into a
+training fold) -> 5.
 """
 
 
@@ -36,6 +37,10 @@ class LeakageError(RuntimeError):
 
 class MissingArtifactError(FileNotFoundError):
     """An upstream output required by a pipeline stage does not exist."""
+
+
+class StaleArtifactError(MissingArtifactError):
+    """An upstream output this run would not have made: its sidecar records other inputs."""
 
 
 class TensorFormatError(ValueError):

@@ -235,15 +235,18 @@ def save_augmented(aug: AugmentedDataset, basename, provenance: dict) -> None:
 def load_augmented(basename, dataset: MultiDomainDataset) -> AugmentedDataset:
     """The pool saved at ``basename``, whose masks are looked up in ``dataset``.
 
-    The sidecar must hold ``provenance``, which only ``_saved_pool`` in the CLI
-    compares, and ``skipped_chains``, which the pool keeps.
-    Tags that are not (4, m), hold a value that is not an integer, name a source or target
-    that is not a domain of ``dataset``, or an origin outside its source domain's training
-    split raise TensorFormatError.
+    The sidecar must hold ``provenance``, which every pool reader in the CLI compares
+    through ``Stage.read`` before it loads, and ``skipped_chains``, which the pool keeps.
+    TensorFormatError: images whose (C, H, W) is not the dataset's, or tags that are not
+    (4, m), hold a value that is not an integer, name a source or target that is not a domain
+    of ``dataset``, or an origin outside its source domain's training split.
     """
     base = Path(basename)
     meta = read_meta(base, ("provenance", "skipped_chains"))
     images = read_tensor(f"{base}.images.ldtn")
+    if images.shape[1:] != dataset.images[0].shape[1:]:
+        raise TensorFormatError(f"{base}.images.ldtn: images of shape {images.shape} for a "
+                                f"dataset of {dataset.images[0].shape[1:]} images")
     where = f"{base}.tags.ldtn"
     tags = read_tensor(where)
     if tags.shape != (4, *images.shape[:1]):

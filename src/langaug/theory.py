@@ -389,20 +389,17 @@ def _matvec_rows(mat, thetas):
 
 def estimate_rho(dataset: GlmVectorDataset, family, theta_probe_count: int,
                  kappa1: float, kappa2: float, rng: np.random.Generator,
-                 radii=None) -> tuple[float, int]:
+                 radii) -> tuple[float, int]:
     """Retentiveness estimate: worst probe of the curvature-minus-score ratio.
 
     rho_hat = min over probes of
         [E A''(theta.x) - (kappa1/kappa2) sqrt(E A'(theta.x)^2)] / min(1, E (theta.x)^2),
     clamped below at zero. kappa1 upper-bounds E||s(x)||^2, kappa2
-    lower-bounds ||theta||^2 over the probes; the default probe radii start
-    at sqrt(kappa2) so the kappa2 bound is tight. Returns (rho_hat,
-    skipped_probes) where skips count near-zero denominators.
+    lower-bounds ||theta||^2 over the probes, whose norms cycle through
+    ``radii``. Returns (rho_hat, skipped_probes) where skips count near-zero
+    denominators.
     """
     family = get_family(family)
-    if radii is None:
-        base = math.sqrt(kappa2)
-        radii = (base, 2.0 * base, 4.0 * base)
     thetas, skipped = _probe_thetas(rng, theta_probe_count, dataset.dim, radii)
     u = _guard(_matvec_rows(dataset.x, thetas), family)
     second = np.mean(u * u, axis=1)

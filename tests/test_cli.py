@@ -206,7 +206,8 @@ class TestExitCodes:
         config = write_config(tmp_path / "c.json")
         assert run("gen-data", config, out) == 0
         assert run("augment", config, out) == 3
-        assert "does not match" in capsys.readouterr().err
+        assert (f"{out / 'ebms' / 'ebm_0_1.meta.json'}: arch.input_shape is [1, 8, 8], this "
+                "run's is [1, 16, 16]; rerun train-ebms") in capsys.readouterr().err
 
     def test_models_of_other_conv_blocks_exit_3(self, out_dir, tmp_path, capsys):
         # models trained at conv_blocks 1 once sampled silently under a config asking for 2
@@ -217,8 +218,8 @@ class TestExitCodes:
         for subcommand in ("augment", "eval-loo"):
             assert run(subcommand, config, out) == 3
             err = capsys.readouterr().err
-            assert (f"{out / 'ebms' / 'ebm_0_1.meta.json'}: arch conv_blocks=1 does not match "
-                    "the config's 2; rerun train-ebms") in err
+            assert (f"{out / 'ebms' / 'ebm_0_1.meta.json'}: arch.conv_blocks is 1, this run's "
+                    "is 2; rerun train-ebms") in err
         assert not (out / "aug" / "augmented.meta.json").exists()
         assert not (out / "loo" / "results.csv").exists()
 
@@ -550,7 +551,8 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", config, out) == 0
     assert len(calls) == 3 * 2
-    assert f"provenance key {key} differs" in (out / "loo" / "run.log").read_text()
+    assert f"{out / 'aug' / 'augmented.meta.json'}: provenance.{key} is " in \
+        (out / "loo" / "run.log").read_text()
     inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
     assert not any("augmented" in path for path in inputs)
     assert run("eval-loo", config, fresh) == 0
@@ -559,7 +561,7 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     capsys.readouterr()
     assert run("train-seg", config, out) == 3
     err = capsys.readouterr().err
-    assert key in err and err.rstrip().endswith("; rerun augment")
+    assert f"provenance.{key} is " in err and err.rstrip().endswith("; rerun augment")
     assert not (out / "seg" / "results.csv").exists()
 
 
@@ -575,7 +577,8 @@ def test_sweep_samples_only_values_off_the_saved_pool(tmp_path, monkeypatch):
     assert run("sweep", config, out) == 0
     assert len(calls) == 3 * 2
     log = (out / "sweep" / "run.log").read_text()
-    assert "provenance key langevin.n_steps differs" in log
+    assert (f"{out / 'aug' / 'augmented.meta.json'}: provenance.langevin.n_steps is 6, this "
+            "run's is 4") in log
     assert "using the pool `augment` saved" in log
     calls.clear()
     assert run("sweep", config, fresh) == 0
@@ -672,6 +675,10 @@ COMPANION_DAMAGE = {
                             "tags of shape (3, 54)"),
     "pool tags short a column": ("aug/augmented.tags.ldtn", edit_tensor(lambda t: t[:, :-1]),
                                  "tags of shape (4, 53) for images of shape (54, 1, 16, 16)"),
+    "pool images of another size": ("aug/augmented.images.ldtn",
+                                    edit_tensor(lambda t: t[:, :, :8, :8]),
+                                    "images of shape (54, 1, 8, 8) for a dataset of (1, 16, 16) "
+                                    "images"),
     "dataset masks short a row": ("dataset/benchmark.d1.masks.ldtn",
                                   edit_tensor(lambda t: t[:-1]),
                                   "masks of shape (5, 16, 16) for images of shape (6, 1, 16, 16)"),
@@ -736,7 +743,8 @@ def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monke
     out = tmp_path / "o"
     for name in ("dataset", "ebms", "aug"):
         shutil.copytree(out_dir / name, out / name)
-    edit_json(lambda meta: edit(meta["provenance"]))(out / "aug" / "augmented.meta.json")
+    sidecar = out / "aug" / "augmented.meta.json"
+    edit_json(lambda meta: edit(meta["provenance"]))(sidecar)
     config = write_config(tmp_path / "c.json", sweep={"axis": "n_steps", "values": [6],
                                                       "folds": [0], "seeds": [0]})
     calls = count_chain_runs(monkeypatch)
@@ -744,12 +752,58 @@ def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monke
         calls.clear()
         assert run(stage, config, out) == 0
         assert len(calls) == 3 * 2
-        assert "provenance key dtype differs" in (out / stage.replace("eval-", "") / "run.log"
-                                                  ).read_text()
+        assert f"{sidecar}: provenance.dtype is " in (out / stage.replace("eval-", "") /
+                                                      "run.log").read_text()
     capsys.readouterr()
     assert run("train-seg", config, out) == 3
     err = capsys.readouterr().err
-    assert "provenance key dtype differs" in err and err.rstrip().endswith("; rerun augment")
+    assert f"{sidecar}: provenance.dtype is " in err and err.rstrip().endswith("; rerun augment")
+
+
+# a pool sidecar's provenance that is not an object: (the edit, what the message says after
+# the sidecar's path)
+POOL_PROVENANCE_DAMAGE = {
+    "a list": (lambda meta: meta.update(provenance=["x"]),
+               'provenance is ["x"], this run\'s is an object'),
+    "missing": (lambda meta: meta.pop("provenance"),
+                "provenance is missing, this run's is an object"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(POOL_PROVENANCE_DAMAGE))
+def test_pool_without_a_provenance_object_is_stale(out_dir, tmp_path, monkeypatch, capsys,
+                                                   damage):
+    # eval-loo samples the pool again; train-seg and project refuse it
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    sidecar = out / "aug" / "augmented.meta.json"
+    edit, text = POOL_PROVENANCE_DAMAGE[damage]
+    edit_json(edit)(sidecar)
+    calls = count_chain_runs(monkeypatch)
+    assert run("eval-loo", out_dir / "c.json", out) == 0
+    assert len(calls) == 3 * 2
+    assert f"sampling the pool: {sidecar}: {text}" in (out / "loo" / "run.log").read_text()
+    for subcommand in ("train-seg", "project"):
+        capsys.readouterr()
+        assert run(subcommand, out_dir / "c.json", out) == 3
+        err = capsys.readouterr().err
+        assert f"{sidecar}: {text}; rerun augment" in err
+        assert err.rstrip().endswith("; rerun augment")
+
+
+def test_project_refuses_a_stale_pool(out_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    config = write_config(tmp_path / "c.json", langevin={
+        "step_size": 0.05, "n_steps": 6, "store_stride": 2, "store_offset": 2,
+        "clamp_unit": True})
+    assert run("project", config, out) == 3
+    err = capsys.readouterr().err
+    assert (f"{out / 'aug' / 'augmented.meta.json'}: provenance.langevin.clamp_unit is false, "
+            "this run's is true; rerun augment") in err
+    assert not (out / "project" / "coords.csv").exists()
 
 
 # an upstream artifact of the 3-domain run: (its stage directory, its files, a subcommand that

@@ -314,14 +314,14 @@ class TestRademacher:
     def test_estimate_rho_gaussian_kappa1_zero(self):
         ds = generate_vector_glm(500, np.zeros(2), np.eye(2), np.ones(2), "gaussian", 16)
         rho, skipped = estimate_rho(ds, "gaussian", 200, kappa1=0.0, kappa2=1.0,
-                                    rng=derive_stream(3, [("p", 0)]))
+                                    rng=derive_stream(3, [("p", 0)]), radii=(1.0, 2.0, 4.0))
         assert rho >= 1.0
         assert skipped == 0
 
     def test_estimate_rho_clamps_at_zero(self):
         ds = generate_vector_glm(500, np.zeros(2), np.eye(2), np.ones(2), "logistic", 17)
         rho, _ = estimate_rho(ds, "logistic", 200, kappa1=2.0, kappa2=1.0,
-                              rng=derive_stream(4, [("p", 0)]))
+                              rng=derive_stream(4, [("p", 0)]), radii=(1.0, 2.0, 4.0))
         assert rho == 0.0
 
     def test_estimate_rho_reproducible(self):

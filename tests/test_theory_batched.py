@@ -219,13 +219,6 @@ class TestBatchedProbes:
             assert got[1] == want[1]
             assert bits(got[0]) == bits(want[0])
 
-    def test_estimate_rho_default_radii(self):
-        ds = glm("gaussian", k=200, scale=0.49)
-        got = estimate_rho(ds, "gaussian", 300, 0.5, 4.0, derive_stream(2, [("p", 0)]))
-        want = reference_rho(ds, "gaussian", 300, 0.5, 4.0, derive_stream(2, [("p", 0)]),
-                             (2.0, 4.0, 8.0))
-        assert (bits(got[0]), got[1]) == (bits(want[0]), want[1])
-
     def test_estimate_rho_all_skipped(self):
         # data at the origin: every probe has a zero denominator
         ds = GlmVectorDataset(x=np.zeros((10, 2)), y=np.zeros(10), mu=np.zeros(2),
@@ -235,7 +228,8 @@ class TestBatchedProbes:
                 estimate(ds, "gaussian", 50, 1.0, 1.0, derive_stream(0, [("p", 0)]),
                          radii=(1.0,))
         with pytest.raises(ConfigError, match="all probes skipped"):
-            estimate_rho(ds, "gaussian", 0, 1.0, 1.0, derive_stream(0, [("p", 0)]))
+            estimate_rho(ds, "gaussian", 0, 1.0, 1.0, derive_stream(0, [("p", 0)]),
+                         radii=(1.0, 2.0, 4.0))
 
     def test_estimate_rho_poisson_guard(self):
         # radius-400 probes overflow exp(u)**2; that is a numeric failure,
