@@ -10,11 +10,10 @@ Training computes in its samples' dtype over float64 master weights, as the
 segmenter does: with float32 samples the chains and CD passes run on a
 float32 copy of theta, made once per iteration, and the gradient is cast up
 for Adam, whose moments and theta stay float64. ``train_all_pairs`` trains
-in ``EBM_DTYPE``.
+in ``EBM_DTYPE``, one pair after another in the calling process.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -116,33 +115,25 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: CdConfig,
-                    out_dir=None, jobs: int = 1) -> dict[tuple[int, int], EnergyParams]:
-    """One trained model per ordered domain pair; n domains give n(n-1).
+                    out_dir=None) -> dict[tuple[int, int], EnergyParams]:
+    """One trained model per ordered domain pair; n domains give n(n-1), trained in turn.
 
-    Each pair trains from its own base seed, so ``jobs`` worker threads give
-    the same models as one. The samples are cast to ``EBM_DTYPE`` once.
-    ``out_dir`` receives ``ebm_{i}_{j}`` and ``trace_{i}_{j}.csv``.
+    Each pair trains from its own base seed; the samples are cast to ``EBM_DTYPE`` once.
+    ``out_dir`` receives ``ebm_{i}_{j}`` and ``trace_{i}_{j}.csv`` once every pair has trained.
     """
     domain_samples = [np.asarray(s, dtype=EBM_DTYPE) for s in domain_samples]
     n = len(domain_samples)
     if n < 2:
         raise ConfigError("need at least 2 domains")
-    pairs = ordered_pairs(n)
-
-    def train_pair(pair):
-        i, j = pair
+    trained = {}
+    for i, j in ordered_pairs(n):
         pair_config = replace(config, base_seed=config.base_seed + 7919 * (i * n + j) + 1)
         try:
-            return train_ebm(domain_samples[i], domain_samples[j], arch, pair_config)
+            trained[(i, j)] = train_ebm(domain_samples[i], domain_samples[j], arch, pair_config)
         except (ConfigError, DivergenceError) as err:
             raise type(err)(f"pair ({i}, {j}): {err}") from err
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:  # starts no thread unless jobs > 1
-        outcomes = list((pool.map if jobs > 1 else map)(train_pair, pairs))
-    models = {}
-    for (i, j), (params, trace) in zip(pairs, outcomes):
-        models[(i, j)] = params
-        if out_dir is not None:
+    if out_dir is not None:
+        for (i, j), (params, trace) in trained.items():
             save_energy_params(params, Path(out_dir) / f"ebm_{i}_{j}", pair=(i, j))
             trace.write_csv(Path(out_dir) / f"trace_{i}_{j}.csv")
-    return models
+    return {pair: params for pair, (params, _) in trained.items()}

@@ -187,9 +187,13 @@ def load_config(path, seed_override=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"config file not found: {path}")
+    if path.is_dir():
+        raise MissingArtifactError(f"config path is a directory, not a file: {path}")
     try:
         # NaN and Infinity are read as strings, which no number leaf accepts
         raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=str)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     config = _merge_strict(SCHEMA, raw)
@@ -281,13 +285,17 @@ class Stage:
         self.root = Path(out_dir)
         self.dir = self.root / name
         self.inputs = {}
-        if self.dir.is_dir():
-            files = [path for path in self.dir.iterdir() if not path.is_dir()]
-            if files and not (self.dir / "config.resolved.json").is_file():
-                raise ConfigError(f"{self.dir} holds files but no config.resolved.json, so no "
-                                  "stage wrote it; choose another --out")
-            for path in files:
-                path.unlink()
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as err:
+            raise ConfigError(f"--out {self.root} must name a directory, but {self.dir} "
+                              f"cannot be one ({err.strerror})") from err
+        files = [path for path in self.dir.iterdir() if not path.is_dir()]
+        if files and not (self.dir / "config.resolved.json").is_file():
+            raise ConfigError(f"{self.dir} holds files but no config.resolved.json, so no "
+                              "stage wrote it; choose another --out")
+        for path in files:
+            path.unlink()
         write_json(self.dir / "config.resolved.json", config)
         self._log = []
 
@@ -353,7 +361,7 @@ def pca_project(vectors: np.ndarray, out_dim: int = 2) -> np.ndarray:
 # subcommands
 
 
-def _cmd_gen_data(stage, config, jobs):
+def _cmd_gen_data(stage, config):
     data = config["data"]
     stage.log("generating benchmark")
     dataset = generate_benchmark(
@@ -369,12 +377,12 @@ def _cmd_gen_data(stage, config, jobs):
     stage.log(f"clamp fraction {dataset.clamp_fraction:.4f}")
 
 
-def _cmd_train_ebms(stage, config, jobs):
+def _cmd_train_ebms(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     stage.log(f"training {len(ordered_pairs(dataset.n_domains))} pairwise models")
     train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
                     _arch_from_config(config, dataset), _cd_from_config(config),
-                    out_dir=stage.dir, jobs=jobs)
+                    out_dir=stage.dir)
 
 
 def _load_ebms(stage, config, dataset):
@@ -384,7 +392,7 @@ def _load_ebms(stage, config, dataset):
             for i, j in ordered_pairs(dataset.n_domains)}
 
 
-def _cmd_augment(stage, config, jobs):
+def _cmd_augment(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     ebms = _load_ebms(stage, config, dataset)
     stage.log("generating bridge samples")
@@ -402,7 +410,7 @@ def _read_pool(stage, config, dataset, ebms):
     return stage.read("aug/augmented", lambda base: load_augmented(base, dataset), want)
 
 
-def _cmd_train_seg(stage, config, jobs):
+def _cmd_train_seg(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     arms = {"erm": None}
     if stage.has("aug/augmented"):
@@ -439,7 +447,7 @@ def _loo_pool(stage, config, dataset, ebms, folds):
                               config["base_seed"])
 
 
-def _cmd_eval_loo(stage, config, jobs):
+def _cmd_eval_loo(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     ebms = _load_ebms(stage, config, dataset)
     stage.log("running leave-one-out evaluation")
@@ -449,7 +457,7 @@ def _cmd_eval_loo(stage, config, jobs):
     write_results_csv(results, stage.dir / "results.csv")
 
 
-def _cmd_verify_theory(stage, config, jobs):
+def _cmd_verify_theory(stage, config):
     th_cfg = config["theory"]
     dim = th_cfg["dim"]
     theta = (np.asarray(th_cfg["theta"], dtype=np.float64) if th_cfg["theta"] is not None
@@ -465,7 +473,7 @@ def _cmd_verify_theory(stage, config, jobs):
     stage.log(f"slope {report.slope}, status {report.status}")
 
 
-def _cmd_sweep(stage, config, jobs):
+def _cmd_sweep(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
@@ -476,7 +484,7 @@ def _cmd_sweep(stage, config, jobs):
         if key not in pair_models:
             pair_models[key] = train_all_pairs(
                 [dataset.train_images(d) for d in range(dataset.n_domains)],
-                _arch_from_config(cfg, dataset), _cd_from_config(cfg), jobs=jobs)
+                _arch_from_config(cfg, dataset), _cd_from_config(cfg))
         return pair_models[key]
 
     def means(arms):
@@ -508,7 +516,7 @@ def _cmd_sweep(stage, config, jobs):
                                           "mean_dice_aug", "mean_iou_aug"], rows)
 
 
-def _cmd_project(stage, config, jobs):
+def _cmd_project(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     # each image's (domain, target, step): a dataset image's target is -1 and its step 0
     images = list(dataset.images)
@@ -555,7 +563,8 @@ _HANDLERS = {
 
 
 def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code. Every stage runs its loops in
+    this process, so ``jobs`` is checked but selects nothing."""
     try:
         if subcommand not in _HANDLERS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -564,7 +573,7 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
         config = load_config(config_path, seed_override=seed)
         name, handler = _HANDLERS[subcommand]
         stage = Stage(out_dir, name, config)
-        handler(stage, config, jobs)
+        handler(stage, config)
         stage.finish()
         return 0
     except ConfigError as err:
@@ -590,7 +599,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="strict JSON experiment config")
     parser.add_argument("--out", required=True, help="experiment output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel stages")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="at least 1; selects nothing: every stage runs in one process")
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.out, jobs=args.jobs, seed=args.seed)

@@ -104,12 +104,14 @@ def write_meta(basename, meta: dict) -> None:
 
 def read_meta(basename, keys=()) -> dict:
     """The sidecar ``<basename>.meta.json``. A missing file raises MissingArtifactError; one
-    that is not a JSON object, or lacks one of ``keys``, raises TensorFormatError."""
+    that is not UTF-8 JSON of an object, or lacks one of ``keys``, raises TensorFormatError."""
     path = Path(str(basename) + ".meta.json")
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as err:
         raise MissingArtifactError(f"{path}: no such file") from err
+    except UnicodeDecodeError as err:
+        raise TensorFormatError(f"{path}: metadata is not UTF-8") from err
     except json.JSONDecodeError as err:
         raise TensorFormatError(f"{path}: metadata is not valid JSON ({err})") from err
     if not isinstance(meta, dict):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +65,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="positive"):
             load_config(path)
 
-    def test_non_json_config(self, tmp_path):
+    @pytest.mark.parametrize("content,text", [(b"not json {", "not valid JSON"),
+                                              (b'{"base_seed": "\xff"}', "is not UTF-8")],
+                             ids=["not-json", "not-utf8"])
+    def test_non_json_config(self, tmp_path, capsys, content, text):
         path = tmp_path / "c.json"
-        path.write_text("not json {")
-        with pytest.raises(ConfigError):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=text):
             load_config(path)
+        assert run("gen-data", path, tmp_path / "out") == 2
+        assert text in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -166,8 +173,22 @@ class TestExitCodes:
         assert "segmenter.seeds" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["dataset"]
 
-    def test_missing_config_exit_3(self, tmp_path):
-        assert run("gen-data", tmp_path / "absent.json", tmp_path / "out") == 3
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["absent", "directory"])
+    def test_missing_config_exit_3(self, tmp_path, capsys, make):
+        config = tmp_path / "c.json"
+        make(config)
+        assert run("gen-data", config, tmp_path / "out") == 3
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/under"])
+    def test_out_not_a_directory_exit_2(self, tmp_path, capsys, out):
+        config = write_config(tmp_path / "c.json")
+        (tmp_path / "file").write_text("mine")
+        assert run("gen-data", config, tmp_path / out) == 2
+        assert f"--out {tmp_path / out} must name a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "file"]
+        assert (tmp_path / "file").read_text() == "mine"
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
@@ -323,14 +344,25 @@ class TestPipelineStages:
         b = (other / "dataset" / "benchmark.d0.images.ldtn").read_bytes()
         assert a == b
 
-    def test_jobs_flag_gives_identical_models(self, out_dir, tmp_path):
-        config = out_dir / "c.json"
+    def test_jobs_flag_gives_identical_models(self, out_dir, tmp_path, monkeypatch):
+        # every stage runs in one process: --jobs starts no thread and changes no bit
+        config = write_config(tmp_path / "c.json", sweep={"axis": "n_steps", "values": [6],
+                                                          "folds": [0], "seeds": [0]})
         parallel = tmp_path / "par"
         assert run("gen-data", config, parallel) == 0
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         assert run("train-ebms", config, parallel, jobs=4) == 0
-        a = (out_dir / "ebms" / "ebm_0_1.ldtn").read_bytes()
-        b = (parallel / "ebms" / "ebm_0_1.ldtn").read_bytes()
-        assert a == b
+        assert run("sweep", config, parallel, jobs=4) == 0
+        monkeypatch.undo()
+
+        def models(root):
+            return {path.name: path.read_bytes() for path in (root / "ebms").glob("*.ldtn")}
+
+        assert len(models(out_dir)) == 3 * 2 and models(parallel) == models(out_dir)
 
 
 class TestTheoryCommand:
@@ -698,6 +730,9 @@ COMPANION_DAMAGE = {
                                          edit_json(lambda meta: meta["split"][0]["test"]
                                                    .append(6)),
                                          "split[0].test is not a list of row indices below 6"),
+    "dataset sidecar not UTF-8": ("dataset/benchmark.meta.json",
+                                  lambda path: path.write_bytes(b"\xff" + path.read_bytes()[1:]),
+                                  "metadata is not UTF-8"),
     "truncated pool sidecar": ("aug/augmented.meta.json",
                                lambda path: path.write_text(path.read_text()[:-20]),
                                "metadata is not valid JSON"),
