@@ -115,11 +115,12 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: CdConfig,
-                    out_dir=None) -> dict[tuple[int, int], EnergyParams]:
+                    out_dir=None, provenance=None) -> dict[tuple[int, int], EnergyParams]:
     """One trained model per ordered domain pair; n domains give n(n-1), trained in turn.
 
     Each pair trains from its own base seed; the samples are cast to ``EBM_DTYPE`` once.
-    ``out_dir`` receives ``ebm_{i}_{j}`` and ``trace_{i}_{j}.csv`` once every pair has trained.
+    ``out_dir`` receives ``ebm_{i}_{j}`` and ``trace_{i}_{j}.csv`` once every pair has trained;
+    each sidecar records ``provenance`` when it is given.
     """
     domain_samples = [np.asarray(s, dtype=EBM_DTYPE) for s in domain_samples]
     n = len(domain_samples)
@@ -134,6 +135,6 @@ def train_all_pairs(domain_samples: list[np.ndarray], arch: EnergyArch, config: 
             raise type(err)(f"pair ({i}, {j}): {err}") from err
     if out_dir is not None:
         for (i, j), (params, trace) in trained.items():
-            save_energy_params(params, Path(out_dir) / f"ebm_{i}_{j}", pair=(i, j))
+            save_energy_params(params, Path(out_dir) / f"ebm_{i}_{j}", (i, j), provenance)
             trace.write_csv(Path(out_dir) / f"trace_{i}_{j}.csv")
     return {pair: params for pair, (params, _) in trained.items()}

@@ -31,7 +31,7 @@ from .errors import (ConfigError, DimensionError, LeakageError, MissingArtifactE
 from .langevin import LangevinConfig
 from .numerics import AdamHyper
 from .ldtn import read_meta, write_csv, write_json
-from .pipeline import (generate_augmented, load_augmented, pool_provenance,
+from .pipeline import (data_digests, generate_augmented, load_augmented, pool_provenance,
                        provenance_mismatch, save_augmented)
 from .segmenter import (SegTrainConfig, fit_and_score, leave_one_out_eval, loo_folds,
                         write_results_csv)
@@ -54,6 +54,7 @@ class Leaf(NamedTuple):
     lo: float = -math.inf
     hi: float = math.inf
     exclusive: bool = False  # lo and hi are out of range; with no hi, lo is 0 ("positive")
+    distinct: bool = False  # a list may not repeat an entry
 
 
 SCHEMA = {
@@ -93,7 +94,7 @@ SCHEMA = {
         "epochs": Leaf(30, int, 0),
         "batch_size": Leaf(8, int, 1),
         "lr": Leaf(0.003, float, 0, exclusive=True),
-        "seeds": Leaf([0, 1, 2, 3, 4], [int], -_SEED_BOUND, _SEED_BOUND),
+        "seeds": Leaf([0, 1, 2, 3, 4], [int], -_SEED_BOUND, _SEED_BOUND, distinct=True),
     },
     "theory": {
         "family": Leaf("logistic", tuple(FAMILIES)),
@@ -115,9 +116,9 @@ SCHEMA = {
     },
     "sweep": {
         "axis": Leaf("n_steps", ("n_steps", "step_size", "conv_blocks", "samples_per_chain")),
-        "values": Leaf([20, 40, 60, 80], [float], 0),
-        "folds": Leaf(None, (None, [int]), 0),
-        "seeds": Leaf([0], [int], -_SEED_BOUND, _SEED_BOUND),
+        "values": Leaf([20, 40, 60, 80], [float], 0, distinct=True),
+        "folds": Leaf(None, (None, [int]), 0, distinct=True),
+        "seeds": Leaf([0], [int], -_SEED_BOUND, _SEED_BOUND, distinct=True),
     },
 }
 
@@ -149,6 +150,8 @@ def _check(leaf: Leaf, value, key: str):
         if isinstance(kind, list) and type(value) is list and value:
             for i, entry in enumerate(value):
                 _check(leaf._replace(kind=kind[0]), entry, f"{key}[{i}]")
+            if leaf.distinct and len(set(value)) < len(value):
+                raise ConfigError(f"{key} must not repeat an entry, got {value!r}")
             return value
         # a float kind turns away inf and ints beyond the float range
         if isinstance(kind, type) and type(value) in _TYPES[kind] and (
@@ -328,6 +331,20 @@ class Stage:
         except _UNUSABLE as err:
             raise type(err)(f"{err}; rerun {_writer(name)}") from err
 
+    def reuse(self, name, read, make):
+        """``read()`` when the artifact ``name`` (a glob stem) is on disk and not stale, else
+        ``make()``; the log says which, and why. A damaged artifact still raises."""
+        why = "none on disk"
+        if self.has(name):
+            try:
+                found = read()
+                self.log(f"using the saved {name} (`{_writer(name)}`)")
+                return found
+            except StaleArtifactError as err:
+                why = err
+        self.log(f"making {name}: {why}")
+        return make()
+
     def finish(self):
         write_json(self.dir / "manifest.json", {"inputs": self.inputs})
         (self.dir / "run.log").write_text("\n".join(self._log) + "\n", encoding="utf-8")
@@ -377,17 +394,29 @@ def _cmd_gen_data(stage, config):
     stage.log(f"clamp fraction {dataset.clamp_fraction:.4f}")
 
 
+def _ebm_provenance(config, dataset) -> dict:
+    """What a pair model's bits depend on beside its arch."""
+    return {"cd": config["ebm"]["cd"], "base_seed": config["base_seed"],
+            "data": data_digests(dataset)}
+
+
+def _train_pairs(config, dataset, out_dir=None):
+    """The pair models of ``config`` on ``dataset``, saved in ``out_dir`` when it is given."""
+    return train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
+                           _arch_from_config(config, dataset), _cd_from_config(config),
+                           out_dir=out_dir, provenance=_ebm_provenance(config, dataset))
+
+
 def _cmd_train_ebms(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     stage.log(f"training {len(ordered_pairs(dataset.n_domains))} pairwise models")
-    train_all_pairs([dataset.train_images(d) for d in range(dataset.n_domains)],
-                    _arch_from_config(config, dataset), _cd_from_config(config),
-                    out_dir=stage.dir)
+    _train_pairs(config, dataset, out_dir=stage.dir)
 
 
 def _load_ebms(stage, config, dataset):
-    """The pair models `train-ebms` saved; one whose arch is not the config's raises."""
-    want = {"arch": json.loads(json.dumps(asdict(_arch_from_config(config, dataset))))}
+    """The pair models `train-ebms` saved; StaleArtifactError unless this run would make them."""
+    want = {"arch": json.loads(json.dumps(asdict(_arch_from_config(config, dataset)))),
+            "provenance": _ebm_provenance(config, dataset)}
     return {(i, j): stage.read(f"ebms/ebm_{i}_{j}", load_energy_params, want)[0]
             for i, j in ordered_pairs(dataset.n_domains)}
 
@@ -428,23 +457,13 @@ def _cmd_train_seg(stage, config):
 
 
 def _loo_pool(stage, config, dataset, ebms, folds):
-    """The bridge pool of the pair models ``ebms`` for leave-one-out over ``folds``.
-
-    The pool `augment` saved serves when its provenance equals this run's;
-    otherwise the pool is sampled, after the folds have been checked.
-    """
+    """The bridge pool of the pair models ``ebms`` for leave-one-out over ``folds``, once the
+    folds are checked: the one `augment` saved unless it is stale, else sampled."""
     loo_folds(dataset.n_domains, folds)
-    why = "no pool on disk"
-    if stage.has("aug/augmented"):
-        try:
-            pool = _read_pool(stage, config, dataset, ebms)
-            stage.log("using the pool `augment` saved")
-            return pool
-        except StaleArtifactError as err:
-            why = err
-    stage.log(f"sampling the pool: {why}")
-    return generate_augmented(dataset, ebms, _langevin_from_config(config, dataset),
-                              config["base_seed"])
+    return stage.reuse("aug/augmented", lambda: _read_pool(stage, config, dataset, ebms),
+                       lambda: generate_augmented(dataset, ebms,
+                                                  _langevin_from_config(config, dataset),
+                                                  config["base_seed"]))
 
 
 def _cmd_eval_loo(stage, config):
@@ -482,9 +501,8 @@ def _cmd_sweep(stage, config):
     def models(cfg):
         key = json.dumps(cfg["ebm"], sort_keys=True)
         if key not in pair_models:
-            pair_models[key] = train_all_pairs(
-                [dataset.train_images(d) for d in range(dataset.n_domains)],
-                _arch_from_config(cfg, dataset), _cd_from_config(cfg))
+            pair_models[key] = stage.reuse("ebms/ebm_*", lambda: _load_ebms(stage, cfg, dataset),
+                                           lambda: _train_pairs(cfg, dataset))
         return pair_models[key]
 
     def means(arms):

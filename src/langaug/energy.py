@@ -183,12 +183,15 @@ def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):
     return e, dx
 
 
-def save_energy_params(params: EnergyParams, basename, pair=None) -> None:
+def save_energy_params(params: EnergyParams, basename, pair=None, provenance=None) -> None:
+    """Theta and a sidecar of the arch and, when given, the pair and what made the model."""
     base = Path(basename)
     write_tensor(f"{base}.ldtn", params.theta)
     meta = {"arch": asdict(params.arch)}
     if pair is not None:
         meta["pair"] = {"source": int(pair[0]), "target": int(pair[1])}
+    if provenance is not None:
+        meta["provenance"] = provenance
     write_meta(base, meta)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cdtrain import ordered_pairs
-from .energy import EBM_DTYPE, EnergyParams
+from .energy import EBM_DTYPE
 from .errors import ConfigError, DivergenceError, TensorFormatError
 from .langevin import LangevinConfig, run_chain_batch
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
@@ -81,8 +81,10 @@ def _checksum(*arrays) -> str:
     return digest.hexdigest()[:16]
 
 
-def params_checksum(params: EnergyParams) -> str:
-    return _checksum(params.theta)
+def data_digests(dataset: MultiDomainDataset) -> dict:
+    """Per domain id, the checksum of that domain's training images and masks."""
+    return {str(d): _checksum(dataset.train_images(d), dataset.train_masks(d))
+            for d in range(dataset.n_domains)}
 
 
 def pool_provenance(dataset: MultiDomainDataset, ebms: dict, config: LangevinConfig,
@@ -93,13 +95,12 @@ def pool_provenance(dataset: MultiDomainDataset, ebms: dict, config: LangevinCon
     provenance equals this one can stand in for sampling it again.
     """
     return {
-        "ebm_checksums": {f"{i}_{j}": params_checksum(ebms[(i, j)])
+        "ebm_checksums": {f"{i}_{j}": _checksum(ebms[(i, j)].theta)
                           for i, j in ordered_pairs(dataset.n_domains)},
         "langevin": asdict(config),
         "base_seed": base_seed,
         "dtype": EBM_DTYPE.name,
-        "data": {str(d): _checksum(dataset.train_images(d), dataset.train_masks(d))
-                 for d in range(dataset.n_domains)},
+        "data": data_digests(dataset),
     }
 
 
@@ -181,8 +182,9 @@ def assemble_training_stream(n_src: int, n_aug: int, mix_ratio: float, seed: int
                              batch_size: int = 8, epoch: int = 0) -> list[tuple[str, int]]:
     """Deterministic epoch stream of ("src" | "aug", index) batch entries.
 
-    Every batch carries round(batch_size * mix_ratio) augmented entries;
-    source indices each appear exactly once per epoch.
+    Every batch carries round(batch_size * mix_ratio) augmented entries and the rest source
+    entries; each source index appears once per epoch, unless that rest is 0 (mix_ratio 1.0):
+    then ceil(n_src / batch_size) batches hold augmented entries only.
     """
     if not 0.0 <= mix_ratio <= 1.0:
         raise ConfigError("mix_ratio must lie in [0, 1]")

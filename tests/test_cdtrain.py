@@ -176,11 +176,14 @@ class TestAllPairs:
         data = [derive_stream(d, [("d", 0)]).standard_normal((10, 1)) for d in range(3)]
         config = CdConfig(n_iters=3, batch_size=4, ld=LangevinConfig(step_size=0.2, n_steps=3),
                           base_seed=0)
-        models = train_all_pairs(data, quad_arch(), config, out_dir=tmp_path)
+        provenance = {"base_seed": 0, "cd": {"n_iters": 3}, "data": {"0": "ab"}}
+        models = train_all_pairs(data, quad_arch(), config, out_dir=tmp_path,
+                                 provenance=provenance)
         assert len(models) == 6
         for i, j in ordered_pairs(3):
             params, meta = load_energy_params(tmp_path / f"ebm_{i}_{j}")
             assert meta["pair"] == {"source": i, "target": j}
+            assert meta["provenance"] == provenance
             assert np.array_equal(params.theta, models[(i, j)].theta)
             assert (tmp_path / f"trace_{i}_{j}.csv").exists()
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from langaug.cli import DEFAULT_CONFIG, load_config, main, pca_project, run
-from langaug.energy import EnergyParams, load_energy_params, save_energy_params
 from langaug.errors import ConfigError
 from langaug.ldtn import read_tensor, write_tensor
 from langaug import cli, pipeline, segmenter
@@ -173,6 +172,17 @@ class TestExitCodes:
         assert "segmenter.seeds" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["dataset"]
 
+    def test_repeated_segmenter_seed_exit_2(self, tmp_path, capsys):
+        # a repeated seed wrote each of its loo/results.csv rows twice
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        assert run("train-ebms", config, out) == 0
+        write_config(config, segmenter={"epochs": 1, "seeds": [0, 0]})
+        assert run("eval-loo", config, out) == 2
+        assert "segmenter.seeds must not repeat an entry" in capsys.readouterr().err
+        assert not (out / "loo").exists()
+
     @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["absent", "directory"])
     def test_missing_config_exit_3(self, tmp_path, capsys, make):
         config = tmp_path / "c.json"
@@ -246,16 +256,13 @@ class TestExitCodes:
 
     def test_non_finite_energy_exit_4(self, tmp_path, capsys):
         # blown-up pair models overflow the energy itself, a NumericError that
-        # is not a per-chain DivergenceError
+        # is not a per-chain DivergenceError; the sidecars keep their provenance
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
         assert run("gen-data", config, out) == 0
         assert run("train-ebms", config, out) == 0
         for path in (out / "ebms").glob("ebm_*.ldtn"):
-            base = path.with_suffix("")
-            params, meta = load_energy_params(base)
-            pair = (meta["pair"]["source"], meta["pair"]["target"])
-            save_energy_params(EnergyParams(params.arch, params.theta * 1e100), base, pair=pair)
+            edit_tensor(lambda theta: theta * 1e100)(path)
         with np.errstate(over="ignore", invalid="ignore"):
             assert run("augment", config, out) == 4
         assert "non-finite energy" in capsys.readouterr().err
@@ -422,8 +429,14 @@ class TestSweep:
         ({"axis": "conv_blocks", "values": [1.5]}, "sweep.values"),
         ({"axis": "n_steps", "values": [4, 1]}, "langevin.store_offset"),
         ({"axis": "conv_blocks", "values": [1, 9]}, "conv_blocks axis must lie in 1..7"),
+        # a repeated fold counted twice in each mean
+        ({"axis": "n_steps", "values": [4], "folds": [0, 0, 1]}, "sweep.folds must not repeat"),
+        ({"axis": "n_steps", "values": [4], "seeds": [1, 1]}, "sweep.seeds must not repeat"),
+        ({"axis": "n_steps", "values": [4, 4.0]}, "sweep.values must not repeat"),
+        ({"axis": "step_size", "values": [0.1, 0.1]}, "sweep.values must not repeat"),
     ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values", "fractional-n-steps",
-            "fractional-conv-blocks", "n-steps-below-store-offset", "conv-blocks-out-of-range"])
+            "fractional-conv-blocks", "n-steps-below-store-offset", "conv-blocks-out-of-range",
+            "repeated-fold", "repeated-seed", "repeated-n-steps", "repeated-step-size"])
     def test_degenerate_sweep_exit_2(self, tmp_path, capsys, monkeypatch, sweep, key):
         config = write_config(tmp_path / "c.json")
         assert run("gen-data", config, tmp_path) == 0
@@ -455,14 +468,7 @@ class TestSweep:
         config = write_config(tmp_path / "c.json", sweep={
             "axis": axis, "values": values, "folds": [1], "seeds": [0]})
         assert run("gen-data", config, tmp_path) == 0
-        calls = []
-        original = cli.train_all_pairs
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "train_all_pairs", counted)
+        calls = count_pair_trainings(monkeypatch)
         assert run("sweep", config, tmp_path) == 0
         assert len(calls) == trainings
         assert len((tmp_path / "sweep" / "results.csv").read_text().splitlines()) == 3
@@ -528,17 +534,25 @@ def test_degenerate_pool_exit_2(tmp_path, capsys, subcommand, langevin, key):
     assert not (out / "loo" / "results.csv").exists()
 
 
-def count_chain_runs(monkeypatch):
-    """Record every `pipeline.run_chain_batch` call; returns the list that grows."""
+def count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name``; returns the list that grows."""
     calls = []
-    original = pipeline.run_chain_batch
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_chain_runs(monkeypatch):
+    return count_calls(monkeypatch, pipeline, "run_chain_batch")
+
+
+def count_pair_trainings(monkeypatch):
+    return count_calls(monkeypatch, cli, "train_all_pairs")
 
 
 def test_eval_loo_after_augment_uses_the_saved_pool(tmp_path, monkeypatch):
@@ -557,10 +571,10 @@ def test_eval_loo_after_augment_uses_the_saved_pool(tmp_path, monkeypatch):
         (fresh / "loo" / "results.csv").read_bytes()
     inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
     assert str(out / "aug" / "augmented.meta.json") in inputs
-    assert "using the pool `augment` saved" in (out / "loo" / "run.log").read_text()
+    assert "using the saved aug/augmented (`augment`)" in (out / "loo" / "run.log").read_text()
     inputs = json.loads((fresh / "loo" / "manifest.json").read_text())["inputs"]
     assert not any("augmented" in path for path in inputs)
-    assert "no pool on disk" in (fresh / "loo" / "run.log").read_text()
+    assert "making aug/augmented: none on disk" in (fresh / "loo" / "run.log").read_text()
 
 
 @pytest.mark.parametrize("change,key", [
@@ -571,6 +585,7 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     out, fresh = tmp_path / "o", tmp_path / "fresh"
     for stage in ("gen-data", "train-ebms", "augment"):
         assert run(stage, config, out) == 0
+    # models retrained at seed 6 are stale under seed 5, so the later runs use seed 6 too
     ebm_seed = None
     if change == "clamp_unit":
         write_config(config, langevin={"step_size": 0.05, "n_steps": 6, "store_stride": 2,
@@ -581,17 +596,17 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     assert run("gen-data", config, fresh) == 0
     assert run("train-ebms", config, fresh, seed=ebm_seed) == 0
     calls = count_chain_runs(monkeypatch)
-    assert run("eval-loo", config, out) == 0
+    assert run("eval-loo", config, out, seed=ebm_seed) == 0
     assert len(calls) == 3 * 2
     assert f"{out / 'aug' / 'augmented.meta.json'}: provenance.{key} is " in \
         (out / "loo" / "run.log").read_text()
     inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
     assert not any("augmented" in path for path in inputs)
-    assert run("eval-loo", config, fresh) == 0
+    assert run("eval-loo", config, fresh, seed=ebm_seed) == 0
     assert (out / "loo" / "results.csv").read_bytes() == \
         (fresh / "loo" / "results.csv").read_bytes()
     capsys.readouterr()
-    assert run("train-seg", config, out) == 3
+    assert run("train-seg", config, out, seed=ebm_seed) == 3
     err = capsys.readouterr().err
     assert f"provenance.{key} is " in err and err.rstrip().endswith("; rerun augment")
     assert not (out / "seg" / "results.csv").exists()
@@ -611,12 +626,137 @@ def test_sweep_samples_only_values_off_the_saved_pool(tmp_path, monkeypatch):
     log = (out / "sweep" / "run.log").read_text()
     assert (f"{out / 'aug' / 'augmented.meta.json'}: provenance.langevin.n_steps is 6, this "
             "run's is 4") in log
-    assert "using the pool `augment` saved" in log
+    assert "using the saved aug/augmented (`augment`)" in log
     calls.clear()
     assert run("sweep", config, fresh) == 0
     assert len(calls) == 2 * 3 * 2
     assert (out / "sweep" / "results.csv").read_bytes() == \
         (fresh / "sweep" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key,saved,value", [("n_iters", 3, 4), ("step_size", 0.1, 0.2)])
+def test_sweep_loads_the_pair_models_train_ebms_saved(tmp_path, monkeypatch, key, saved, value):
+    # sweep once trained all n(n-1) pair models itself, even on axes that leave the ebm
+    # section alone; it now trains them only when ebms/ is missing or stale
+    sweep = {"axis": "n_steps", "values": [4, 6], "folds": [0], "seeds": [0]}
+    config = write_config(tmp_path / "c.json", sweep=sweep)
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    assert run("gen-data", config, fresh) == 0
+    trainings = count_pair_trainings(monkeypatch)
+    assert run("sweep", config, out) == 0
+    assert trainings == []
+    assert "using the saved ebms/ebm_* (`train-ebms`)" in (out / "sweep" / "run.log").read_text()
+    inputs = json.loads((out / "sweep" / "manifest.json").read_text())["inputs"]
+    assert str(out / "ebms" / "ebm_0_1.ldtn") in inputs
+    assert run("sweep", config, fresh) == 0
+    assert len(trainings) == 1
+    assert "making ebms/ebm_*: none on disk" in (fresh / "sweep" / "run.log").read_text()
+    assert (out / "sweep" / "results.csv").read_bytes() == \
+        (fresh / "sweep" / "results.csv").read_bytes()
+    cd = {"n_iters": 3, "batch_size": 2, "n_steps": 3}
+    write_config(config, sweep=sweep, ebm={"conv_blocks": 1, "cd": {**cd, key: value}})
+    trainings.clear()
+    assert run("sweep", config, out) == 0
+    assert len(trainings) == 1
+    assert (f"making ebms/ebm_*: {out / 'ebms' / 'ebm_0_1.meta.json'}: provenance.cd.{key} is "
+            f"{saved}, this run's is {value}; rerun train-ebms") in \
+        (out / "sweep" / "run.log").read_text()
+
+
+def test_conv_blocks_sweep_trains_only_the_values_off_the_saved_models(out_dir, tmp_path,
+                                                                        monkeypatch):
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    config = write_config(tmp_path / "c.json", sweep={
+        "axis": "conv_blocks", "values": [1, 2], "folds": [1], "seeds": [0]})
+    trainings = count_pair_trainings(monkeypatch)
+    assert run("sweep", config, out) == 0
+    assert len(trainings) == 1
+    log = (out / "sweep" / "run.log").read_text()
+    assert "using the saved ebms/ebm_* (`train-ebms`)" in log
+    assert (f"making ebms/ebm_*: {out / 'ebms' / 'ebm_0_1.meta.json'}: arch.conv_blocks is 1, "
+            "this run's is 2; rerun train-ebms") in log
+
+
+PAIR_MODEL_READERS = ("train-seg", "project", "eval-loo", "augment")
+
+
+# a change to what made the pair models: (the test config's overrides, the seed to run at, the
+# stale key and its recorded value); a changed data section makes gen-data run again
+STALE_PAIR_MODELS = {
+    "ebm.cd leaf": ({"ebm": {"conv_blocks": 1, "cd": {"n_iters": 4, "batch_size": 2,
+                                                      "n_steps": 3}}},
+                    None, "provenance.cd.n_iters is 3, this run's is 4"),
+    "base_seed": ({}, 6, "provenance.base_seed is 5, this run's is 6"),
+    "data": ({"data": {"n_domains": 3, "n_per_domain": 8, "image_size": 16, "train_frac": 0.5}},
+             None, 'provenance.data.0 is "'),
+}
+
+
+@pytest.mark.parametrize("change", sorted(STALE_PAIR_MODELS))
+def test_stale_pair_models_exit_3_at_every_reader(out_dir, tmp_path, capsys, change):
+    out = tmp_path / "o"
+    for name in ("dataset", "ebms", "aug"):
+        shutil.copytree(out_dir / name, out / name)
+    overrides, seed, text = STALE_PAIR_MODELS[change]
+    config = write_config(tmp_path / "c.json", **overrides)
+    if "data" in overrides:
+        assert run("gen-data", config, out) == 0
+    capsys.readouterr()
+    # augment goes last: a stage clears its own directory, and the others read the pool
+    for subcommand in PAIR_MODEL_READERS:
+        assert run(subcommand, config, out, seed=seed) == 3
+        err = capsys.readouterr().err
+        assert f"{out / 'ebms' / 'ebm_0_1.meta.json'}: {text}" in err
+        assert err.rstrip().endswith("; rerun train-ebms")
+    assert not [path for name in ("seg", "project", "loo") for path in (out / name).glob("*.csv")]
+    assert not (out / "aug" / "augmented.meta.json").exists()
+
+
+def test_models_of_another_dataset_and_seed_exit_3(tmp_path, capsys):
+    # every reader once ran on pair models trained on another dataset at another seed
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out, seed=3) == 0
+    assert run("gen-data", config, out, seed=4) == 0
+    capsys.readouterr()
+    for subcommand in PAIR_MODEL_READERS:
+        assert run(subcommand, config, out, seed=4) == 3
+        err = capsys.readouterr().err
+        assert (f"{out / 'ebms' / 'ebm_0_1.meta.json'}: provenance.base_seed is 3, this run's "
+                "is 4; rerun train-ebms") in err
+
+
+def test_pool_of_another_dataset_is_stale_though_its_models_are_not(tmp_path, monkeypatch,
+                                                                    capsys):
+    # at ebm.cd.n_iters 0 a pair model is its seeded init whatever the data, so a pool of
+    # another dataset can carry this dataset's model checksums: its own data key tells them apart
+    ebm = {"conv_blocks": 1, "cd": {"n_iters": 0, "batch_size": 2, "n_steps": 3}}
+    config = write_config(tmp_path / "c.json", ebm=ebm)
+    out = tmp_path / "o"
+    for stage in ("gen-data", "train-ebms", "augment"):
+        assert run(stage, config, out) == 0
+    models = {path.name: path.read_bytes() for path in (out / "ebms").glob("*.ldtn")}
+    write_config(config, ebm=ebm, data={"n_domains": 3, "n_per_domain": 6, "image_size": 16,
+                                        "train_frac": 0.5,
+                                        "specs": [{"domain_id": d} for d in range(3)]})
+    for stage in ("gen-data", "train-ebms"):
+        assert run(stage, config, out) == 0
+    assert {path.name: path.read_bytes() for path in (out / "ebms").glob("*.ldtn")} == models
+    calls = count_chain_runs(monkeypatch)
+    assert run("eval-loo", config, out) == 0
+    assert len(calls) == 3 * 2
+    sidecar = out / "aug" / "augmented.meta.json"
+    assert f"making aug/augmented: {sidecar}: provenance.data.0 is " in \
+        (out / "loo" / "run.log").read_text()
+    capsys.readouterr()
+    assert run("train-seg", config, out) == 3
+    err = capsys.readouterr().err
+    assert f"{sidecar}: provenance.data.0 is " in err and err.rstrip().endswith("; rerun augment")
 
 
 def test_sweep_trains_the_plain_arm_once(tmp_path, monkeypatch):
@@ -818,7 +958,7 @@ def test_pool_without_a_provenance_object_is_stale(out_dir, tmp_path, monkeypatc
     calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", out_dir / "c.json", out) == 0
     assert len(calls) == 3 * 2
-    assert f"sampling the pool: {sidecar}: {text}" in (out / "loo" / "run.log").read_text()
+    assert f"making aug/augmented: {sidecar}: {text}" in (out / "loo" / "run.log").read_text()
     for subcommand in ("train-seg", "project"):
         capsys.readouterr()
         assert run(subcommand, out_dir / "c.json", out) == 3
