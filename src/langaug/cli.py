@@ -222,6 +222,13 @@ def _validate(config) -> None:
         raise ConfigError(f"sweep.values must be integers on the {axis} axis, got {values!r}")
     if axis == "samples_per_chain" and min(values) < 1:
         raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
+    if axis == "samples_per_chain":
+        n_steps = config["langevin"]["n_steps"]
+        for value in values:
+            stored = n_steps // max(1, n_steps // value)  # a value's stride is n_steps // value
+            if stored != value:
+                raise ConfigError(f"sweep.values entry {value} would store {stored} samples "
+                                  f"per chain at langevin.n_steps {n_steps}")
     if axis == "conv_blocks" and not all(1 <= v <= MAX_CONV_BLOCKS for v in values):
         raise ConfigError(f"sweep.values on the conv_blocks axis must lie in 1..{MAX_CONV_BLOCKS}")
     if axis == "n_steps" and min(values) < store_offset:
@@ -456,10 +463,9 @@ def _cmd_train_seg(stage, config):
     write_results_csv(results, stage.dir / "results.csv")
 
 
-def _loo_pool(stage, config, dataset, ebms, folds):
-    """The bridge pool of the pair models ``ebms`` for leave-one-out over ``folds``, once the
-    folds are checked: the one `augment` saved unless it is stale, else sampled."""
-    loo_folds(dataset.n_domains, folds)
+def _loo_pool(stage, config, dataset, ebms):
+    """The bridge pool of the pair models ``ebms``: the one `augment` saved unless it is
+    stale, else sampled."""
     return stage.reuse("aug/augmented", lambda: _read_pool(stage, config, dataset, ebms),
                        lambda: generate_augmented(dataset, ebms,
                                                   _langevin_from_config(config, dataset),
@@ -470,7 +476,8 @@ def _cmd_eval_loo(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     ebms = _load_ebms(stage, config, dataset)
     stage.log("running leave-one-out evaluation")
-    pool = _loo_pool(stage, config, dataset, ebms, None)
+    loo_folds(dataset.n_domains)  # before any chain runs
+    pool = _loo_pool(stage, config, dataset, ebms)
     results = leave_one_out_eval(dataset, {"erm": None, "erm+langaug": pool}, _seg_config(config),
                                  seeds=tuple(config["segmenter"]["seeds"]))
     write_results_csv(results, stage.dir / "results.csv")
@@ -496,42 +503,34 @@ def _cmd_sweep(stage, config):
     dataset = stage.read("dataset/benchmark", load_dataset)
     sweep = config["sweep"]
     axis, values = sweep["axis"], sweep["values"]
+    loo_folds(dataset.n_domains, sweep["folds"])  # before any pair model trains
     pair_models = {}  # only the conv_blocks axis changes the ebm section
-
-    def models(cfg):
+    # no sweep axis touches the segmenter or augment sections, so one plain arm serves all
+    arms = {"erm": None}
+    for value in values:
+        cfg = copy.deepcopy(config)
+        lv = cfg["langevin"]
+        if axis == "conv_blocks":
+            cfg["ebm"]["conv_blocks"] = value
+        elif axis == "samples_per_chain":  # _validate checks that this stride stores value
+            lv["store_stride"] = lv["store_offset"] = lv["n_steps"] // value
+        else:  # n_steps or step_size
+            lv[axis] = float(value) if axis == "step_size" else value
         key = json.dumps(cfg["ebm"], sort_keys=True)
         if key not in pair_models:
             pair_models[key] = stage.reuse("ebms/ebm_*", lambda: _load_ebms(stage, cfg, dataset),
                                            lambda: _train_pairs(cfg, dataset))
-        return pair_models[key]
-
-    def means(arms):
-        results = leave_one_out_eval(dataset, arms, _seg_config(config), seeds=sweep["seeds"],
-                                     folds=sweep["folds"])
-        return [repr(float(np.mean([r.mean_dice for r in results]))),
-                repr(float(np.mean([r.mean_iou for r in results])))]
-
-    # no sweep axis touches the segmenter or augment sections, so the plain arm
-    # is trained once; this call also checks the folds before any pair model
-    erm = means({"erm": None})
-    rows = []
-    for value in values:
-        cfg = copy.deepcopy(config)
-        if axis == "n_steps":
-            cfg["langevin"]["n_steps"] = value
-        elif axis == "step_size":
-            cfg["langevin"]["step_size"] = float(value)
-        elif axis == "conv_blocks":
-            cfg["ebm"]["conv_blocks"] = value
-        elif axis == "samples_per_chain":
-            stride = max(1, cfg["langevin"]["n_steps"] // value)
-            cfg["langevin"]["store_stride"] = stride
-            cfg["langevin"]["store_offset"] = stride
-        pool = _loo_pool(stage, cfg, dataset, models(cfg), sweep["folds"])
-        rows.append([axis, value, *erm, *means({"erm+langaug": pool})])
-        stage.log(f"{axis}={value} done")
+        arms[f"{axis}={value}"] = _loo_pool(stage, cfg, dataset, pair_models[key])
+        stage.log(f"{axis}={value} pool ready")
+    # a cell's seed is seed + 1000·fold whatever its arm, and each arm's cells keep their
+    # fold-then-seed order, so every mean has the bits of a run of that arm alone
+    results = leave_one_out_eval(dataset, arms, _seg_config(config), seeds=sweep["seeds"],
+                                 folds=sweep["folds"])
+    means = {arm: [repr(float(np.mean([getattr(r, key) for r in results if r.method == arm])))
+                   for key in ("mean_dice", "mean_iou")] for arm in arms}
     write_csv(stage.dir / "results.csv", ["axis", "value", "mean_dice_erm", "mean_iou_erm",
-                                          "mean_dice_aug", "mean_iou_aug"], rows)
+                                          "mean_dice_aug", "mean_iou_aug"],
+              ([axis, value, *means["erm"], *means[f"{axis}={value}"]] for value in values))
 
 
 def _cmd_project(stage, config):

@@ -434,9 +434,13 @@ class TestSweep:
         ({"axis": "n_steps", "values": [4], "seeds": [1, 1]}, "sweep.seeds must not repeat"),
         ({"axis": "n_steps", "values": [4, 4.0]}, "sweep.values must not repeat"),
         ({"axis": "step_size", "values": [0.1, 0.1]}, "sweep.values must not repeat"),
+        # at langevin.n_steps 6 the value 4 gets stride 1, which stores all 6 iterates
+        ({"axis": "samples_per_chain", "values": [1, 4]},
+         "sweep.values entry 4 would store 6 samples per chain"),
     ], ids=["zero-samples-per-chain", "no-seeds", "no-folds", "no-values", "fractional-n-steps",
             "fractional-conv-blocks", "n-steps-below-store-offset", "conv-blocks-out-of-range",
-            "repeated-fold", "repeated-seed", "repeated-n-steps", "repeated-step-size"])
+            "repeated-fold", "repeated-seed", "repeated-n-steps", "repeated-step-size",
+            "samples-per-chain-stores-another-count"])
     def test_degenerate_sweep_exit_2(self, tmp_path, capsys, monkeypatch, sweep, key):
         config = write_config(tmp_path / "c.json")
         assert run("gen-data", config, tmp_path) == 0
@@ -790,6 +794,36 @@ def test_sweep_trains_the_plain_arm_once(tmp_path, monkeypatch):
                     for key in ("mean_dice", "mean_iou")]
         rows.append(",".join(row))
     assert (out / "sweep" / "results.csv").read_text().splitlines()[1:] == rows
+
+
+def test_sweep_scores_every_value_in_one_leave_one_out_call(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "c.json", sweep={
+        "axis": "n_steps", "values": [4, 6], "folds": [0], "seeds": [0]})
+    assert run("gen-data", config, tmp_path) == 0
+    calls = []
+    original = cli.leave_one_out_eval
+
+    def recorded(dataset, arms, *args, **kwargs):
+        calls.append(list(arms))
+        return original(dataset, arms, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "leave_one_out_eval", recorded)
+    assert run("sweep", config, tmp_path) == 0
+    assert calls == [["erm", "n_steps=4", "n_steps=6"]]
+
+
+def test_sweep_pool_failure_exit_4_before_any_segmenter(tmp_path, monkeypatch, capsys):
+    # every value's pool is made before the one leave-one-out call, so a value whose
+    # chains all diverge ends the run before any arm trains
+    config = write_config(tmp_path / "c.json", sweep={
+        "axis": "step_size", "values": [0.05, 1e200], "folds": [0], "seeds": [0]})
+    assert run("gen-data", config, tmp_path) == 0
+    trainings = count_calls(monkeypatch, segmenter, "train_segmenter")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("sweep", config, tmp_path) == 4
+    assert "chains diverged" in capsys.readouterr().err
+    assert trainings == []
+    assert not (tmp_path / "sweep" / "results.csv").exists()
 
 
 def test_eval_loo_on_two_domains_exit_2_before_sampling(tmp_path, monkeypatch, capsys):
