@@ -207,36 +207,42 @@ def load_config(path, seed_override=None) -> dict:
 
 
 def _validate(config) -> None:
-    """The rules that relate two or more keys; each leaf is checked as it is merged."""
-    th_cfg = config["theory"]
-    if th_cfg["theta"] is not None and len(th_cfg["theta"]) != th_cfg["dim"]:
-        raise ConfigError(f"theory.theta must be a list of theory.dim = {th_cfg['dim']} numbers")
-    if min(th_cfg["ambient_dims"]) < th_cfg["dim"]:
-        raise ConfigError(f"theory.ambient_dims entries must be >= theory.dim = {th_cfg['dim']}")
-    store_offset = config["langevin"]["store_offset"]
-    if store_offset > config["langevin"]["n_steps"]:
-        raise ConfigError(f"langevin.store_offset {store_offset} exceeds langevin.n_steps "
-                          f"{config['langevin']['n_steps']}: no chain iterate would be stored")
-    axis, values = config["sweep"]["axis"], config["sweep"]["values"]
-    if axis != "step_size" and not all(type(v) is int for v in values):
-        raise ConfigError(f"sweep.values must be integers on the {axis} axis, got {values!r}")
-    if axis == "samples_per_chain" and min(values) < 1:
-        raise ConfigError("sweep.values must be positive integers on the samples_per_chain axis")
+    """The rules that relate two or more keys (a leaf is checked as it is merged), on the
+    config and on each sweep value's config."""
+    for value in [None, *config["sweep"]["values"]]:
+        cfg = config if value is None else _sweep_config(config, value)
+        at = "" if value is None else f"sweep.values entry {value}: "
+        th_cfg, lv = cfg["theory"], cfg["langevin"]
+        if th_cfg["theta"] is not None and len(th_cfg["theta"]) != th_cfg["dim"]:
+            raise ConfigError(f"{at}theory.theta must have theory.dim = {th_cfg['dim']} entries")
+        if min(th_cfg["ambient_dims"]) < th_cfg["dim"]:
+            raise ConfigError(f"{at}theory.ambient_dims entries must be >= theory.dim = "
+                              f"{th_cfg['dim']}")
+        if lv["store_offset"] > lv["n_steps"]:
+            raise ConfigError(f"{at}langevin.store_offset {lv['store_offset']} exceeds "
+                              f"langevin.n_steps {lv['n_steps']}: no chain iterate would be stored")
+        specs = cfg["data"]["specs"]
+        if specs is not None and len(specs) != cfg["data"]["n_domains"]:
+            raise ConfigError(f"{at}data.specs length must equal data.n_domains")
+
+
+def _sweep_config(config, value) -> dict:
+    """The config that the sweep value ``value`` runs: ``n_steps`` and ``step_size`` set that
+    langevin key and ``conv_blocks`` ebm.conv_blocks, each checked by its leaf; a
+    ``samples_per_chain`` value v in [1, n_steps] sets langevin.store_stride and store_offset to
+    n_steps // v, which must then store exactly v chain iterates."""
+    axis, at = config["sweep"]["axis"], f"sweep.values entry {value}"
+    cfg = {**config, "langevin": (lv := dict(config["langevin"])), "ebm": dict(config["ebm"])}
     if axis == "samples_per_chain":
-        n_steps = config["langevin"]["n_steps"]
-        for value in values:
-            stored = n_steps // max(1, n_steps // value)  # a value's stride is n_steps // value
-            if stored != value:
-                raise ConfigError(f"sweep.values entry {value} would store {stored} samples "
-                                  f"per chain at langevin.n_steps {n_steps}")
-    if axis == "conv_blocks" and not all(1 <= v <= MAX_CONV_BLOCKS for v in values):
-        raise ConfigError(f"sweep.values on the conv_blocks axis must lie in 1..{MAX_CONV_BLOCKS}")
-    if axis == "n_steps" and min(values) < store_offset:
-        raise ConfigError(f"sweep.values on the n_steps axis must be >= langevin.store_offset "
-                          f"{store_offset}: no chain iterate would be stored")
-    specs = config["data"]["specs"]
-    if specs is not None and len(specs) != config["data"]["n_domains"]:
-        raise ConfigError("data.specs length must equal data.n_domains")
+        _check(Leaf(None, int, 1, lv["n_steps"]), value, f"{at} (samples per chain)")
+        lv["store_stride"] = lv["store_offset"] = lv["n_steps"] // value
+        if (stored := len(LangevinConfig(**lv).stored_steps())) != value:
+            raise ConfigError(f"{at} would store {stored} samples per chain at langevin.n_steps "
+                              f"{lv['n_steps']}")
+    else:
+        section = "ebm" if axis == "conv_blocks" else "langevin"
+        cfg[section][axis] = _check(SCHEMA[section][axis], value, f"{at} ({section}.{axis})")
+    return cfg
 
 
 def _langevin_from_config(config, dataset) -> LangevinConfig:
@@ -508,14 +514,7 @@ def _cmd_sweep(stage, config):
     # no sweep axis touches the segmenter or augment sections, so one plain arm serves all
     arms = {"erm": None}
     for value in values:
-        cfg = copy.deepcopy(config)
-        lv = cfg["langevin"]
-        if axis == "conv_blocks":
-            cfg["ebm"]["conv_blocks"] = value
-        elif axis == "samples_per_chain":  # _validate checks that this stride stores value
-            lv["store_stride"] = lv["store_offset"] = lv["n_steps"] // value
-        else:  # n_steps or step_size
-            lv[axis] = float(value) if axis == "step_size" else value
+        cfg = _sweep_config(config, value)
         key = json.dumps(cfg["ebm"], sort_keys=True)
         if key not in pair_models:
             pair_models[key] = stage.reuse("ebms/ebm_*", lambda: _load_ebms(stage, cfg, dataset),
@@ -596,10 +595,6 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except MemoryError as err:
-        print(f"config error: the configured sizes need more memory than is available ({err})",
-              file=sys.stderr)
-        return 2
     except _UNUSABLE as err:
         print(f"missing or unusable artifact: {err}", file=sys.stderr)
         return 3
@@ -609,6 +604,13 @@ def run(subcommand: str, config_path, out_dir, jobs: int = 1, seed=None) -> int:
     except LeakageError as err:
         print(f"held-out domain leaked into a training fold: {err}", file=sys.stderr)
         return 5
+    except (MemoryError, ValueError) as err:
+        # past the address range numpy raises ValueError("array is too big ..."), not MemoryError
+        if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
+            raise
+        print(f"config error: the configured sizes need more memory than is available ({err})",
+              file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

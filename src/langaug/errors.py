@@ -1,12 +1,12 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ConfigError and MemoryError (configured
-sizes beyond the memory available) -> 2; a missing or unusable upstream
-artifact, such as an ebm sidecar no model can be built from
-(MissingArtifactError and its subclass StaleArtifactError, DimensionError,
-TensorFormatError, TensorPayloadError) -> 3; NumericError (including its
-subclass DivergenceError) -> 4; LeakageError (held-out domain leaked into a
-training fold) -> 5.
+The CLI maps these onto exit codes: ConfigError, and MemoryError or numpy's
+"array is too big" ValueError (configured sizes beyond the memory available)
+-> 2; a missing or unusable upstream artifact, such as an ebm sidecar no model
+can be built from (MissingArtifactError and its subclass StaleArtifactError,
+DimensionError, TensorFormatError, TensorPayloadError) -> 3; NumericError
+(including its subclass DivergenceError) -> 4; LeakageError (held-out domain
+leaked into a training fold) -> 5.
 """
 
 

@@ -76,14 +76,6 @@ def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_inde
     return out
 
 
-def _apply_hook(x: np.ndarray, x0: np.ndarray, config: LangevinConfig) -> np.ndarray:
-    if config.channel_replace is not None:
-        x = channel_replace_hook(x, x0, config.channel_replace)
-    if config.clamp_unit:
-        x = np.clip(x, 0.0, 1.0)
-    return x
-
-
 def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig,
                     noise_block: np.ndarray):
     """Advance a batch of chains with pre-drawn noise of shape (K, N, ...).
@@ -100,8 +92,10 @@ def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig
     for t in range(1, config.n_steps + 1):
         _, grad = energy_value_and_grad_input(params, x)
         x = langevin_step(x, grad, config.step_size, noise_block[t - 1])
-        if config.channel_replace is not None or config.clamp_unit:
-            x = _apply_hook(x, x0, config)
+        if config.channel_replace is not None:
+            x = channel_replace_hook(x, x0, config.channel_replace)
+        if config.clamp_unit:
+            x = np.clip(x, 0.0, 1.0)
         if not np.all(np.isfinite(x)):
             bad = np.where(~np.all(np.isfinite(x.reshape(x.shape[0], -1)), axis=1))[0].tolist()
             raise DivergenceError(f"batched chain diverged at step {t} (chains {bad})",

@@ -262,8 +262,9 @@ def _check_split(split, rows, sidecar) -> None:
 
 def load_dataset(basename) -> MultiDomainDataset:
     """The dataset saved at ``basename``. A ``domains`` entry that does not spell out exactly
-    DomainSpec's fields, a domain whose images and masks differ in rows, or a ``split`` that is
-    not one {"train": [...], "test": [...]} pair of row-index lists per domain raises
+    DomainSpec's fields, a domain whose images are not 4-D with domain 0's (C, H, W) or whose
+    masks are not (rows, H, W) of its images, or a ``split`` that is not one
+    {"train": [...], "test": [...]} pair of row-index lists per domain raises
     TensorFormatError."""
     base = Path(basename)
     sidecar = f"{base}.meta.json"
@@ -278,7 +279,10 @@ def load_dataset(basename) -> MultiDomainDataset:
     images = [read_tensor(f"{base}.d{d}.images.ldtn") for d in range(len(specs))]
     masks = [read_tensor(f"{base}.d{d}.masks.ldtn") for d in range(len(specs))]
     for d, (image, mask) in enumerate(zip(images, masks)):
-        if image.shape[:1] != mask.shape[:1]:
+        if image.ndim != 4 or image.shape[1:] != images[0].shape[1:]:
+            raise TensorFormatError(f"{base}.d{d}.images.ldtn: images of shape {image.shape}, "
+                                    f"not 4-D with domain 0's (C, H, W) {images[0].shape[1:]}")
+        if mask.shape != (image.shape[0], *image.shape[2:]):
             raise TensorFormatError(f"{base}.d{d}.masks.ldtn: masks of shape {mask.shape} for "
                                     f"images of shape {image.shape}")
     _check_split(meta["split"], [image.shape[0] for image in images], sidecar)

@@ -283,14 +283,22 @@ class TestExitCodes:
         assert not (out / "aug" / "augmented.meta.json").exists()
 
     def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys):
-        # a (10**14, 2) float64 rotation lies beyond the 47-bit address space,
-        # so its allocation fails without touching memory
-        config = json.loads((THEORY_CONFIGS / "theory_bound.json").read_text())
-        config["theory"]["ambient_dims"] = [2, 10**14]
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        assert run("verify-theory", path, tmp_path / "out") == 2
-        assert "need more memory than is available" in capsys.readouterr().err
+        # a (10**14, 2) float64 rotation lies beyond the 47-bit address space, so its
+        # allocation fails without touching memory; past the 64-bit byte count numpy raises
+        # ValueError("array is too big") instead of MemoryError
+        theory = json.loads((THEORY_CONFIGS / "theory_bound.json").read_text())
+        cases = [("verify-theory", "theory", "ambient_dims", [2, 10**14]),
+                 *[("verify-theory", "theory", key, 10**18)
+                   for key in ("k", "probe_count", "rad_n_mc")],
+                 ("gen-data", "data", "n_per_domain", 10**18),
+                 ("gen-data", "data", "image_size", 10**10)]
+        for subcommand, section, key, value in cases:
+            config = json.loads(json.dumps(theory))
+            config.setdefault(section, {})[key] = value
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            assert run(subcommand, path, tmp_path / "out") == 2, key
+            assert "need more memory than is available" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +436,7 @@ class TestSweep:
         ({"axis": "n_steps", "values": [2.5]}, "sweep.values"),
         ({"axis": "conv_blocks", "values": [1.5]}, "sweep.values"),
         ({"axis": "n_steps", "values": [4, 1]}, "langevin.store_offset"),
-        ({"axis": "conv_blocks", "values": [1, 9]}, "conv_blocks axis must lie in 1..7"),
+        ({"axis": "conv_blocks", "values": [1, 9]}, "(ebm.conv_blocks) must lie in [1, 7]"),
         # a repeated fold counted twice in each mean
         ({"axis": "n_steps", "values": [4], "folds": [0, 0, 1]}, "sweep.folds must not repeat"),
         ({"axis": "n_steps", "values": [4], "seeds": [1, 1]}, "sweep.seeds must not repeat"),
@@ -812,6 +820,54 @@ def test_sweep_scores_every_value_in_one_leave_one_out_call(tmp_path, monkeypatc
     assert calls == [["erm", "n_steps=4", "n_steps=6"]]
 
 
+def dotted_leaves(tree, prefix=""):
+    """``tree``'s leaves keyed by their dotted paths."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(dotted_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+# the base config runs 6 Langevin steps, stores from step 2 at stride 2 and has 1 conv block,
+# so every value below changes each key its axis sets
+@pytest.mark.parametrize("axis,values,keys", [
+    ("n_steps", [4, 9], {"langevin.n_steps": lambda v: v}),
+    ("step_size", [0.1, 1], {"langevin.step_size": lambda v: v}),
+    ("conv_blocks", [2, 3], {"ebm.conv_blocks": lambda v: v}),
+    ("samples_per_chain", [1, 6], {"langevin.store_stride": lambda v: 6 // v,
+                                   "langevin.store_offset": lambda v: 6 // v}),
+])
+def test_sweep_value_config_differs_only_in_its_axis_keys(tmp_path, axis, values, keys):
+    config = load_config(write_config(tmp_path / "c.json", sweep={"axis": axis, "values": values}))
+    base = dotted_leaves(config)
+    for value in values:
+        leaves = dotted_leaves(cli._sweep_config(config, value))
+        assert {key for key in base if leaves[key] != base[key]} == set(keys)
+        assert {key: leaves[key] for key in keys} == {key: set_to(value)
+                                                      for key, set_to in keys.items()}
+    assert dotted_leaves(config) == base  # the base config is not changed
+
+
+def test_samples_per_chain_sweep_samples_each_value_with_that_many_iterates(tmp_path,
+                                                                           monkeypatch):
+    config = write_config(tmp_path / "c.json", sweep={
+        "axis": "samples_per_chain", "values": [1, 3, 6], "folds": [0], "seeds": [0]})
+    assert run("gen-data", config, tmp_path) == 0
+    stored = []
+    original = cli.generate_augmented
+
+    def recorded(dataset, ebms, langevin, *args, **kwargs):
+        stored.append(len(langevin.stored_steps()))
+        return original(dataset, ebms, langevin, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_augmented", recorded)
+    assert run("sweep", config, tmp_path) == 0
+    assert stored == [1, 3, 6]
+
+
 def test_sweep_pool_failure_exit_4_before_any_segmenter(tmp_path, monkeypatch, capsys):
     # every value's pool is made before the one leave-one-out call, so a value whose
     # chains all diverge ends the run before any arm trains
@@ -888,6 +944,18 @@ COMPANION_DAMAGE = {
     "dataset masks short a row": ("dataset/benchmark.d1.masks.ldtn",
                                   edit_tensor(lambda t: t[:-1]),
                                   "masks of shape (5, 16, 16) for images of shape (6, 1, 16, 16)"),
+    "dataset images of another size": ("dataset/benchmark.d1.images.ldtn",
+                                       edit_tensor(lambda t: t[:, :, :8, :8]),
+                                       "images of shape (6, 1, 8, 8), not 4-D with domain 0's "
+                                       "(C, H, W) (1, 16, 16)"),
+    "dataset masks of another size": ("dataset/benchmark.d1.masks.ldtn",
+                                      edit_tensor(lambda t: t[:, :8, :8]),
+                                      "masks of shape (6, 8, 8) for images of shape "
+                                      "(6, 1, 16, 16)"),
+    "dataset masks with an extra axis": ("dataset/benchmark.d0.masks.ldtn",
+                                         edit_tensor(lambda t: t[:, None]),
+                                         "masks of shape (6, 1, 16, 16) for images of shape "
+                                         "(6, 1, 16, 16)"),
     "dataset domain extra field": ("dataset/benchmark.meta.json",
                                    edit_json(lambda meta: meta["domains"][2].update(hue=1.0)),
                                    "domains[2] has unknown field 'hue'"),
@@ -928,7 +996,10 @@ POOL_READERS = ("eval-loo", "train-seg", "project")
 @pytest.mark.parametrize("subcommand,damage", [
     *[pytest.param(sub, "truncated pool sidecar", id=sub) for sub in POOL_READERS],
     *[pytest.param(sub, damage, id=f"{sub}-{damage}") for damage in sorted(COMPANION_DAMAGE)
-      if damage != "truncated pool sidecar" for sub in POOL_READERS]])
+      if damage != "truncated pool sidecar" for sub in POOL_READERS],
+    # train-ebms reads the dataset but no pool
+    pytest.param("train-ebms", "dataset images of another size",
+                 id="train-ebms-dataset images of another size")])
 def test_damaged_pool_metadata_exit_3(out_dir, tmp_path, capsys, subcommand, damage):
     out = tmp_path / "o"
     for name in ("dataset", "ebms", "aug"):
