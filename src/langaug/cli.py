@@ -254,8 +254,7 @@ def _langevin_from_config(config, dataset) -> LangevinConfig:
 
 def _arch_from_config(config, dataset) -> EnergyArch:
     ebm = config["ebm"]
-    channels, size = dataset.images[0].shape[1:3]
-    return EnergyArch(kind=ebm["kind"], input_shape=(channels, size, size),
+    return EnergyArch(kind=ebm["kind"], input_shape=dataset.images[0].shape[1:],
                       conv_blocks=ebm["conv_blocks"])
 
 

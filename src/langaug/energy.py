@@ -15,9 +15,17 @@ and never evaluated; only E and its gradients are exposed.
 The passes compute in their batch's dtype, as ``nets`` does: a float32
 batch runs against a float32 copy of the float64 theta. Each ``EnergyParams``
 casts and splits theta once per dtype, on its first pass, so a chain or a CD
-iteration pays for it once. The pipeline trains and samples in
-``EBM_DTYPE``; the gradient checks and the sampler and trainer diagnostics
-run in float64.
+iteration pays for it once.
+
+An ``EnergyParams`` with a (P, D) theta is a stack of P models of one arch.
+Its passes take the P models' batches one after another along the batch
+axis, N rows each, and return the energies and input gradients in that
+order and the parameter gradient as (P, D); every model gets the bits it
+gets alone. A pass with a non-finite energy raises as its first such model
+would alone, naming that model in the error's ``model``.
+
+The pipeline trains and samples in ``EBM_DTYPE``; the gradient checks and
+the sampler and trainer diagnostics run in float64.
 """
 from __future__ import annotations
 
@@ -90,26 +98,32 @@ class EnergyArch:
 
 @dataclass
 class EnergyParams:
-    """A model's arch and float64 theta; theta is replaced, never changed in place."""
+    """A model's arch and float64 theta (D,), or a stack's (P, D); theta is replaced, never
+    changed in place."""
     arch: EnergyArch
     theta: np.ndarray
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.shape != (self.arch.param_count,):
+        if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != self.arch.param_count:
             raise DimensionError(
                 f"theta has {self.theta.shape} entries, arch {self.arch.kind} "
                 f"needs ({self.arch.param_count},)"
             )
 
+    @property
+    def models(self) -> int:
+        return self.theta.shape[0] if self.theta.ndim == 2 else 1
+
     def view(self, dtype) -> tuple[np.ndarray, list]:
-        """(theta, its (w, b) layers) in ``dtype``, made on the first call and kept; float64
-        gives theta itself, another dtype a copy."""
+        """(theta, its (w, b) layers as a stack's) in ``dtype``, made on the first call and
+        kept; float64 gives theta itself, another dtype a copy."""
         dtype = np.dtype(dtype)
         if dtype not in self._views:
             theta = self.theta.astype(dtype, copy=False)
-            self._views[dtype] = theta, split_params(theta, self.arch.shapes())
+            stack = theta.reshape(self.models, -1)
+            self._views[dtype] = theta, split_params(stack, self.arch.shapes())
         return self._views[dtype]
 
 
@@ -121,63 +135,70 @@ def init_energy_params(arch: EnergyArch, base_seed: int) -> EnergyParams:
     return EnergyParams(arch=arch, theta=init_params(arch.shapes(), stream))
 
 
-def _check_batch(arch, X):
+def _check_batch(params, X):
     X = float_array(X)
-    if X.shape[1:] != arch.input_shape:
-        raise DimensionError(f"batch shape {X.shape} does not match arch {arch.input_shape}")
+    if X.shape[1:] != params.arch.input_shape:
+        raise DimensionError(f"batch shape {X.shape} does not match arch "
+                             f"{params.arch.input_shape}")
+    if X.shape[0] % params.models:
+        raise DimensionError(f"batch of {X.shape[0]} does not split over {params.models} models")
     return X
 
 
 def _forward_batch(params: EnergyParams, X: np.ndarray):
-    """Energies for a batch. Returns (energies (N,), cache for backward)."""
+    """Energies for a batch. Returns (energies (P * N,), cache for backward)."""
     theta, layers = params.view(X.dtype)
-    n = X.shape[0]
+    models, n = params.models, X.shape[0] // params.models
     if params.arch.kind == "quadratic":
-        diff = X.reshape(n, -1) - theta
-        return 0.5 * np.sum(diff * diff, axis=1), {"diff": diff}
+        diff = X.reshape(models, n, -1) - theta.reshape(models, 1, -1)
+        return 0.5 * np.sum(diff * diff, axis=2).reshape(-1), {"diff": diff}
     *body, (w_head, b_head) = layers
     a, body_cache = swish_conv_forward(X, body, stride=2)
-    flat = a.reshape(n, -1)
-    e = flat @ w_head + b_head
-    if not np.all(np.isfinite(e)):
-        raise NumericError("non-finite energy value in forward pass")
+    flat = a.reshape(models, n, -1)
+    e = ((flat @ w_head[:, :, None])[:, :, 0] + b_head[:, None]).reshape(-1)
+    finite = np.isfinite(e)
+    if not np.all(finite):
+        raise NumericError("non-finite energy value in forward pass",
+                           model=int(np.argmin(finite.reshape(models, n).all(axis=1))))
     return e, {"layers": layers, "body": body_cache, "flat": flat, "a_shape": a.shape}
 
 
 def _backward_batch(params: EnergyParams, X, cache, seed, want_input, want_params):
     """Chain-rule pass. ``seed`` holds dE_total/dE_n per sample.
 
-    Returns (dX or None, dtheta or None); dtheta accumulates
-    sum_n seed[n] * dE_n/dtheta.
+    Returns (dX or None, dtheta or None); dtheta, shaped as theta, accumulates
+    sum_n seed[n] * dE_n/dtheta over each model's own samples.
     """
-    arch = params.arch
-    if arch.kind == "quadratic":
+    models = params.models
+    seed = seed.reshape(models, -1, 1)
+    if params.arch.kind == "quadratic":
         diff = cache["diff"]
-        dx = (diff * seed[:, None]).reshape(X.shape) if want_input else None
-        dtheta = -(diff * seed[:, None]).sum(axis=0) if want_params else None
-        return dx, dtheta
+        dx = (diff * seed).reshape(X.shape) if want_input else None
+        dtheta = -(diff * seed).sum(axis=1) if want_params else None
+        return dx, None if dtheta is None else dtheta.reshape(params.theta.shape)
     *body, (w_head, _) = cache["layers"]
-    da = (seed[:, None] * w_head[None, :]).reshape(cache["a_shape"])
+    da = (seed * w_head[:, None, :]).reshape(cache["a_shape"])
     dx, grads = swish_conv_backward(da, body, cache["body"], stride=2, want_dw=want_params,
                                     want_dx=want_input)
     if not want_params:
         return dx, None
-    grads.append((cache["flat"].T @ seed, seed.sum()))
-    return dx, join_params(grads)
+    grads.append(((cache["flat"].swapaxes(1, 2) @ seed)[:, :, 0], seed[:, :, 0].sum(axis=1)))
+    return dx, join_params(grads, models).reshape(params.theta.shape)
 
 
 def energy_value_and_grad_params(params: EnergyParams, X: np.ndarray):
-    """Batched (energies, batch-mean parameter gradient) in one pass."""
-    X = _check_batch(params.arch, X)
+    """Batched (energies, each model's batch-mean parameter gradient) in one pass."""
+    X = _check_batch(params, X)
     e, cache = _forward_batch(params, X)
-    _, dtheta = _backward_batch(params, X, cache,
-                                np.full(X.shape[0], 1.0 / X.shape[0], dtype=X.dtype), False, True)
+    n = X.shape[0] // params.models
+    _, dtheta = _backward_batch(params, X, cache, np.full(X.shape[0], 1.0 / n, dtype=X.dtype),
+                                False, True)
     return e, dtheta
 
 
 def energy_value_and_grad_input(params: EnergyParams, X: np.ndarray):
     """Batched (energies, per-sample input gradients) in one pass."""
-    X = _check_batch(params.arch, X)
+    X = _check_batch(params, X)
     e, cache = _forward_batch(params, X)
     dx, _ = _backward_batch(params, X, cache, np.ones(X.shape[0], dtype=X.dtype), True, False)
     return e, dx

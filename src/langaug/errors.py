@@ -11,7 +11,10 @@ leaked into a training fold) -> 5.
 
 
 class ConfigError(ValueError):
-    """Invalid configuration, argument, or precondition violation."""
+    """Invalid configuration, argument, or precondition violation (``model``: in a stack of
+    models, the one it concerns)."""
+
+    model = None
 
 
 class DimensionError(ValueError):
@@ -19,14 +22,20 @@ class DimensionError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced a non-finite or out-of-domain value."""
+    """A computation produced a non-finite or out-of-domain value (``model``: in a stack of
+    models, the one that did; its message is the one that model raises alone)."""
+
+    def __init__(self, message, model=None):
+        super().__init__(message)
+        self.model = model
 
 
 class DivergenceError(NumericError):
-    """A sampling chain or training loop left the finite range (``chains``: the batch rows that did)."""
+    """A sampling chain or training loop left the finite range (``chains``: the batch rows that
+    did, counted within ``model``'s batch in a stack)."""
 
-    def __init__(self, message, step=None, chains=None):
-        super().__init__(message)
+    def __init__(self, message, step=None, chains=None, model=None):
+        super().__init__(message, model)
         self.step = step
         self.chains = chains
 

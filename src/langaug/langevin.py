@@ -76,30 +76,37 @@ def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_inde
     return out
 
 
-def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig,
-                    noise_block: np.ndarray):
-    """Advance a batch of chains with pre-drawn noise of shape (K, N, ...).
+def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig, noise):
+    """Advance a batch of chains; ``noise`` gives each step's (N, ...) noise in turn, as a
+    (K, N, ...) block or an iterator drawing it step by step.
 
     Chains do not interact, so a chain's iterates depend only on its own x0
     and noise slice. The chain computes in x0's dtype (``float_array``), and
-    each step casts its noise slice to it.
+    each step casts its noise to it. A stack of P models (a (P, D) theta)
+    runs model p's chains at rows p * N / P to (p + 1) * N / P. A chain that
+    leaves the finite range raises DivergenceError as its model would alone:
+    the first such model's rows, counted within its own batch.
     Returns (final (N, ...), stored dict step -> (N, ...)).
     """
     x0 = float_array(x0)
     x = x0.copy()
     keep = set(config.stored_steps())
     stored = {}
+    steps = iter(noise)
     for t in range(1, config.n_steps + 1):
         _, grad = energy_value_and_grad_input(params, x)
-        x = langevin_step(x, grad, config.step_size, noise_block[t - 1])
+        x = langevin_step(x, grad, config.step_size, next(steps))
         if config.channel_replace is not None:
             x = channel_replace_hook(x, x0, config.channel_replace)
         if config.clamp_unit:
             x = np.clip(x, 0.0, 1.0)
         if not np.all(np.isfinite(x)):
-            bad = np.where(~np.all(np.isfinite(x.reshape(x.shape[0], -1)), axis=1))[0].tolist()
+            finite = np.all(np.isfinite(x.reshape(params.models, x.shape[0] // params.models, -1)),
+                            axis=2)
+            model = int(np.argmin(finite.all(axis=1)))
+            bad = np.flatnonzero(~finite[model]).tolist()
             raise DivergenceError(f"batched chain diverged at step {t} (chains {bad})",
-                                  step=t, chains=bad)
+                                  step=t, chains=bad, model=model)
         if t in keep:
             stored[t] = x.copy()
     return x, stored

@@ -25,6 +25,15 @@ transposed copy then interleaves the phase planes into dx.
 ``want_dw=False`` skips the weight and bias gradients (Langevin sampling),
 ``want_dx=False`` the input gradient (training).
 
+The kernels also run a stack of P models of one architecture in one call:
+the weights carry a model axis after the output axis, (C_out, P, C_in, 3,
+3), the bias is (P, C_out), and the batch holds model p's N samples at rows
+p * N to (p + 1) * N. The im2col matrix is then (P * C_in * 9, N * H_out *
+W_out), model by model, and each product is one matmul over the model axis:
+every model's GEMM runs on a block of the shape it has alone (its weight
+rows strided by the stack), so it gets the bits it gets alone. A (C_out,
+C_in, 3, 3) kernel with a (C_out,) bias is the P = 1 stack.
+
 Both networks (the energy net's conv branch and the segmenter) are a body
 of conv + swish layers, ``swish_conv_forward`` / ``swish_conv_backward``,
 under a linear head. Their parameters live in one flat theta vector whose
@@ -60,29 +69,40 @@ def conv_out_size(size: int, stride: int) -> int:
     return (size - 1) // stride + 1
 
 
-def _im2col(xp: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Unfold C-contiguous xp into a fresh (C * 9, N * ho * wo) im2col matrix."""
+def _im2col(xp: np.ndarray, stride: int, ho: int, wo: int, models: int = 1) -> np.ndarray:
+    """Unfold C-contiguous xp into a fresh (models * C * 9, N * ho * wo) im2col matrix, N
+    being each model's share of the batch and model p's rows starting at p * C * 9."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    # entry (c, u, v, n, i, j) is xp[n, c, stride * i + u, stride * j + v]; the
+    n //= models
+    # entry (p, c, u, v, n, i, j) is xp[p * N + n, c, stride * i + u, stride * j + v]; the
     # ndarray constructor builds this window view faster than as_strided
-    windows = np.ndarray((c, 3, 3, n, ho, wo), xp.dtype, xp, 0,
-                         (sc, sh, sw, sn, stride * sh, stride * sw))
-    return windows.copy().reshape(c * 9, n * ho * wo)  # a fresh C-order copy
+    windows = np.ndarray((models, c, 3, 3, n, ho, wo), xp.dtype, xp, 0,
+                         (n * sn, sc, sh, sw, sn, stride * sh, stride * sw))
+    return windows.copy().reshape(models * c * 9, n * ho * wo)  # a fresh C-order copy
+
+
+def _stack(w: np.ndarray) -> np.ndarray:
+    """A kernel as a (C_out, P, C_in * 9) view; a (C_out, C_in, 3, 3) kernel has P = 1."""
+    return w.reshape(w.shape[0], -1, 9 * w.shape[-3])
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     """Returns (y, xp, cols): the padded input and its im2col matrix, for the backward pass.
-    ``w`` is (C_out, C_in, 3, 3); any other kernel fails the weight product."""
+    ``w`` is (C_out, C_in, 3, 3), or (C_out, P, C_in, 3, 3) for a stack of P models; any other
+    kernel fails the weight product."""
     n, c, h, wd = x.shape
-    o = w.shape[0]
+    wm = _stack(w)
+    o, models = wm.shape[:2]
     xp = np.zeros((n, c, h + 2, wd + 2), dtype=np.result_type(x, w))
     xp[:, :, 1:1 + h, 1:1 + wd] = x
     ho, wo = conv_out_size(h, stride), conv_out_size(wd, stride)
-    cols = _im2col(xp, stride, ho, wo)
-    y = w.reshape(o, -1) @ cols
-    y += b[:, None]
-    return np.ascontiguousarray(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)), xp, cols
+    cols = _im2col(xp, stride, ho, wo, models)
+    # (P, C_out, N * ho * wo): one GEMM per model
+    y = wm.transpose(1, 0, 2) @ cols.reshape(models, -1, cols.shape[1])
+    y += b.reshape(models, o, 1)
+    y = y.reshape(models, o, n // models, ho, wo).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(y).reshape(n, o, ho, wo), xp, cols
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,36 +139,46 @@ def _taps(stride: int, ho: int, wo: int):
 
 def conv2d_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, stride: int, *,
                     cols: np.ndarray, want_dw: bool = True, want_dx: bool = True):
-    """(dx, dw, db) from conv2d_forward's xp and cols; dx, and dw with db, None unless wanted."""
+    """(dx, dw, db) from conv2d_forward's xp and cols; dx, and dw with db, None unless wanted.
+    dw and db have the shapes of ``w`` and of its bias."""
     n, o, ho, wo = dy.shape
-    c = w.shape[1]
-    dy_mat = dy.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+    wm = _stack(w)
+    models = wm.shape[1]
+    c, n = xp.shape[1], n // models
+    # (P, C_out, N * ho * wo): each model's output gradient as one contiguous block
+    dy_mat = np.ascontiguousarray(dy.reshape(models, n, o, ho * wo).transpose(0, 2, 1, 3))
+    dy_mat = dy_mat.reshape(models, o, n * ho * wo)
     # (cols @ dy_mat.T).T has the bits of dy_mat @ cols.T and is faster at C_out < C_in * 9
-    dw = (cols @ dy_mat.T).T.reshape(w.shape) if want_dw else None
-    db = dy.sum(axis=(0, 2, 3)) if want_dw else None
+    cols = cols.reshape(models, -1, n * ho * wo)
+    dw = ((cols @ dy_mat.swapaxes(1, 2)).swapaxes(1, 2).swapaxes(0, 1).reshape(w.shape)
+          if want_dw else None)
+    db = dy.reshape(models, n, o, ho, wo).sum(axis=(1, 3, 4)) if want_dw else None
+    if want_dw and w.ndim == 4:
+        db = db[0]
     if not want_dx:
         return None, dw, db
     taps, row_wraps, col_wraps = _taps(stride, ho, wo)
-    dcols = (w.reshape(o, -1).T @ dy_mat).reshape(c, 3, 3, n, ho, wo)
+    # the fold sees a stack's P * C input channels, model by model, as C channels alone
+    dcols = (wm.transpose(1, 2, 0) @ dy_mat).reshape(models * c, 3, 3, n, ho, wo)
     for u, rows in row_wraps:
         dcols[:, u, :, :, rows] = 0.0
     for v, columns in col_wraps:
         dcols[:, :, v, :, :, columns] = 0.0
-    dcols = dcols.reshape(c, 9, n * ho * wo)
-    size = c * n * ho * wo
-    # the phase planes, image planes laid end to end in dcols' (C, N) order
+    dcols = dcols.reshape(models * c, 9, n * ho * wo)
+    size = dcols.shape[0] * n * ho * wo
+    # the phase planes, image planes laid end to end in dcols' (P, C, N) order
     planes = np.zeros((stride, stride, size), dtype=dcols.dtype)
     for k, p, q, d in taps:
         lo, hi = max(0, -d), size - max(0, d)
-        # one offset's products as a flat run, a copy unless C == 1; at the
+        # one offset's products as a flat run, a copy unless P * C == 1; at the
         # segmenter's 8->8 layer nine such copies beat one offset-major copy
         # of all of dcols by about 3x
         planes[p, q, lo + d:hi + d] += dcols[:, k].ravel()[lo:hi]
     h, wd = xp.shape[2] - 2, xp.shape[3] - 2
     # plane (p, q) holds the rows p::stride and the columns q::stride of dx: one
     # transposed copy interleaves them, and a crop to odd sizes is copied again
-    dx = planes.reshape(stride, stride, c, n, ho, wo).transpose(3, 2, 4, 0, 5, 1)
-    dx = dx.reshape(n, c, ho * stride, wo * stride)[:, :, :h, :wd]
+    dx = planes.reshape(stride, stride, models, c, n, ho, wo).transpose(2, 4, 3, 5, 0, 6, 1)
+    dx = dx.reshape(models * n, c, ho * stride, wo * stride)[:, :, :h, :wd]
     return np.ascontiguousarray(dx), dw, db
 
 
@@ -186,22 +216,37 @@ def count_params(shapes) -> int:
 
 
 def split_params(theta: np.ndarray, shapes) -> list:
-    """Views (w, b) of flat ``theta`` per (weight shape, bias shape) pair; () gives a scalar."""
+    """Views (w, b) of flat ``theta`` per (weight shape, bias shape) pair; () gives a scalar.
+
+    A (P, D) theta is a stack of P models: each view gains a model axis, after the output
+    axis of a kernel or matrix ((C_out, P, C_in, 3, 3), as the conv kernels take it) and
+    first elsewhere ((P, C_out) for a bias, (P,) for a scalar).
+    """
     layers, i = [], 0
     for pair in shapes:
         layer = []
         for shape in pair:
             size = math.prod(shape)
-            part = theta[i:i + size] if shape else theta[i]
-            layer.append(part.reshape(shape) if len(shape) > 1 else part)  # 1-D: already shaped
+            if theta.ndim == 2:
+                part = theta[:, i:i + size].reshape((-1,) + shape)
+                part = np.moveaxis(part, 0, 1) if len(shape) > 1 else part
+            else:
+                part = theta[i:i + size] if shape else theta[i]
+                part = part.reshape(shape) if len(shape) > 1 else part  # 1-D: already shaped
+            layer.append(part)
             i += size
         layers.append(tuple(layer))
     return layers
 
 
-def join_params(layers) -> np.ndarray:
-    """Flat theta (or its gradient) from (w, b) layers; the inverse of split_params."""
-    return np.concatenate([np.ravel(a) for layer in layers for a in layer])
+def join_params(layers, models: int | None = None) -> np.ndarray:
+    """Flat theta (or its gradient) from (w, b) layers; the inverse of split_params. With
+    ``models``, the layers are a stack's, model axes placed as split_params places them, and
+    the result is (models, D)."""
+    if models is None:
+        return np.concatenate([np.ravel(a) for layer in layers for a in layer])
+    return np.concatenate([(np.moveaxis(a, 1, 0) if a.ndim > 2 else a).reshape(models, -1)
+                           for layer in layers for a in layer], axis=1)
 
 
 def init_params(shapes, stream) -> np.ndarray:

@@ -83,7 +83,9 @@ class AdamState:
     hyper: AdamHyper = field(default_factory=AdamHyper)
 
 
-def init_adam_state(dim: int, hyper: AdamHyper | None = None) -> AdamState:
+def init_adam_state(dim, hyper: AdamHyper | None = None) -> AdamState:
+    """Zero moments of ``dim`` entries, or of shape ``dim`` (a stack's (P, D)); Adam is
+    elementwise, so each row of a stack steps as it would alone."""
     return AdamState(
         first_moment=np.zeros(dim),
         second_moment=np.zeros(dim),

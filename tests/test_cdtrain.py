@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from langaug.cdtrain import CdConfig, cd_gradient, ordered_pairs, train_all_pair
 from langaug import cdtrain, energy
 from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
                             init_energy_params)
-from langaug.errors import ConfigError
+from langaug.errors import ConfigError, NumericError
 from langaug.langevin import LangevinConfig
 from langaug.numerics import AdamHyper, derive_stream
 from finite_diff import finite_diff_grad_subset, relative_error
@@ -19,6 +20,16 @@ def quad_arch():
 
 def small_conv_arch():
     return EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1)
+
+
+def domains(shape, dtype, n=3):
+    return [(0.3 * d + derive_stream(d, [("d", 0)]).standard_normal((10,) + shape)).astype(dtype)
+            for d in range(n)]
+
+
+def stack_config():
+    return CdConfig(n_iters=3, batch_size=4, ld=LangevinConfig(step_size=0.1, n_steps=4),
+                    base_seed=5)
 
 
 class TestCdGradient:
@@ -191,3 +202,59 @@ class TestAllPairs:
         config = CdConfig(n_iters=1, batch_size=1, ld=LangevinConfig(step_size=0.1, n_steps=2))
         with pytest.raises(ConfigError):
             train_all_pairs([np.zeros((3, 1))], quad_arch(), config)
+
+
+class TestStack:
+    """The pairs that share a source domain train as one stack, each with its bits alone."""
+
+    @pytest.mark.parametrize("arch, dtype", [(small_conv_arch(), np.float32),
+                                             (small_conv_arch(), np.float64),
+                                             (quad_arch(), np.float64)],
+                             ids=["conv-float32", "conv-float64", "quadratic"])
+    def test_stack_trains_each_pair_as_alone(self, arch, dtype):
+        data = domains(arch.input_shape, dtype)
+        config, seeds = stack_config(), [11, 12]
+        stack = train_ebm(data[0], data[1:], arch, config, seeds=seeds)
+        for target, seed, (params, trace) in zip(data[1:], seeds, stack):
+            alone, alone_trace = train_ebm(data[0], target, arch, replace(config, base_seed=seed))
+            assert params.theta.tobytes() == alone.theta.tobytes()
+            # grad_norm is each pair's own np.linalg.norm, not a row-wise norm of the stack's
+            assert trace.cd_surrogate == alone_trace.cd_surrogate
+            assert trace.grad_norm == alone_trace.grad_norm
+
+    def test_all_pairs_match_pairs_alone(self, tmp_path):
+        arch, config = small_conv_arch(), stack_config()
+        data = domains(arch.input_shape, np.float32)
+        models = train_all_pairs(data, arch, config, out_dir=tmp_path)
+        for i, j in ordered_pairs(3):
+            seed = config.base_seed + 7919 * (i * 3 + j) + 1
+            alone, trace = train_ebm(data[i], data[j], arch, replace(config, base_seed=seed))
+            assert models[(i, j)].theta.tobytes() == alone.theta.tobytes()
+            trace.write_csv(tmp_path / "alone.csv")
+            assert ((tmp_path / "alone.csv").read_bytes()
+                    == (tmp_path / f"trace_{i}_{j}.csv").read_bytes())
+
+    def test_first_failing_pair_raises_what_it_raises_alone(self):
+        # pair 1's infinite targets give a non-finite energy in its first CD pass, after pair 2
+        # was refused for its short target; pair 1 comes first, so its error is raised
+        arch, config = small_conv_arch(), stack_config()
+        source, target, _ = domains(arch.input_shape, np.float32)
+        targets = [target, np.full_like(target, np.inf), target[:2]]
+        with pytest.raises(NumericError) as alone, np.errstate(invalid="ignore", over="ignore"):
+            train_ebm(source, targets[1], arch, replace(config, base_seed=12))
+        with pytest.raises(NumericError) as stacked, np.errstate(invalid="ignore", over="ignore"):
+            train_ebm(source, targets, arch, config, seeds=[11, 12, 13])
+        assert stacked.value.model == 1
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ConfigError, match="batch_size exceeds") as short:
+            train_ebm(source, [target, targets[2]], arch, config, seeds=[11, 13])
+        assert short.value.model == 1
+
+    def test_error_naming_no_pair_fails_the_stack(self):
+        # a chain setting no pair can run (channel_replace on 1-channel data) fails every pair
+        # of the stack, and pair order puts (0, 1) first
+        config = replace(stack_config(), ld=LangevinConfig(step_size=0.1, n_steps=4,
+                                                           channel_replace=0))
+        with pytest.raises(ConfigError, match=r"^pair \(0, 1\): channel_replace index 0 "):
+            train_all_pairs(domains((1, 8, 8), np.float32), small_conv_arch(), config)

@@ -282,6 +282,19 @@ class TestExitCodes:
         assert "pair (0, 1): all 4 chains diverged" in err and "step 1" in err
         assert not (out / "aug" / "augmented.meta.json").exists()
 
+    def test_cd_chain_diverged_exit_4(self, tmp_path, capsys):
+        # a CD step of 1e200 sends pair (0, 1)'s training chains past the float range at
+        # step 1 of iteration 0; the message counts chains within that pair's batch
+        cd = {"n_iters": 3, "batch_size": 2, "n_steps": 3, "step_size": 1e200}
+        config = write_config(tmp_path / "c.json", ebm={"conv_blocks": 1, "cd": cd})
+        out = tmp_path / "out"
+        assert run("gen-data", config, out) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train-ebms", config, out) == 4
+        assert ("pair (0, 1): training chain diverged at iteration 0: batched chain diverged "
+                "at step 1 (chains [0, 1])") in capsys.readouterr().err
+        assert not list((out / "ebms").glob("ebm_*"))
+
     def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys):
         # a (10**14, 2) float64 rotation lies beyond the 47-bit address space, so its
         # allocation fails without touching memory; past the 64-bit byte count numpy raises
@@ -896,6 +909,22 @@ def test_eval_loo_on_two_domains_exit_2_before_sampling(tmp_path, monkeypatch, c
     assert "at least 3 domains" in capsys.readouterr().err
     assert calls == []
     assert not (out / "loo" / "results.csv").exists()
+
+
+def test_non_square_dataset_runs_every_stage(tmp_path):
+    # the energy arch takes (C, H, W) from the dataset: a dataset cut to 16x8 once trained
+    # against a (1, 16, 16) arch and exited 3 at train-ebms
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert run("gen-data", config, out) == 0
+    for d in range(3):
+        edit_tensor(lambda t: t[:, :, :, :8])(out / "dataset" / f"benchmark.d{d}.images.ldtn")
+        edit_tensor(lambda t: t[:, :, :8])(out / "dataset" / f"benchmark.d{d}.masks.ldtn")
+    for subcommand in ("train-ebms", "augment", "eval-loo"):
+        assert run(subcommand, config, out) == 0, subcommand
+    meta = json.loads((out / "ebms" / "ebm_0_1.meta.json").read_text())
+    assert meta["arch"]["input_shape"] == [1, 16, 8]
+    assert read_tensor(out / "aug" / "augmented.images.ldtn").shape[1:] == (1, 16, 8)
 
 
 def edit_json(edit):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langaug.energy import EnergyArch, EnergyParams, energy_value_and_grad_input
+from langaug.energy import (EnergyArch, EnergyParams, energy_value_and_grad_input,
+                            init_energy_params)
 from langaug.errors import ConfigError, DimensionError, DivergenceError
 from langaug.langevin import LangevinConfig, channel_replace_hook, langevin_step, run_chain_batch
 from langaug.numerics import derive_stream
@@ -131,6 +134,25 @@ class TestChain:
         with pytest.raises(DivergenceError) as err:
             run_one(np.array([1.0]), params, config, derive_stream(0, [("c", 0)]))
         assert err.value.step is not None
+
+    def test_stack_divergence_names_the_model_and_its_chains(self):
+        # two conv models stacked, 3 chains each; the second's head scaled by 1e30 sends its
+        # chains past the float64 range at step 1 while the first's stay finite
+        arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1)
+        theta = np.stack([init_energy_params(arch, seed).theta for seed in (1, 2)])
+        head = math.prod(arch.shapes()[-1][0]) + 1
+        theta[1, -head:] *= 1e30
+        config = LangevinConfig(step_size=1e150, n_steps=1)
+        x0 = derive_stream(3, [("x0", 0)]).uniform(size=(6, 1, 8, 8))
+        noise = derive_stream(4, [("noise", 0)]).standard_normal((1, 6, 1, 8, 8))
+        run_chain_batch(x0[:3], EnergyParams(arch, theta[0]), config, noise[:, :3])
+        with pytest.raises(DivergenceError) as alone, np.errstate(over="ignore"):
+            run_chain_batch(x0[3:], EnergyParams(arch, theta[1]), config, noise[:, 3:])
+        with pytest.raises(DivergenceError) as stacked, np.errstate(over="ignore"):
+            run_chain_batch(x0, EnergyParams(arch, theta), config, noise)
+        assert (stacked.value.model, stacked.value.step, stacked.value.chains) == (1, 1, [0, 1, 2])
+        assert str(stacked.value) == str(alone.value) == (
+            "batched chain diverged at step 1 (chains [0, 1, 2])")
 
     def test_stationary_distribution_pooled(self):
         # 16 chains x 4000 steps against the exact discrete-time law; the
