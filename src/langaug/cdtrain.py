@@ -6,14 +6,14 @@ under the current parameters, and the update is the difference of
 batch-mean parameter gradients, fed to Adam. Negatives are re-initialized
 from domain i every iteration; there is no replay buffer.
 
-Training computes in its samples' dtype over float64 master weights, as the
-segmenter does: with float32 samples the chains and CD passes run on a
-float32 copy of theta, made once per iteration, and the gradient is cast up
-for Adam, whose moments and theta stay float64. ``train_all_pairs`` trains
-in ``EBM_DTYPE``, the n - 1 pairs that share a source domain as one stack:
-each Langevin step and each CD pass of an iteration is one energy pass over
-the stack's samples. A pair keeps its own seed, draws, Adam state and trace,
-so it gets the bits it gets alone.
+Training computes in its samples' dtype over float64 master weights, as the segmenter does:
+with float32 samples the chains and CD passes run on a float32 copy of theta, made once per
+iteration, and the gradient is cast up for Adam, whose moments and theta stay float64.
+``train_all_pairs`` trains in ``EBM_DTYPE``, the n - 1 pairs that share a source domain as
+one stack: each Langevin step and each CD pass of an iteration is one energy pass over the
+stack's samples, and ``langevin.stack_noise`` draws each step's noise from one stream per
+pair. A pair keeps its own seed, draws, Adam state and trace, so it gets the bits it gets
+alone. A non-finite CD surrogate or gradient raises NumericError instead of reaching Adam.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .energy import (EBM_DTYPE, EnergyArch, EnergyParams, energy_value_and_grad_params,
                      init_energy_params, save_energy_params)
 from .errors import ConfigError, DivergenceError, NumericError
-from .langevin import LangevinConfig, run_chain_batch
+from .langevin import LangevinConfig, run_chain_batch, stack_noise
 from .ldtn import write_csv
 from .numerics import (AdamHyper, AdamState, adam_step, derive_stream, float_array,
                        init_adam_state)
@@ -78,16 +78,6 @@ def cd_gradient(params: EnergyParams, pos_batch: np.ndarray, neg_batch: np.ndarr
     return g_pos - g_neg, surrogates if params.theta.ndim == 2 else surrogates[0]
 
 
-def _stack_noise(streams, shape, dtype):
-    """Each Langevin step's noise for a stack: every pair's next draw of ``shape`` from its
-    own stream, in stack order. K such draws have the bits of one (K, ...) draw."""
-    draw = np.empty((len(streams),) + shape)
-    while True:
-        for stream, out in zip(streams, draw):
-            stream.standard_normal(out=out)
-        yield draw.reshape((-1,) + shape[1:]).astype(dtype)
-
-
 def _cd_iteration(params, dataset_i, targets, seeds, it, batch_size, ld):
     """One CD iteration of a stack: (gradient (P, D), surrogates), chains and passes run once
     over the stack's samples."""
@@ -96,15 +86,20 @@ def _cd_iteration(params, dataset_i, targets, seeds, it, batch_size, ld):
                           for t, pick in zip(targets, picks)])
     x0 = np.concatenate([dataset_i[pick.choice(dataset_i.shape[0], batch_size, replace=False)]
                          for pick in picks])
-    noise = _stack_noise([derive_stream(seed, [("cd_iter", it), ("ld_noise", 0)])
-                          for seed in seeds], (batch_size,) + dataset_i.shape[1:],
-                         dataset_i.dtype)
+    noise = stack_noise([derive_stream(seed, [("cd_iter", it), ("ld_noise", 0)])
+                         for seed in seeds], (batch_size,) + dataset_i.shape[1:],
+                        dataset_i.dtype)
     try:
         neg, _ = run_chain_batch(x0, params, ld, noise)
     except DivergenceError as err:
         raise DivergenceError(f"training chain diverged at iteration {it}: {err}", step=it,
                               model=err.model) from err
-    return cd_gradient(params, pos, neg)
+    grad, surrogates = cd_gradient(params, pos, neg)
+    finite = np.isfinite(surrogates) & np.isfinite(grad).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite CD surrogate or gradient at iteration {it}",
+                           model=int(np.argmin(finite)))
+    return grad, surrogates
 
 
 def train_ebm(dataset_i: np.ndarray, dataset_j, arch: EnergyArch, config: CdConfig,
@@ -114,9 +109,9 @@ def train_ebm(dataset_i: np.ndarray, dataset_j, arch: EnergyArch, config: CdConf
     With ``seeds``, ``dataset_j`` lists the targets of a stack of pairs that share the source
     dataset_i, pair k trains from base seed ``seeds[k]``, and a list of (params, trace) comes
     back in that order. The stack trains in lockstep, and each pair gets the bits it gets
-    alone: a pair whose chains diverge or whose energy overflows leaves the stack (an error
-    that names no pair fails them all), the rest finish, and then the first failed pair
-    raises what it raises alone, its index in ``model``.
+    alone: a pair whose chains diverge, or whose energy, CD surrogate or gradient is not
+    finite, leaves the stack (an error that names no pair fails them all), the rest finish,
+    and then the first failed pair raises what it raises alone, its index in ``model``.
 
     Computes in dataset_i's dtype (float32 stays float32, else float64); the
     returned theta is float64.

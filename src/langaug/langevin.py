@@ -76,17 +76,26 @@ def channel_replace_hook(iterate: np.ndarray, original: np.ndarray, channel_inde
     return out
 
 
+def stack_noise(streams, shape, dtype):
+    """Each Langevin step's noise: every stream's next float64 draw of ``shape``, in stream
+    order along the batch axis, cast once; K draws have the bits of one (K, *shape) draw."""
+    draw = np.empty((len(streams),) + shape)
+    while True:
+        for stream, out in zip(streams, draw):
+            stream.standard_normal(out=out)
+        yield draw.reshape((-1,) + shape[1:]).astype(dtype)
+
+
 def run_chain_batch(x0: np.ndarray, params: EnergyParams, config: LangevinConfig, noise):
     """Advance a batch of chains; ``noise`` gives each step's (N, ...) noise in turn, as a
-    (K, N, ...) block or an iterator drawing it step by step.
+    (K, N, ...) block or an iterator drawing it step by step (``stack_noise``).
 
-    Chains do not interact, so a chain's iterates depend only on its own x0
-    and noise slice. The chain computes in x0's dtype (``float_array``), and
-    each step casts its noise to it. A stack of P models (a (P, D) theta)
-    runs model p's chains at rows p * N / P to (p + 1) * N / P. A chain that
-    leaves the finite range raises DivergenceError as its model would alone:
-    the first such model's rows, counted within its own batch.
-    Returns (final (N, ...), stored dict step -> (N, ...)).
+    Chains do not interact, so a chain's iterates depend only on its own x0 and noise slice.
+    The chain computes in x0's dtype (``float_array``), and each step casts its noise to it.
+    A stack of P models (a (P, D) theta; the pipeline's pairs of one source domain) runs
+    model p's chains at rows p * N / P to (p + 1) * N / P. A chain that leaves the finite
+    range raises DivergenceError as its model would alone: the first such model's rows,
+    counted within its own batch. Returns (final (N, ...), stored dict step -> (N, ...)).
     """
     x0 = float_array(x0)
     x = x0.copy()

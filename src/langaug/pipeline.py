@@ -1,14 +1,13 @@
 """Building the augmented dataset of bridge samples.
 
-For every ordered domain pair (i, j) and every training image of domain i,
-a Langevin chain runs under the (i -> j) model; each stored iterate joins
-the augmented pool tagged (i, j, step, origin). An entry's label is its origin
-sample's mask, which the pool looks up in the dataset through those tags
-rather than storing a copy. Augmented data is generated once and persisted
-(images, tags and a sidecar); downstream training then interleaves it with
-the originals at a configurable per-batch ratio. The chains run in
-``EBM_DTYPE`` from float64 noise draws cast once, so the pool's images are
-float32; its masks keep the dataset's bits.
+For every ordered domain pair (i, j) and every training image of domain i, a Langevin
+chain runs under the (i -> j) model; each stored iterate joins the augmented pool tagged
+(i, j, step, origin). The n - 1 pairs of source domain i run as one stack, one energy pass
+per step, with each chain's noise drawn step by step from its own stream (float64, cast once
+to ``EBM_DTYPE``), so the pool's images are float32. An entry's label is its origin sample's
+mask, which the pool looks up in the dataset through those tags rather than storing a copy.
+Augmented data is generated once and persisted (images, tags and a sidecar); downstream
+training then interleaves it with the originals at a configurable per-batch ratio.
 """
 from __future__ import annotations
 
@@ -19,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .cdtrain import ordered_pairs
-from .energy import EBM_DTYPE
-from .errors import ConfigError, DivergenceError, TensorFormatError
-from .langevin import LangevinConfig, run_chain_batch
+from .energy import EBM_DTYPE, EnergyParams
+from .errors import ConfigError, DivergenceError, NumericError, TensorFormatError
+from .langevin import LangevinConfig, run_chain_batch, stack_noise
 from .ldtn import read_meta, read_tensor, write_meta, write_tensor
 from .numerics import derive_stream
 from .synth import MultiDomainDataset
@@ -117,10 +116,45 @@ def provenance_mismatch(found: dict, want: dict) -> str | None:
     return None
 
 
+def _sample_stack(x0, train_idx, ebms, stack, config, base_seed) -> dict:
+    """{pair: (stored, origins of its kept chains)} for one source domain's pairs, sampled as
+    one stack over x0 repeated once per pair. A pair whose run raises a NumericError naming it
+    leaves, the rest run again, and then each pair that left runs alone, in pair order, where
+    its diverged chains are dropped and the rest run again with the bits they have alone."""
+    alive, left, n_chains = list(stack), [], x0.shape[0]
+    while alive:
+        params = EnergyParams(ebms[alive[0]].arch, np.stack([ebms[p].theta for p in alive]))
+        streams = [derive_stream(base_seed, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", s)])
+                   for i, j in alive for s in train_idx]
+        try:
+            _, stored = run_chain_batch(np.concatenate([x0] * len(alive)), params, config,
+                                        stack_noise(streams, (1,) + x0.shape[1:], EBM_DTYPE))
+            break
+        except NumericError as err:
+            if len(stack) > 1 and err.model is not None:
+                left.append(alive.pop(err.model))
+                continue
+            if not isinstance(err, DivergenceError):
+                raise
+            keep = np.setdiff1d(np.arange(x0.shape[0]), err.chains)
+            if keep.size == 0:
+                raise DivergenceError(f"pair {stack[0]}: all {n_chains} chains diverged, "
+                                      f"the last at step {err.step}", step=err.step) from err
+            x0, train_idx = x0[keep], train_idx[keep]
+    n = x0.shape[0]
+    runs = {p: ({t: s[r * n:(r + 1) * n] for t, s in stored.items()}, train_idx)
+            for r, p in enumerate(alive)}
+    for pair in sorted(left):
+        runs.update(_sample_stack(x0, train_idx, ebms, [pair], config, base_seed))
+    return runs
+
+
 def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: LangevinConfig,
                        base_seed: int, domains=None) -> AugmentedDataset:
     """Run chains for every (pair, training sample) and collect iterates.
 
+    Each source domain's pair models, which share one arch, run as one stack, and every pair
+    keeps the bits, skipped chains and error it has alone (``_sample_stack``).
     ``domains`` restricts the construction to a subset of domain ids; a pool over
     all domains gives the same entries through ``within(domains)``.
     """
@@ -130,52 +164,24 @@ def generate_augmented(dataset: MultiDomainDataset, ebms: dict, config: Langevin
         if pair not in ebms:
             raise ConfigError(f"missing energy model for pair {pair}")
 
-    # an empty leading piece fixes the shape and dtype of a pool with no entries
-    images = [dataset.images[0][:0].astype(EBM_DTYPE)]
-    src_tag, tgt_tag, step_tag, origin_tag = ([np.empty(0, dtype=np.int64)] for _ in range(4))
+    # empty leading pieces fix the shapes and dtypes of a pool with no entries
+    images, tags = [dataset.images[0][:0].astype(EBM_DTYPE)], [np.empty((4, 0), np.int64)]
     skipped = 0
-    stored_steps = config.stored_steps()
-    for i, j in pairs:
-        params = ebms[(i, j)]
+    for i in domains:
         train_idx = np.asarray(dataset.split[i]["train"], dtype=np.int64)
         x0 = dataset.images[i][train_idx].astype(EBM_DTYPE)
         if x0.shape[0] == 0:
             continue
-        noise = np.stack([
-            derive_stream(base_seed, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", int(s))])
-            .standard_normal((config.n_steps,) + x0.shape[1:]).astype(EBM_DTYPE)
-            for s in train_idx
-        ], axis=1)  # (K, n_i, C, H, W)
-        n_chains = x0.shape[0]
-        while True:
-            # chains do not interact, so the batch without the diverged ones
-            # gives the survivors the bits they would have had alone
-            try:
-                _, stored = run_chain_batch(x0, params, config, noise)
-                break
-            except DivergenceError as err:
-                keep = np.setdiff1d(np.arange(x0.shape[0]), err.chains)
-                if keep.size == 0:
-                    raise DivergenceError(f"pair ({i}, {j}): all {n_chains} chains diverged, "
-                                          f"the last at step {err.step}", step=err.step) from err
-                skipped += x0.shape[0] - keep.size
-                x0, train_idx, noise = x0[keep], train_idx[keep], noise[:, keep]
-        for t in stored_steps:
-            images.append(stored[t])
-            src_tag.append(np.full(x0.shape[0], i, dtype=np.int64))
-            tgt_tag.append(np.full(x0.shape[0], j, dtype=np.int64))
-            step_tag.append(np.full(x0.shape[0], t, dtype=np.int64))
-            origin_tag.append(train_idx)
-
-    return AugmentedDataset(
-        images=np.concatenate(images),
-        origin_masks=dataset.masks,
-        source_domain=np.concatenate(src_tag),
-        target_domain=np.concatenate(tgt_tag),
-        step_index=np.concatenate(step_tag),
-        origin_index=np.concatenate(origin_tag),
-        skipped_chains=skipped,
-    )
+        runs = _sample_stack(x0, train_idx, ebms, [pair for pair in pairs if pair[0] == i],
+                             config, base_seed)
+        for pair, (stored, origin) in sorted(runs.items()):  # in pair order
+            skipped += x0.shape[0] - origin.size
+            for t in config.stored_steps():
+                images.append(stored[t])
+                tags.append([np.full_like(origin, v) for v in (*pair, t)] + [origin])
+    # the tag rows are the source, target, step and origin fields, in field order
+    return AugmentedDataset(np.concatenate(images), dataset.masks, *np.concatenate(tags, axis=1),
+                            skipped)
 
 
 def assemble_training_stream(n_src: int, n_aug: int, mix_ratio: float, seed: int,

@@ -168,6 +168,18 @@ class TestTrainEbm:
         with pytest.raises(ConfigError):
             train_ebm(small, small, quad_arch(), config)
 
+    def test_infinite_cd_surrogate_raises(self):
+        # float32 energies near 1e38 are finite, but their batch mean overflows at iteration 1;
+        # Adam must not train on through an infinite surrogate
+        arch = small_conv_arch()
+        source = derive_stream(0, [("d", 0)]).standard_normal((10, 1, 8, 8)).astype(np.float32)
+        config = CdConfig(n_iters=3, batch_size=4)
+        with pytest.raises(NumericError, match=r"^non-finite CD surrogate or gradient at "
+                                               r"iteration 1$") as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            train_ebm(source, np.full_like(source, 1e38), arch, config)
+        assert err.value.model == 0
+
 
 class TestAllPairs:
     def test_pair_counts(self):
@@ -250,6 +262,34 @@ class TestStack:
         with pytest.raises(ConfigError, match="batch_size exceeds") as short:
             train_ebm(source, [target, targets[2]], arch, config, seeds=[11, 13])
         assert short.value.model == 1
+
+    def test_pair_with_infinite_cd_surrogate_leaves_the_stack(self, monkeypatch):
+        # under seed 12, targets of 1e38 give an infinite surrogate at iteration 0: pair 1
+        # leaves the stack, and pairs 0 and 2 train on with the bits they get alone
+        arch, config = small_conv_arch(), stack_config()
+        source, target, other = domains(arch.input_shape, np.float32)
+        targets = [target, np.full_like(target, 1e38), other]
+        steps = []
+        original = cdtrain.adam_step
+
+        def recorded(*args):
+            theta, state = original(*args)
+            steps.append(theta)
+            return theta, state
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as alone:
+                train_ebm(source, targets[1], arch, replace(config, base_seed=12))
+            monkeypatch.setattr(cdtrain, "adam_step", recorded)
+            with pytest.raises(NumericError) as stacked:
+                train_ebm(source, targets, arch, config, seeds=[11, 12, 13])
+        assert str(alone.value) == "non-finite CD surrogate or gradient at iteration 0"
+        assert stacked.value.model == 1 and str(stacked.value) == str(alone.value)
+        assert len(steps) == config.n_iters and steps[-1].shape[0] == 2
+        monkeypatch.undo()
+        for row, (target, seed) in zip(steps[-1], [(targets[0], 11), (targets[2], 13)]):
+            params, _ = train_ebm(source, target, arch, replace(config, base_seed=seed))
+            assert row.tobytes() == params.theta.tobytes()
 
     def test_error_naming_no_pair_fails_the_stack(self):
         # a chain setting no pair can run (channel_replace on 1-channel data) fails every pair

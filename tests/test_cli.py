@@ -510,16 +510,9 @@ def test_eval_loo_samples_each_pair_once(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run("gen-data", config, out) == 0
     assert run("train-ebms", config, out) == 0
-    calls = []
-    original = pipeline.run_chain_batch
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", config, out) == 0
-    assert len(calls) == 4 * 3
+    assert sum(calls) == 4 * 3
     loo = (out / "loo" / "results.csv").read_text().splitlines()
     assert len(loo) == 1 + 4 * 2
 
@@ -573,7 +566,17 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_chain_runs(monkeypatch):
-    return count_calls(monkeypatch, pipeline, "run_chain_batch")
+    """Record the pair models each chain run of the pipeline samples (a source domain's pairs
+    run as one stack); the list's sum is the number of pairs sampled."""
+    models = []
+    original = pipeline.run_chain_batch
+
+    def counted(x0, params, *args):
+        models.append(params.models)
+        return original(x0, params, *args)
+
+    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    return models
 
 
 def count_pair_trainings(monkeypatch):
@@ -591,7 +594,7 @@ def test_eval_loo_after_augment_uses_the_saved_pool(tmp_path, monkeypatch):
     assert run("eval-loo", config, out) == 0
     assert calls == []
     assert run("eval-loo", config, fresh) == 0
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
     assert (out / "loo" / "results.csv").read_bytes() == \
         (fresh / "loo" / "results.csv").read_bytes()
     inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
@@ -622,7 +625,7 @@ def test_stale_pool_is_sampled_again_and_refused_by_train_seg(tmp_path, monkeypa
     assert run("train-ebms", config, fresh, seed=ebm_seed) == 0
     calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", config, out, seed=ebm_seed) == 0
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
     assert f"{out / 'aug' / 'augmented.meta.json'}: provenance.{key} is " in \
         (out / "loo" / "run.log").read_text()
     inputs = json.loads((out / "loo" / "manifest.json").read_text())["inputs"]
@@ -647,14 +650,14 @@ def test_sweep_samples_only_values_off_the_saved_pool(tmp_path, monkeypatch):
     assert run("gen-data", config, fresh) == 0
     calls = count_chain_runs(monkeypatch)
     assert run("sweep", config, out) == 0
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
     log = (out / "sweep" / "run.log").read_text()
     assert (f"{out / 'aug' / 'augmented.meta.json'}: provenance.langevin.n_steps is 6, this "
             "run's is 4") in log
     assert "using the saved aug/augmented (`augment`)" in log
     calls.clear()
     assert run("sweep", config, fresh) == 0
-    assert len(calls) == 2 * 3 * 2
+    assert sum(calls) == 2 * 3 * 2
     assert (out / "sweep" / "results.csv").read_bytes() == \
         (fresh / "sweep" / "results.csv").read_bytes()
 
@@ -774,7 +777,7 @@ def test_pool_of_another_dataset_is_stale_though_its_models_are_not(tmp_path, mo
     assert {path.name: path.read_bytes() for path in (out / "ebms").glob("*.ldtn")} == models
     calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", config, out) == 0
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
     sidecar = out / "aug" / "augmented.meta.json"
     assert f"making aug/augmented: {sidecar}: provenance.data.0 is " in \
         (out / "loo" / "run.log").read_text()
@@ -1060,7 +1063,7 @@ def test_pool_of_another_sampler_dtype_is_sampled_again(out_dir, tmp_path, monke
     for stage in ("eval-loo", "sweep"):
         calls.clear()
         assert run(stage, config, out) == 0
-        assert len(calls) == 3 * 2
+        assert sum(calls) == 3 * 2
         assert f"{sidecar}: provenance.dtype is " in (out / stage.replace("eval-", "") /
                                                       "run.log").read_text()
     capsys.readouterr()
@@ -1091,7 +1094,7 @@ def test_pool_without_a_provenance_object_is_stale(out_dir, tmp_path, monkeypatc
     edit_json(edit)(sidecar)
     calls = count_chain_runs(monkeypatch)
     assert run("eval-loo", out_dir / "c.json", out) == 0
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
     assert f"making aug/augmented: {sidecar}: {text}" in (out / "loo" / "run.log").read_text()
     for subcommand in ("train-seg", "project"):
         capsys.readouterr()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from langaug.cdtrain import ordered_pairs
-from langaug.energy import EnergyArch, EnergyParams
-from langaug.errors import ConfigError, DivergenceError, TensorFormatError
+from langaug.energy import EnergyArch, EnergyParams, init_energy_params
+from langaug.errors import ConfigError, DivergenceError, NumericError, TensorFormatError
 from langaug.langevin import LangevinConfig, run_chain_batch
 from langaug.ldtn import read_meta, read_tensor, write_json, write_tensor
 from langaug.numerics import derive_stream
@@ -30,6 +30,37 @@ def small_setup():
         target_mean = ds.images[j].mean(axis=0)
         ebms[(i, j)] = EnergyParams(arch, target_mean.ravel())
     return ds, ebms
+
+
+def assert_pairs_run_alone(aug, ds, ebms, config, base_seed, dropped=None):
+    """Each pair's entries equal its chains run alone, from a (K, n, ...) noise block per pair,
+    over its source's training samples but those ``dropped`` lists for the pair."""
+    for i, j in ordered_pairs(ds.n_domains):
+        rows = [int(s) for s in ds.split[i]["train"]
+                if int(s) not in (dropped or {}).get((i, j), [])]
+        noise = np.stack([
+            derive_stream(base_seed, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", s)])
+            .standard_normal((config.n_steps,) + ds.images[i].shape[1:])
+            for s in rows
+        ], axis=1)
+        _, stored = run_chain_batch(ds.images[i][rows].astype(np.float32), ebms[(i, j)],
+                                    config, noise.astype(np.float32))
+        for t in config.stored_steps():
+            pick = (aug.source_domain == i) & (aug.target_domain == j) & (aug.step_index == t)
+            assert aug.origin_index[pick].tolist() == rows
+            assert aug.images[pick].tobytes() == stored[t].tobytes()
+
+
+def count_chain_batches(monkeypatch):
+    """Record the chain count of every ``run_chain_batch`` call ``generate_augmented`` makes."""
+    batches = []
+
+    def counted(x0, *args):
+        batches.append(x0.shape[0])
+        return run_chain_batch(x0, *args)
+
+    monkeypatch.setattr(pipeline, "run_chain_batch", counted)
+    return batches
 
 
 class TestGenerateAugmented:
@@ -136,19 +167,7 @@ class TestGenerateAugmented:
         assert aug.skipped_chains == 1
         assert len(aug) == 20
         assert np.all(np.isfinite(aug.images))
-        for i, j in ordered_pairs(2):
-            rows = [int(s) for s in ds.split[i]["train"] if (i, int(s)) != (0, bad)]
-            noise = np.stack([
-                derive_stream(5, [("aug_pair_i", i), ("aug_pair_j", j), ("chain", s)])
-                .standard_normal((config.n_steps, 1, 8, 8))
-                for s in rows
-            ], axis=1)
-            _, stored = run_chain_batch(ds.images[i][rows].astype(np.float32), ebms[(i, j)],
-                                        config, noise.astype(np.float32))
-            for t in config.stored_steps():
-                pick = (aug.source_domain == i) & (aug.target_domain == j) & (aug.step_index == t)
-                assert aug.origin_index[pick].tolist() == rows
-                assert aug.images[pick].tobytes() == stored[t].tobytes()
+        assert_pairs_run_alone(aug, ds, ebms, config, 5, dropped={(0, 1): [bad]})
 
     def test_chains_diverging_at_later_steps_dropped_batch_by_batch(self, monkeypatch):
         # as above, 1e37 overflows at step 16 and 1e36 at step 29: the
@@ -176,6 +195,64 @@ class TestGenerateAugmented:
         ds.images[0][train[1]] = 1e37
         with pytest.raises(DivergenceError, match=r"pair \(0, 1\): all 3 chains diverged"):
             generate_augmented(ds, ebms, config, base_seed=5)
+
+    def test_healthy_pairs_stay_in_the_stack_of_a_diverging_pair(self, monkeypatch):
+        # step 2.1 scales a chain's offset from a quadratic's centre by -1.205 per step: an
+        # offset of 1e37 overflows at step 16 and one of 5e36 stays finite over 18 steps. Under
+        # (0, 1) only the 1e37 sample diverges; under (0, 2), centred on 5e36, none does
+        ds = generate_benchmark(3, 6, 8, seed=23, train_frac=0.5)
+        bad = int(ds.split[0]["train"][1])
+        ds.images[0][bad] = 1e37
+        arch = EnergyArch(kind="quadratic", input_shape=(1, 8, 8))
+        ebms = {pair: EnergyParams(arch, np.zeros(arch.input_dim)) for pair in ordered_pairs(3)}
+        ebms[(0, 2)] = EnergyParams(arch, np.full(arch.input_dim, 5e36))
+        config = LangevinConfig(step_size=2.1, n_steps=18, store_stride=6, store_offset=6)
+        batches = count_chain_batches(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            aug = generate_augmented(ds, ebms, config, base_seed=5)
+        # domain 0's stack, (0, 2) again without (0, 1), then (0, 1) alone with and without
+        # its diverged chain; domains 1 and 2 run one stack each
+        assert batches == [6, 3, 3, 2, 6, 6]
+        assert aug.skipped_chains == 1
+        assert np.all(np.isfinite(aug.images))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_pairs_run_alone(aug, ds, ebms, config, 5, dropped={(0, 1): [bad]})
+
+    def test_first_failing_pair_in_pair_order_raises(self, monkeypatch):
+        # step 1e4 sends every chain of (0, 1) to infinity at step 1, while (0, 2)'s energy is
+        # already infinite there: (0, 2) leaves the stack first, but (0, 1) comes first in pair
+        # order, so its divergence is raised, as when the pairs ran one by one
+        ds = generate_benchmark(3, 6, 8, seed=23, train_frac=0.5)
+        arch = EnergyArch(kind="conv", input_shape=(1, 8, 8), conv_blocks=1)
+        ebms = {pair: EnergyParams(arch, np.zeros(arch.param_count))
+                for pair in ordered_pairs(3)}
+        ebms[(0, 1)] = EnergyParams(arch, np.full(arch.param_count, 1e15))
+        ebms[(0, 2)] = EnergyParams(arch, np.full(arch.param_count, 1e25))
+        config = LangevinConfig(step_size=1e4, n_steps=2, store_stride=1, store_offset=1)
+        x0 = ds.images[0][ds.split[0]["train"]].astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite energy") as energy:
+                run_chain_batch(x0, ebms[(0, 2)], config, np.zeros((2,) + x0.shape))
+            assert not isinstance(energy.value, DivergenceError)
+            batches = count_chain_batches(monkeypatch)
+            with pytest.raises(DivergenceError, match=r"^pair \(0, 1\): all 3 chains diverged, "
+                                                      r"the last at step 1$"):
+                generate_augmented(ds, ebms, config, base_seed=5)
+        # the stack of both pairs, (0, 1) without (0, 2), then (0, 1) alone
+        assert batches == [6, 3, 3]
+
+    def test_three_channel_stacks_equal_pairs_alone(self, monkeypatch):
+        ds = generate_benchmark(3, 6, 8, seed=24, channels=3, train_frac=0.5)
+        arch = EnergyArch(kind="conv", input_shape=(3, 8, 8), conv_blocks=1)
+        ebms = {pair: init_energy_params(arch, 31 + k)
+                for k, pair in enumerate(ordered_pairs(3))}
+        config = LangevinConfig(step_size=0.5, n_steps=6, store_stride=2, store_offset=2,
+                                channel_replace=0, clamp_unit=True)
+        batches = count_chain_batches(monkeypatch)
+        aug = generate_augmented(ds, ebms, config, base_seed=9)
+        assert batches == [6, 6, 6]
+        assert len(aug) == 6 * 3 * 3 and aug.skipped_chains == 0
+        assert_pairs_run_alone(aug, ds, ebms, config, 9)
 
     def test_fold_slice_equals_fold_pool(self):
         ds = generate_benchmark(4, 6, 8, seed=22, train_frac=0.5)
